@@ -1,20 +1,17 @@
-// Rollout dissemination: gossip vs unicast on the convoy presets.
+// Rollout dissemination on the convoy presets.
 //
 // The question this bench answers: what does a mid-run strategy rollout
 // cost on the shared V2V bus as the fleet grows, with heartbeats left ON?
 // For each fleet size it stages the convoy gap-log edit (the
-// convoy_staged_task scenario) and runs the identical script twice —
-// dissem=unicast (the distributor ships every slice point-to-point) and
-// dissem=gossip (Trickle beacons, suppression, hop-by-hop relay with
-// heartbeat-aware pacing) — recording rollout latency, nodes installed,
-// control-class bytes on the bus, suppression counts, and the sinks the
-// install burst cost the workload.
+// convoy_staged_task scenario) and gossips it out (Trickle beacons,
+// suppression, hop-by-hop relay with heartbeat-aware pacing), recording
+// rollout latency, nodes installed, control-class bytes on the bus,
+// suppression counts, and the sinks the rollout cost the workload.
 //
 // Emits `BENCH_JSON {...}` rows that ci/run_benches.sh --dissemination
 // folds into BENCH_runtime.json.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,20 +24,13 @@
 namespace btr {
 namespace {
 
-std::string ConvoySpecText(size_t nodes, const char* dissem) {
-  std::string text = "BTRX 1\nNAME dissem_convoy\nSCENARIO convoy nodes=" +
-                     std::to_string(nodes) +
-                     "\nCONFIG f=1 recovery-us=800000 seed=3";
-  if (std::strcmp(dissem, "unicast") != 0) {
-    text += " dissem=";
-    text += dissem;
-  }
-  text +=
-      "\nPHASE periods=60\n"
-      "EDIT at-us=600000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
-      " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
-      "END\n";
-  return text;
+std::string ConvoySpecText(size_t nodes) {
+  return "BTRX 1\nNAME dissem_convoy\nSCENARIO convoy nodes=" + std::to_string(nodes) +
+         "\nCONFIG f=1 recovery-us=800000 seed=3"
+         "\nPHASE periods=60\n"
+         "EDIT at-us=600000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
+         " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
+         "END\n";
 }
 
 struct RolloutRow {
@@ -53,8 +43,8 @@ struct RolloutRow {
   uint64_t fingerprint = 0;
 };
 
-StatusOr<RolloutRow> RunOne(size_t nodes, const char* dissem) {
-  auto spec = ParseExperimentSpec(ConvoySpecText(nodes, dissem));
+StatusOr<RolloutRow> RunOne(size_t nodes) {
+  auto spec = ParseExperimentSpec(ConvoySpecText(nodes));
   if (!spec.ok()) {
     return spec.status();
   }
@@ -81,12 +71,12 @@ StatusOr<RolloutRow> RunOne(size_t nodes, const char* dissem) {
 // Pace-fraction sweep: the same gossip rollout with the chunk-pacing knob
 // turned. pace_fraction caps one chunk's serialization time at that
 // fraction of the workload period — small values keep heartbeats flowing
-// but stretch the transfer; large values approach the unicast burst.
+// but stretch the transfer; large values approach an unpaced burst.
 // DissemConfig is not spec-exposed, so the system is built by hand:
 // BuildScenario + MakeBtrConfig, mutate, then replay the identical script
 // through RunExperimentPhases.
 StatusOr<RolloutRow> RunPace(size_t nodes, double pace_fraction) {
-  auto spec = ParseExperimentSpec(ConvoySpecText(nodes, "gossip"));
+  auto spec = ParseExperimentSpec(ConvoySpecText(nodes));
   if (!spec.ok()) {
     return spec.status();
   }
@@ -135,48 +125,44 @@ int Main(int argc, char** argv) {
   }
 
   PrintHeader("dissemination",
-              "Rollout latency and bytes-on-bus vs fleet size, heartbeats on: "
-              "Trickle gossip against the unicast install burst.");
+              "Gossip rollout latency and bytes-on-bus vs fleet size, heartbeats on.");
 
-  Table table({"fleet", "mode", "rollout", "installed", "control B", "payload B",
-               "missing sinks", "beacons", "suppressed"});
+  Table table({"fleet", "rollout", "installed", "control B", "payload B", "missing sinks",
+               "beacons", "suppressed"});
   for (size_t nodes : sizes) {
-    for (const char* mode : {"unicast", "gossip"}) {
-      auto row = RunOne(nodes, mode);
-      if (!row.ok()) {
-        std::printf("dissemination bench convoy%zu/%s: %s\n", nodes, mode,
-                    row.status().ToString().c_str());
-        return 1;
-      }
-      table.AddRow({"convoy" + std::to_string(nodes), mode,
-                    row->rollout_ms < 0 ? std::string("incomplete")
-                                        : CellDouble(row->rollout_ms, 2) + " ms",
-                    CellInt(static_cast<int64_t>(row->installed)) + "/" +
-                        std::to_string(nodes),
-                    CellBytes(static_cast<double>(row->control_bytes)),
-                    CellBytes(static_cast<double>(row->install_payload)),
-                    CellInt(static_cast<int64_t>(row->missing)),
-                    CellInt(static_cast<int64_t>(row->dissem.beacons_sent)),
-                    CellInt(static_cast<int64_t>(row->dissem.beacons_suppressed))});
-      std::printf(
-          "BENCH_JSON {\"bench\":\"dissemination\",\"preset\":\"%s\","
-          "\"variant\":\"convoy%zu/%s\",\"nodes\":%zu,\"rollout_ms\":%.3f,"
-          "\"installed\":%zu,\"control_bus_bytes\":%llu,"
-          "\"install_payload_bytes\":%llu,\"missing_sinks\":%llu,"
-          "\"beacons_sent\":%llu,\"beacons_suppressed\":%llu,"
-          "\"chunks_sent\":%llu,\"serves\":%llu,\"resumes\":%llu,"
-          "\"fingerprint\":\"%016llx\"}\n",
-          preset.c_str(), nodes, mode, nodes, row->rollout_ms, row->installed,
-          static_cast<unsigned long long>(row->control_bytes),
-          static_cast<unsigned long long>(row->install_payload),
-          static_cast<unsigned long long>(row->missing),
-          static_cast<unsigned long long>(row->dissem.beacons_sent),
-          static_cast<unsigned long long>(row->dissem.beacons_suppressed),
-          static_cast<unsigned long long>(row->dissem.chunks_sent),
-          static_cast<unsigned long long>(row->dissem.serves),
-          static_cast<unsigned long long>(row->dissem.resumes),
-          static_cast<unsigned long long>(row->fingerprint));
+    auto row = RunOne(nodes);
+    if (!row.ok()) {
+      std::printf("dissemination bench convoy%zu: %s\n", nodes,
+                  row.status().ToString().c_str());
+      return 1;
     }
+    table.AddRow({"convoy" + std::to_string(nodes),
+                  row->rollout_ms < 0 ? std::string("incomplete")
+                                      : CellDouble(row->rollout_ms, 2) + " ms",
+                  CellInt(static_cast<int64_t>(row->installed)) + "/" + std::to_string(nodes),
+                  CellBytes(static_cast<double>(row->control_bytes)),
+                  CellBytes(static_cast<double>(row->install_payload)),
+                  CellInt(static_cast<int64_t>(row->missing)),
+                  CellInt(static_cast<int64_t>(row->dissem.beacons_sent)),
+                  CellInt(static_cast<int64_t>(row->dissem.beacons_suppressed))});
+    std::printf(
+        "BENCH_JSON {\"bench\":\"dissemination\",\"preset\":\"%s\","
+        "\"variant\":\"convoy%zu/gossip\",\"nodes\":%zu,\"rollout_ms\":%.3f,"
+        "\"installed\":%zu,\"control_bus_bytes\":%llu,"
+        "\"install_payload_bytes\":%llu,\"missing_sinks\":%llu,"
+        "\"beacons_sent\":%llu,\"beacons_suppressed\":%llu,"
+        "\"chunks_sent\":%llu,\"serves\":%llu,\"resumes\":%llu,"
+        "\"fingerprint\":\"%016llx\"}\n",
+        preset.c_str(), nodes, nodes, row->rollout_ms, row->installed,
+        static_cast<unsigned long long>(row->control_bytes),
+        static_cast<unsigned long long>(row->install_payload),
+        static_cast<unsigned long long>(row->missing),
+        static_cast<unsigned long long>(row->dissem.beacons_sent),
+        static_cast<unsigned long long>(row->dissem.beacons_suppressed),
+        static_cast<unsigned long long>(row->dissem.chunks_sent),
+        static_cast<unsigned long long>(row->dissem.serves),
+        static_cast<unsigned long long>(row->dissem.resumes),
+        static_cast<unsigned long long>(row->fingerprint));
   }
   std::printf("%s\n", table.Render().c_str());
 

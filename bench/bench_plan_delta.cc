@@ -8,8 +8,9 @@
 //
 // The install section (--install-only for CI) measures the strategy
 // *distribution* cost after an E7 single-edit: per-node install bytes and
-// simulated install latency over the network's control class, sliced-patch
-// shipments vs the naive full-blob-to-every-node baseline. Emits
+// simulated install latency of the gossip rollout over the network's
+// control class, against the naive baseline of the full blob shipped to
+// every node (blob bytes x receivers, computed, not simulated). Emits
 // `BENCH_JSON {...}` rows that ci/run_benches.sh folds into
 // BENCH_runtime.json.
 
@@ -86,10 +87,11 @@ void Run() {
   std::printf("(averaged over crashing each flight computer once)\n\n");
 }
 
-// --- E7 install traffic: sliced patches vs full blob ----------------------
+// --- E7 install traffic: gossiped patches vs full blob ---------------------
 
 struct InstallMeasurement {
-  uint64_t bytes_sent = 0;
+  uint64_t payload_bytes = 0;  // artifact bytes served (patches + blob fallbacks)
+  uint64_t wire_bytes = 0;     // every gossip message: beacons, requests, chunks
   double install_ms = -1.0;
   size_t installed = 0;
   size_t fallbacks = 0;
@@ -102,18 +104,14 @@ struct InstallMeasurement {
 
 // One full lifecycle pass through the public API: plan, stage the edit
 // (ApplyDelta rebuilds incrementally and diffs to per-node patches), and
-// let Run replay the rollout over the simulated network. The data plane
-// executes the *old* strategy throughout the rollout run — this measures
-// dissemination, not activation. Each ship mode pays its own Plan +
-// Rebuild (Run commits the staged edit, so one system cannot roll the
-// same edit out twice); planning is deterministic, so both modes ship a
-// bit-identical StrategyUpdate.
-StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEdit& edit,
-                                             BtrRuntime::InstallShipMode mode) {
+// let Run replay the gossip rollout over the simulated network. The data
+// plane executes the *old* strategy throughout the rollout run — this
+// measures dissemination, not activation.
+StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEdit& edit) {
   BtrConfig config = DefaultBtrConfig(2, Milliseconds(500));
-  // Heartbeats share the control class with install traffic; an unpaced
-  // distributor burst would delay its own heartbeats into false omission
-  // convictions (pacing is the dissemination-scheduling ROADMAP item).
+  // The rows isolate the install plane: no heartbeats, so no detection
+  // traffic shares the control class (bench_dissemination measures the
+  // rollout with heartbeats on).
   config.runtime.heartbeats = false;
 
   BtrSystem system(base, config);
@@ -124,7 +122,7 @@ StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEd
   StrategyDelta delta;
   delta.edits.push_back(edit);
   const SimDuration period = system.scenario().workload.period();
-  Status staged = system.ApplyDelta(delta, 2 * period + 1, mode);
+  Status staged = system.ApplyDelta(delta, 2 * period + 1);
   if (!staged.ok()) {
     return staged;
   }
@@ -140,14 +138,14 @@ StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEd
   }
   m.avg_patch = static_cast<double>(sum_patch) / static_cast<double>(m.nodes);
 
-  // Long enough that even the full-blob baseline (~0.8 s serialization per
-  // 100 KB shipment on the distributor's control share) finishes.
+  // Long enough for the worst-case edit's rollout to finish.
   auto report = system.Run(400);
   if (!report.ok()) {
     return report.status();
   }
   m.target_modes = system.strategy().mode_count();  // committed at run end
-  m.bytes_sent = report->install.patch_bytes_sent + report->install.full_bytes_sent;
+  m.payload_bytes = report->install.patch_bytes_sent + report->install.full_bytes_sent;
+  m.wire_bytes = report->install.dissem.bytes_sent;
   m.installed = report->install.nodes_installed;
   m.fallbacks = report->install.fallbacks;
   if (report->install.completed_at != kSimTimeNever) {
@@ -191,48 +189,45 @@ void RunInstall() {
       {"bus_remeasure", DeltaEdit::LinkLatencyChange("bus", 60'000'000, -1)},
   };
 
-  Table table({"edit", "mode", "blob bytes", "bytes/node", "vs full blob", "install time",
+  Table table({"edit", "shipment", "blob bytes", "bytes/node", "vs full blob", "install time",
                "installed", "fallbacks"});
   for (const Variant& variant : variants) {
-    auto patch = SimulateInstall(base, variant.edit, BtrRuntime::InstallShipMode::kPatchSlices);
-    auto blob = SimulateInstall(base, variant.edit, BtrRuntime::InstallShipMode::kFullBlob);
-    if (!patch.ok() || !blob.ok()) {
-      std::printf("install bench %s: %s\n", variant.name,
-                  (!patch.ok() ? patch.status() : blob.status()).ToString().c_str());
+    auto m = SimulateInstall(base, variant.edit);
+    if (!m.ok()) {
+      std::printf("install bench %s: %s\n", variant.name, m.status().ToString().c_str());
       continue;
     }
 
-    const double blob_bytes = static_cast<double>(patch->target_blob_bytes);
-    table.AddRow({std::string(variant.name), "patch slices", CellBytes(blob_bytes),
-                  CellBytes(patch->avg_patch),
-                  CellDouble(100.0 * patch->avg_patch / blob_bytes, 1) + " %",
-                  CellDouble(patch->install_ms, 2) + " ms",
-                  CellInt(static_cast<int64_t>(patch->installed)),
-                  CellInt(static_cast<int64_t>(patch->fallbacks))});
-    table.AddRow({std::string(variant.name), "full blob", CellBytes(blob_bytes),
-                  CellBytes(blob_bytes), "100.0 %", CellDouble(blob->install_ms, 2) + " ms",
-                  CellInt(static_cast<int64_t>(blob->installed)),
-                  CellInt(static_cast<int64_t>(blob->fallbacks))});
+    // Per receiving node: the distributor installs its own patch locally.
+    const double receivers = static_cast<double>(m->nodes - 1);
+    const double blob_bytes = static_cast<double>(m->target_blob_bytes);
+    const double per_node = static_cast<double>(m->payload_bytes) / receivers;
+    table.AddRow({std::string(variant.name), "gossiped patches", CellBytes(blob_bytes),
+                  CellBytes(per_node), CellDouble(100.0 * per_node / blob_bytes, 1) + " %",
+                  CellDouble(m->install_ms, 2) + " ms",
+                  CellInt(static_cast<int64_t>(m->installed)),
+                  CellInt(static_cast<int64_t>(m->fallbacks))});
+    table.AddRow({std::string(variant.name), "full blob (computed)", CellBytes(blob_bytes),
+                  CellBytes(blob_bytes), "100.0 %", "-", "-", "-"});
     std::printf(
         "BENCH_JSON {\"bench\":\"strategy_install\",\"preset\":\"e7\","
         "\"variant\":\"%s\",\"nodes\":%zu,\"modes\":%zu,\"full_blob_bytes\":%zu,"
         "\"patch_bytes_per_node_avg\":%.1f,\"patch_bytes_per_node_max\":%zu,"
-        "\"patch_vs_blob_ratio\":%.4f,\"patch_install_ms\":%.3f,"
-        "\"full_blob_install_ms\":%.3f,\"patch_bytes_sent\":%llu,"
-        "\"full_blob_bytes_sent\":%llu,\"patch_installed\":%zu,\"fallbacks\":%zu}\n",
-        variant.name, patch->nodes, patch->target_modes, patch->target_blob_bytes,
-        patch->avg_patch, patch->max_patch, patch->avg_patch / blob_bytes,
-        patch->install_ms, blob->install_ms,
-        static_cast<unsigned long long>(patch->bytes_sent),
-        static_cast<unsigned long long>(blob->bytes_sent), patch->installed,
-        patch->fallbacks);
+        "\"patch_vs_blob_ratio\":%.4f,\"install_bytes_per_node\":%.1f,"
+        "\"install_wire_bytes\":%llu,\"install_ms\":%.3f,"
+        "\"full_blob_bytes_sent\":%.0f,\"installed\":%zu,\"fallbacks\":%zu}\n",
+        variant.name, m->nodes, m->target_modes, m->target_blob_bytes, m->avg_patch,
+        m->max_patch, m->avg_patch / blob_bytes, per_node,
+        static_cast<unsigned long long>(m->wire_bytes), m->install_ms, blob_bytes * receivers,
+        m->installed, m->fallbacks);
   }
   std::printf("%s\n", table.Render().c_str());
-  std::printf("(bytes/node = average install shipment per node over the simulated\n"
+  std::printf("(bytes/node = artifact bytes served per receiving node over the simulated\n"
               " network's control class; install time = simulated time from rollout\n"
-              " start to the last node verifying its new slice; patches chain to the\n"
-              " installed base by fingerprint and fall back to a full slice on any\n"
-              " mismatch — see README \"Strategy distribution\")\n\n");
+              " start to the last node verifying its new slice; relays pull the whole\n"
+              " patch and carve their own slice, a failed patch falls back to the blob\n"
+              " artifact — see README \"Strategy distribution\"; the full-blob row is the\n"
+              " blob shipped to every receiver, computed rather than simulated)\n\n");
 }
 
 }  // namespace

@@ -49,9 +49,6 @@ StatusOr<ChurnRow> RunChurn(size_t vehicles, size_t events, uint64_t seed) {
   // exactly covered and the beyond-f knee tracks the *second* event —
   // which is what makes coverage respond to the rate.
   BtrConfig config = DefaultBtrConfig(2, Milliseconds(800), seed);
-  // Paced gossip rollouts: an eager unicast blast on the 5 Mbps v2v ring
-  // congests heartbeats and convicts innocents (see convoy_churn.btrx).
-  config.runtime.dissem.mode = DissemMode::kGossip;
   // A real crash floods enough coincident path declarations that the
   // default threshold of 2 also frames a relay next to the victim —
   // which would push even a single churn event beyond f and flatten the

@@ -7,7 +7,7 @@
 #   ci/run_benches.sh                  # smoke preset (CI: fast, keeps binaries honest)
 #   ci/run_benches.sh --full           # E7 preset, more reps (perf work: real numbers)
 #   ci/run_benches.sh --sweep-service  # + sweep_service row (btrsim --bench-service)
-#   ci/run_benches.sh --dissemination  # + gossip-vs-unicast rollout rows
+#   ci/run_benches.sh --dissemination  # + gossip rollout rows
 #                                      #   (latency + bytes-on-bus vs fleet size,
 #                                      #   and rollout latency vs pace_fraction)
 #   ci/run_benches.sh --scenarios      # + scenario-family rows (coverage vs
@@ -87,8 +87,9 @@ if [[ -n "${PLANNER_ROWS}" ]]; then
     ${PLANNER_ROWS}"
 fi
 # Install-traffic rows (E7 addendum): per-node install bytes and simulated
-# install latency after a single edit, sliced patches vs the naive
-# full-blob-to-every-node baseline (see README "Strategy distribution").
+# install latency of the gossip rollout after a single edit, against the
+# naive full-blob-to-every-node baseline (computed; see README "Strategy
+# distribution").
 INSTALL_ROWS=$(./build-bench/bench_plan_delta --install-only \
   | sed -n 's/^BENCH_JSON //p' | paste -sd, -)
 if [[ -n "${INSTALL_ROWS}" ]]; then
@@ -127,10 +128,10 @@ if [[ "${SWEEP_SERVICE}" == "1" ]]; then
   fi
 fi
 
-# Dissemination rows (--dissemination): the staged convoy edit rolled out
-# with dissem=unicast vs dissem=gossip at each fleet size, heartbeats ON —
-# rollout latency, nodes installed, and control-class bytes on the shared
-# bus (the suppression / leaf-slice economy made measurable).
+# Dissemination rows (--dissemination): the staged convoy edit gossiped
+# out at each fleet size, heartbeats ON — rollout latency, nodes
+# installed, and control-class bytes on the shared bus (the suppression /
+# leaf-slice economy made measurable).
 if [[ "${DISSEMINATION}" == "1" ]]; then
   DISSEM_ROWS=$(./build-bench/bench_dissemination "--preset=${PRESET}" \
     | sed -n 's/^BENCH_JSON //p' | paste -sd, -)

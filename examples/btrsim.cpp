@@ -55,7 +55,6 @@ struct Options {
   int64_t recovery_ms = 500;
   uint64_t periods = 200;
   std::optional<uint32_t> shards;  // overrides the spec; default = auto
-  std::optional<std::string> dissem;  // overrides the spec: unicast|gossip
   std::optional<int64_t> beacon_us;
   std::optional<uint32_t> suppress_k;
   std::optional<std::string> pace_fraction;
@@ -81,8 +80,7 @@ int Usage(const char* argv0) {
       "usage: %s [--spec FILE.btrx]\n"
       "          [--scenario avionics|scada|convoy|convoy-mobile|lossy-mesh|random] [--nodes N]\n"
       "          [--seed S] [--f F] [--recovery-ms R] [--periods P] [--shards N]\n"
-      "          [--dissem unicast|gossip] [--beacon-us T] [--suppress-k K]\n"
-      "          [--pace-fraction F] [--wire v2|v4]\n"
+      "          [--beacon-us T] [--suppress-k K] [--pace-fraction F] [--wire v2|v4]\n"
       "          [--fault crash|value-corruption|omission|selective-omission|\n"
       "                   delay|equivocate|evidence-flood]\n"
       "          [--fault-node N] [--fault-at-ms T] [--fault-until-ms T]\n"
@@ -385,8 +383,6 @@ int main(int argc, char** argv) {
       opts.periods = static_cast<uint64_t>(std::atoll(next("--periods")));
     } else if (arg == "--shards") {
       opts.shards = static_cast<uint32_t>(std::atoi(next("--shards")));
-    } else if (arg == "--dissem") {
-      opts.dissem = next("--dissem");
     } else if (arg == "--beacon-us") {
       opts.beacon_us = std::atoll(next("--beacon-us"));
     } else if (arg == "--suppress-k") {
@@ -456,12 +452,6 @@ int main(int argc, char** argv) {
   // sharding only changes how fast they arrive).
   if (opts.shards.has_value()) {
     spec.shards = *opts.shards;
-  }
-  if (opts.dissem.has_value()) {
-    if (!ParseDissemMode(*opts.dissem, &spec.dissem)) {
-      std::printf("--dissem must be unicast or gossip\n");
-      return Usage(argv[0]);
-    }
   }
   if (opts.beacon_us.has_value()) {
     spec.beacon_period = Microseconds(*opts.beacon_us);

@@ -84,15 +84,10 @@ std::string SerializeRunReport(const RunReport& report) {
          " patch_bytes=%" PRIu64 " full_bytes=%" PRIu64,
          ir.started_at, ir.completed_at, ir.nodes_installed, ir.fallbacks,
          ir.patch_bytes_sent, ir.full_bytes_sent);
-    // Gated on the gossip flag so unicast reports stay byte-identical to
-    // what they were before dissemination existed.
-    if (ir.gossip) {
-      line("dissem beacons=%" PRIu64 " suppressed=%" PRIu64 " requests=%" PRIu64
-           " chunks=%" PRIu64 " bytes=%" PRIu64 " serves=%" PRIu64 " resumes=%" PRIu64,
-           ir.dissem.beacons_sent, ir.dissem.beacons_suppressed, ir.dissem.requests_sent,
-           ir.dissem.chunks_sent, ir.dissem.bytes_sent, ir.dissem.serves,
-           ir.dissem.resumes);
-    }
+    line("dissem beacons=%" PRIu64 " suppressed=%" PRIu64 " requests=%" PRIu64
+         " chunks=%" PRIu64 " bytes=%" PRIu64 " serves=%" PRIu64 " resumes=%" PRIu64,
+         ir.dissem.beacons_sent, ir.dissem.beacons_suppressed, ir.dissem.requests_sent,
+         ir.dissem.chunks_sent, ir.dissem.bytes_sent, ir.dissem.serves, ir.dissem.resumes);
   }
   return out;
 }
@@ -158,8 +153,7 @@ Status BtrSystem::AdoptStrategy(std::shared_ptr<const Strategy> strategy) {
 
 void BtrSystem::AddFault(const FaultInjection& injection) { adversary_.Add(injection); }
 
-Status BtrSystem::ApplyDelta(const StrategyDelta& delta, SimTime rollout_at,
-                             BtrRuntime::InstallShipMode ship_mode) {
+Status BtrSystem::ApplyDelta(const StrategyDelta& delta, SimTime rollout_at) {
   if (!planned_) {
     return Status::FailedPrecondition("call Plan() before ApplyDelta()");
   }
@@ -187,7 +181,6 @@ Status BtrSystem::ApplyDelta(const StrategyDelta& delta, SimTime rollout_at,
 
   auto staged = std::make_unique<StagedDelta>();
   staged->rollout_at = rollout_at;
-  staged->ship_mode = ship_mode;
   if (rollout_at != kNoRollout) {
     // Diff deployed vs rebuilt into the rollout's shipment set. The blobs
     // are canonical serialized text, so the patches are provably minimal
@@ -299,8 +292,7 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
       return Status::FailedPrecondition(
           "staged rollout needs a distributor that is honest at rollout time");
     }
-    runtime.ScheduleStrategyInstall(staged_->rollout_at, staged_->update, distributor,
-                                    staged_->ship_mode);
+    runtime.ScheduleStrategyInstall(staged_->rollout_at, staged_->update, distributor);
   }
   sim.RunToCompletion();
 

@@ -158,11 +158,7 @@ class BtrSystem {
   // at that sim time and commits at its end (see Run). kNoRollout commits
   // immediately with no simulated traffic. Calling ApplyDelta while an
   // earlier edit is still staged first commits that edit silently.
-  // `ship_mode` picks sliced patches (default) or the naive full-blob
-  // baseline for the staged rollout.
-  Status ApplyDelta(const StrategyDelta& delta, SimTime rollout_at = kNoRollout,
-                    BtrRuntime::InstallShipMode ship_mode =
-                        BtrRuntime::InstallShipMode::kPatchSlices);
+  Status ApplyDelta(const StrategyDelta& delta, SimTime rollout_at = kNoRollout);
 
   // True while an ApplyDelta(..., rollout_at >= 0) awaits its rollout run.
   bool has_staged_delta() const { return staged_ != nullptr; }
@@ -204,7 +200,6 @@ class BtrSystem {
     Strategy strategy;
     std::shared_ptr<const StrategyUpdate> update;
     SimTime rollout_at = 0;
-    BtrRuntime::InstallShipMode ship_mode = BtrRuntime::InstallShipMode::kPatchSlices;
   };
 
   void CommitStaged();

@@ -57,46 +57,7 @@ struct StateTransfer : Payload {
   PayloadKind kind() const override { return PayloadKind::kStateTransfer; }
 };
 
-// --- strategy install plane (see strategy_patch.h) -------------------------
-
-// A node's sliced strategy patch, shipped by the distributor during a
-// rollout. The wire size is the patch text itself, so dissemination cost
-// shows up in the network stats like any other control traffic.
-struct StrategyPatchMessage : Payload {
-  std::string patch;  // BTRPATCH text sliced for the destination node
-  uint64_t base_fp = 0;
-  uint64_t target_fp = 0;
-  NodeId distributor;
-
-  PayloadKind kind() const override { return PayloadKind::kStrategyPatch; }
-};
-
-// Fallback shipment after a failed patch apply: the node's complete target
-// slice (still table-granular — only this node's schedule rows). The naive
-// blob-per-node baseline reuses this message with the whole BTRSTRATEGY
-// blob in `slice`.
-struct StrategyFullMessage : Payload {
-  std::string slice;  // BTRSLICE text for the destination node (or the blob)
-  uint64_t target_fp = 0;
-  // Fingerprint of `slice` itself, computed by the distributor. The text's
-  // own SFP record chains to the parent blob, not to its own bytes, so the
-  // receiver needs this to detect in-transit corruption before installing.
-  uint64_t content_fp = 0;
-  NodeId distributor;
-
-  PayloadKind kind() const override { return PayloadKind::kStrategyFull; }
-};
-
-// A node telling the distributor its patch did not verify (wrong base,
-// corruption in transit, ...); the distributor answers with the full slice.
-struct InstallNackMessage : Payload {
-  NodeId from;
-  uint64_t target_fp = 0;
-
-  PayloadKind kind() const override { return PayloadKind::kInstallNack; }
-};
-
-// --- gossip dissemination (see src/net/dissemination.h) --------------------
+// --- strategy install plane: gossip dissemination (see src/net/dissemination.h)
 
 // Trickle beacon: "I currently run `announced_fp`; the rollout I know of
 // targets `target_fp`". A neighbor behind the announcer pulls; a neighbor

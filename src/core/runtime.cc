@@ -167,7 +167,6 @@ BtrRuntime::BtrRuntime(const RuntimeContext& ctx) : ctx_(ctx) {
     }
   }
   conviction_shards_.resize(shards);
-  install_shards_.resize(shards);
   const size_t n = ctx_.topo->node_count();
   nodes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -240,164 +239,70 @@ void BtrRuntime::Start(uint64_t periods) {
 
 void BtrRuntime::ScheduleStrategyInstall(SimTime at,
                                          std::shared_ptr<const StrategyUpdate> update,
-                                         NodeId distributor, InstallShipMode mode) {
+                                         NodeId distributor) {
   assert(update != nullptr && update->base_slices.size() == nodes_.size() &&
          update->slice_fps.size() == nodes_.size());
   update_ = std::move(update);
-  install_distributor_ = distributor;
-  fallbacks_sent_.assign(nodes_.size(), 0);
-  ctx_.sim->At(at, [this, mode]() {
+  installed_at_.assign(nodes_.size(), kSimTimeNever);
+  ctx_.sim->At(at, [this, distributor]() {
     install_report_.started_at = ctx_.sim->Now();
     // The base strategy was installed out of band before deployment (the
     // paper's nodes boot with it on flash); seed the engines, no traffic.
     for (auto& node : nodes_) {
       node->EnsureBaseInstalled(*update_);
     }
-    const size_t d = install_distributor_.value();
-    if (mode == InstallShipMode::kPatchSlices) {
-      nodes_[d]->ApplyLocalInstall(*update_);
-    } else {
-      nodes_[d]->InstallTargetSlice(*update_);
+    nodes_[distributor.value()]->ApplyLocalInstall(*update_);
+    // No shipments yet: every node starts a Trickle agent; the
+    // distributor's beacons announce the target and neighbors pull, hop by
+    // hop.
+    for (auto& node : nodes_) {
+      node->StartGossip(distributor);
     }
-    if (ctx_.config.dissem.mode == DissemMode::kGossip) {
-      // Gossip: no shipments yet — every node starts a Trickle agent; the
-      // distributor's beacons announce the target and neighbors pull,
-      // hop by hop.
-      for (auto& node : nodes_) {
-        node->StartGossip(install_distributor_, mode);
-      }
-      return;
-    }
-    ShipNextInstall(0, mode);
   });
 }
 
-SimDuration BtrRuntime::EstimateInstallTx(NodeId dst, uint32_t bytes) const {
-  const RoutingTable* routing = ctx_.network->routing();
-  if (routing != nullptr) {
-    const Route& route = routing->RouteBetween(install_distributor_, dst);
-    if (!route.empty()) {
-      return ctx_.network->SerializationTime(route[0].link, install_distributor_,
-                                             TrafficClass::kControl, bytes);
-    }
-  }
-  // No routing yet (or dst unreachable): a 0 here would collapse the whole
-  // rollout into a same-instant burst that overflows the control guardian.
-  // Fall back to the serialization time (frame floor included) on the
-  // distributor's first attached link so shipments stay spaced.
-  const std::vector<LinkId>& links = ctx_.topo->LinksAt(install_distributor_);
-  if (links.empty()) {
-    return 1;
-  }
-  return ctx_.network->SerializationTime(links[0], install_distributor_,
-                                         TrafficClass::kControl,
-                                         std::max(bytes, kInstallNackBytes));
-}
-
-void BtrRuntime::ShipNextInstall(uint32_t index, InstallShipMode mode) {
-  if (update_ == nullptr) {
-    return;
-  }
-  while (index < nodes_.size() && NodeId(index) == install_distributor_) {
-    ++index;
-  }
-  if (index >= nodes_.size()) {
-    return;
-  }
-  const NodeId dst(index);
-  uint32_t bytes = 0;
-  if (mode == InstallShipMode::kPatchSlices) {
-    auto msg = std::make_shared<StrategyPatchMessage>();
-    msg->patch = update_->patch_slices[index];
-    msg->base_fp = update_->base_fp;
-    msg->target_fp = update_->target_fp;
-    msg->distributor = install_distributor_;
-    bytes = static_cast<uint32_t>(msg->patch.size());
-    install_report_.patch_bytes_sent += bytes;
-    ctx_.network->Send(install_distributor_, dst, bytes, TrafficClass::kControl,
-                       std::move(msg));
-  } else {
-    // Naive baseline: the entire target blob to every node; the receiver
-    // carves out its own slice on arrival.
-    auto msg = std::make_shared<StrategyFullMessage>();
-    msg->slice = update_->target_blob;
-    msg->target_fp = update_->target_fp;
-    // Fingerprint of the shipped bytes: the target fingerprint itself for
-    // a text blob, the image hash when the wire format is v4.
-    msg->content_fp = update_->target_blob_fp;
-    msg->distributor = install_distributor_;
-    bytes = static_cast<uint32_t>(msg->slice.size());
-    install_report_.full_bytes_sent += bytes;
-    ctx_.network->Send(install_distributor_, dst, bytes, TrafficClass::kControl,
-                       std::move(msg));
-  }
-  ctx_.sim->At(ctx_.sim->Now() + EstimateInstallTx(dst, bytes),
-               [this, index, mode]() { ShipNextInstall(index + 1, mode); });
-}
-
-void BtrRuntime::HandleInstallNack(NodeId from) {
-  if (update_ == nullptr || from.value() >= update_->full_slices.size()) {
-    return;
-  }
-  if (fallbacks_sent_[from.value()] >= kMaxInstallFallbacksPerNode) {
-    // Warn exactly once per node per rollout: the counter keeps advancing
-    // past the cap so later nacks from the same node stay silent instead of
-    // re-logging "giving up" on every retry.
-    if (fallbacks_sent_[from.value()] == kMaxInstallFallbacksPerNode) {
-      ++fallbacks_sent_[from.value()];
-      BTR_LOG(kWarning, "install")
-          << "node " << from.value() << " still nacking after "
-          << kMaxInstallFallbacksPerNode << " full-slice shipments; giving up on it";
-    }
-    return;
-  }
-  ++fallbacks_sent_[from.value()];
-  ++install_report_.fallbacks;
-  auto msg = std::make_shared<StrategyFullMessage>();
-  msg->slice = update_->full_slices[from.value()];
-  msg->target_fp = update_->target_fp;
-  msg->content_fp = update_->slice_fps[from.value()];
-  msg->distributor = install_distributor_;
-  const uint32_t bytes = static_cast<uint32_t>(msg->slice.size());
-  install_report_.full_bytes_sent += bytes;
-  ctx_.network->Send(install_distributor_, from, bytes, TrafficClass::kControl,
-                     std::move(msg));
-}
-
 void BtrRuntime::NotifyInstalled(NodeId node) {
-  (void)node;
-  const ExecContext& exec = ThisThreadExec();
-  InstallShard& sh = install_shards_[exec.worker ? exec.shard : 0];
-  ++sh.installed;
-  sh.last_at = std::max(sh.last_at, ctx_.sim->Now());
+  SimTime& at = installed_at_[node.value()];
+  at = std::min(at, ctx_.sim->Now());
 }
 
 const InstallRunReport& BtrRuntime::install_report() const {
   install_report_final_ = install_report_;
-  size_t installed = 0;
-  SimTime last = -1;
-  for (const InstallShard& sh : install_shards_) {
-    installed += sh.installed;
-    last = std::max(last, sh.last_at);
+  if (update_ == nullptr) {
+    return install_report_final_;
   }
   // Gossip counters: sums over the per-node agents, in node order — shard-
   // layout invariant by construction.
-  if (ctx_.config.dissem.mode == DissemMode::kGossip && update_ != nullptr) {
-    install_report_final_.gossip = true;
-    for (const auto& node : nodes_) {
-      if (const DissemAgentStats* stats = node->gossip_stats()) {
-        install_report_final_.dissem.MergeFrom(*stats);
-      }
+  for (const auto& node : nodes_) {
+    if (const DissemAgentStats* stats = node->gossip_stats()) {
+      install_report_final_.dissem.MergeFrom(*stats);
     }
-    install_report_final_.fallbacks += install_report_final_.dissem.fallbacks;
-    install_report_final_.patch_bytes_sent += install_report_final_.dissem.patch_payload_bytes;
-    install_report_final_.full_bytes_sent += install_report_final_.dissem.full_payload_bytes;
+  }
+  install_report_final_.fallbacks += install_report_final_.dissem.fallbacks;
+  install_report_final_.patch_bytes_sent += install_report_final_.dissem.patch_payload_bytes;
+  install_report_final_.full_bytes_sent += install_report_final_.dissem.full_payload_bytes;
+  // Completion waits only for nodes no honest node convicted: the rest are
+  // isolated, so no neighbor serves them. The set comes from the canonical
+  // conviction list, so it is layout-invariant like the install times.
+  std::vector<bool> isolated(nodes_.size(), false);
+  for (const ConvictionEvent& ev : convictions()) {
+    if (ctx_.adversary->ManifestTime(ev.by) == kSimTimeNever) {
+      isolated[ev.convicted.value()] = true;
+    }
+  }
+  size_t installed = 0;
+  SimTime last = -1;
+  bool complete = true;
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    const bool done = installed_at_[n] != kSimTimeNever;
+    installed += done ? 1 : 0;
+    if (!isolated[n]) {
+      complete = complete && done;
+      last = done ? std::max(last, installed_at_[n]) : last;
+    }
   }
   install_report_final_.nodes_installed = installed;
-  // Completion time is the moment the last node reached the target — a
-  // property of the event set, so the max over shards is layout-invariant.
-  install_report_final_.completed_at =
-      installed == nodes_.size() && installed > 0 ? last : kSimTimeNever;
+  install_report_final_.completed_at = complete && last >= 0 ? last : kSimTimeNever;
   return install_report_final_;
 }
 
@@ -1201,19 +1106,6 @@ void NodeRuntime::OnPacket(const Packet& packet) {
       awaiting_state_.Erase(transfer.task.value());
       return;
     }
-    case PayloadKind::kStrategyPatch: {
-      HandleStrategyPatch(packet, static_cast<const StrategyPatchMessage&>(*packet.payload));
-      return;
-    }
-    case PayloadKind::kStrategyFull: {
-      HandleStrategyFull(packet, static_cast<const StrategyFullMessage&>(*packet.payload));
-      return;
-    }
-    case PayloadKind::kInstallNack: {
-      const auto& nack = static_cast<const InstallNackMessage&>(*packet.payload);
-      owner_->HandleInstallNack(nack.from);
-      return;
-    }
     case PayloadKind::kDissemBeacon: {
       HandleDissemBeacon(packet, static_cast<const DissemBeaconMessage&>(*packet.payload));
       return;
@@ -1257,109 +1149,18 @@ void NodeRuntime::ApplyLocalInstall(const StrategyUpdate& update) {
   }
 }
 
-void NodeRuntime::HandleStrategyPatch(const Packet& packet, const StrategyPatchMessage& msg) {
-  install_.CountReceivedBytes(packet.size_bytes);
-  if (install_.strategy_fingerprint() == msg.target_fp) {
-    return;  // duplicate shipment; already on the target strategy
-  }
-  if (install_.ApplyPatch(msg.patch).ok()) {
-    owner_->NotifyInstalled(id_);
-    return;
-  }
-  // Verify-then-swap left the installed slice untouched; escalate to a
-  // full (non-delta) slice from the distributor.
-  SendInstallNack(msg.distributor, msg.target_fp);
-}
-
-void NodeRuntime::InstallTargetSlice(const StrategyUpdate& update) {
-  if (install_.strategy_fingerprint() == update.target_fp) {
-    return;
-  }
-  if (install_.InstallFull(update.full_slices[id_.value()], update.target_fp).ok()) {
-    owner_->NotifyInstalled(id_);
-  }
-}
-
-void NodeRuntime::HandleStrategyFull(const Packet& packet, const StrategyFullMessage& msg) {
-  install_.CountReceivedBytes(packet.size_bytes);
-  if (install_.strategy_fingerprint() == msg.target_fp) {
-    return;
-  }
-  // Content-verify the shipment before touching anything: the text's own
-  // SFP record chains to the parent blob, not to its own bytes, so a
-  // flipped table-row byte would otherwise survive structural validation.
-  if (FingerprintStrategyText(msg.slice) != msg.content_fp) {
-    SendInstallNack(msg.distributor, msg.target_fp);
-    return;
-  }
-  // The fallback path ships this node's slice; the naive full-blob
-  // baseline ships the whole strategy and the node carves its own slice.
-  // A v4 full-blob image decodes to its canonical text first (a slice
-  // image passes straight through to the engine's zero-parse path).
-  const std::string* slice_text = &msg.slice;
-  std::string carved;
-  std::string decoded;
-  const std::string* blob = nullptr;
-  if (msg.slice.rfind("BTRSTRATEGY", 0) == 0) {
-    blob = &msg.slice;
-  } else if (fmt::IsV4Image(msg.slice)) {
-    StatusOr<fmt::BinaryStrategyView> view = fmt::BinaryStrategyView::Map(msg.slice);
-    if (!view.ok()) {
-      SendInstallNack(msg.distributor, msg.target_fp);
-      return;
-    }
-    if (!view->is_slice()) {
-      StatusOr<std::string> text = view->DecodeText();
-      if (!text.ok()) {
-        SendInstallNack(msg.distributor, msg.target_fp);
-        return;
-      }
-      decoded = std::move(*text);
-      blob = &decoded;
-    }
-  }
-  if (blob != nullptr) {
-    StatusOr<std::string> extracted = ExtractSlice(*blob, id_.value());
-    if (!extracted.ok()) {
-      SendInstallNack(msg.distributor, msg.target_fp);
-      return;
-    }
-    carved = std::move(*extracted);
-    slice_text = &carved;
-  }
-  const Status st = install_.InstallFull(*slice_text, msg.target_fp);
-  if (!st.ok()) {
-    // Content-verified, so this is not transit damage: the distributor's
-    // own slice does not chain to the target. Re-requesting cannot help.
-    BTR_LOG(kWarning, "install") << "node " << id_.value()
-                              << ": full-slice install refused: " << st.ToString();
-    return;
-  }
-  owner_->NotifyInstalled(id_);
-}
-
-void NodeRuntime::SendInstallNack(NodeId distributor, uint64_t target_fp) {
-  auto nack = NewPayload<InstallNackMessage>();
-  nack->from = id_;
-  nack->target_fp = target_fp;
-  ctx_.network->Send(id_, distributor, kInstallNackBytes, TrafficClass::kControl,
-                     std::move(nack));
-}
-
 // ---------------------------------------------------------------------------
 // Gossip dissemination (Trickle agents; see src/net/dissemination.h)
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::StartGossip(NodeId distributor, BtrRuntime::InstallShipMode mode) {
+void NodeRuntime::StartGossip(NodeId distributor) {
   DissemConfig config = ctx_.config.dissem;
   if (config.beacon_period <= 0) {
     // Default beat: one workload period — beacons ride the same cadence the
     // omission detector already tolerates.
     config.beacon_period = ctx_.workload->period();
   }
-  gossip_ = std::make_unique<GossipSession>(config, id_.value(), owner_->update_->target_fp,
-                                            ctx_.topo->node_count());
-  gossip_->blob_mode = mode == BtrRuntime::InstallShipMode::kFullBlob;
+  gossip_ = std::make_unique<GossipSession>(config, id_.value(), owner_->update_->target_fp);
   gossip_->relay = id_ == distributor;
   gossip_->busy_links.assign(ctx_.topo->link_count(), 0);
   gossip_->serving_to.assign(ctx_.topo->node_count(), 0);
@@ -1414,12 +1215,19 @@ void NodeRuntime::OnTrickleFire(uint32_t generation) {
     gossip_->timer.Stop();  // dormant until the heal event pokes us
     return;
   }
-  if (!gossip_->timer.ShouldSendAtFire()) {
-    ++gossip_->stats.beacons_suppressed;
+  GossipSession& g = *gossip_;
+  // Trickle suppression assumes a broadcast medium, where the neighbors that
+  // miss our suppressed beacon heard the k consistent ones we heard. Beacons
+  // here travel per link, so a neighbor whose only link is ours (a convoy
+  // I/O leaf) may have gone dormant without hearing any: the first beacon
+  // after an install is never suppressed.
+  if (!g.timer.ShouldSendAtFire() && !g.announce_install) {
+    ++g.stats.beacons_suppressed;
     return;
   }
   if (!DissemSilenced()) {
     SendDissemBeacon();
+    g.announce_install = false;
   }
 }
 
@@ -1477,7 +1285,6 @@ void NodeRuntime::HandleDissemBeacon(const Packet& packet, const DissemBeaconMes
     return;
   }
   GossipSession& g = *gossip_;
-  g.peer_fp[msg.from.value()] = msg.announced_fp;
   if (msg.announced_fp == DissemAnnounceFp()) {
     g.timer.OnConsistent();
     return;
@@ -1495,8 +1302,7 @@ void NodeRuntime::SendDissemRequest(NodeId to) {
   GossipSession& g = *gossip_;
   // Resume only when the partial transfer matches the artifact family we
   // would request now; otherwise restart from chunk 0.
-  const bool blob_family = g.want_blob || g.blob_mode;
-  if (g.rx.active && DissemContentIsPatch(g.rx.content) == blob_family) {
+  if (g.rx.active && DissemContentIsPatch(g.rx.content) == g.want_blob) {
     g.rx = DissemReassembly{};
   }
   auto req = NewPayload<DissemRequestMessage>();
@@ -1553,14 +1359,13 @@ void NodeRuntime::HandleDissemRequest(const Packet& packet, const DissemRequestM
   if (!link.valid()) {
     return;  // gossip serves one-hop neighbors only
   }
-  const bool blob = msg.want_blob || g.blob_mode;
   // Leaf optimization: a single-neighbor requester can never relay, so it
   // gets only its own slice; everyone else receives the full artifact and
-  // becomes a relay. This is where gossip undercuts unicast on bus bytes.
+  // becomes a relay.
   const bool leaf = ctx_.topo->Neighbors(msg.from).size() <= 1;
   const DissemContent content =
-      blob ? (leaf ? DissemContent::kBlobSlice : DissemContent::kBlobFull)
-           : (leaf ? DissemContent::kPatchSlice : DissemContent::kPatchFull);
+      msg.want_blob ? (leaf ? DissemContent::kBlobSlice : DissemContent::kBlobFull)
+                    : (leaf ? DissemContent::kPatchSlice : DissemContent::kPatchFull);
   g.serving_to[to] = 1;
   g.serve_queue.push_back(PendingServe{msg.from, content, msg.have_chunks, link, 0});
   MaybeServeNext();
@@ -1744,30 +1549,21 @@ void NodeRuntime::HandleDissemChunk(const Packet& packet, const DissemChunkMessa
   // the engine (the fingerprint chain alone cannot catch a flipped byte).
   rx = DissemReassembly{};
   g.pending_from = NodeId::Invalid();
-  if (FingerprintStrategyText(msg.text) != msg.content_fp) {
-    return;  // corrupt in transit: the next beacon triggers a clean re-pull
-  }
-  ApplyDissemArtifact(msg.content, msg.text, msg.from);
+  ApplyDissemArtifact(msg);
 }
 
-void NodeRuntime::ApplyDissemArtifact(DissemContent content, const std::string& text,
-                                      NodeId server) {
-  GossipSession& g = *gossip_;
-  Status st = Status::Ok();
+Status NodeRuntime::InstallDissemArtifact(DissemContent content, const std::string& text) {
   switch (content) {
     case DissemContent::kPatchSlice:
-      st = install_.ApplyPatch(text);
-      break;
+      return install_.ApplyPatch(text);
     case DissemContent::kPatchFull: {
       StatusOr<StrategyPatch> patch =
           fmt::IsV4Image(text) ? fmt::DecodePatchImage(text) : ParseStrategyPatch(text);
-      if (patch.ok()) {
-        StatusOr<std::string> sliced = SaveStrategyPatchSlice(*patch, id_.value());
-        st = sliced.ok() ? install_.ApplyPatch(*sliced) : sliced.status();
-      } else {
-        st = patch.status();
+      if (!patch.ok()) {
+        return patch.status();
       }
-      break;
+      StatusOr<std::string> sliced = SaveStrategyPatchSlice(*patch, id_.value());
+      return sliced.ok() ? install_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {
       // A v4 blob image decodes to canonical text before carving; the
@@ -1777,41 +1573,53 @@ void NodeRuntime::ApplyDissemArtifact(DissemContent content, const std::string& 
       if (fmt::IsV4Image(text)) {
         StatusOr<std::string> decoded = fmt::DecodeStrategyImage(text);
         if (!decoded.ok()) {
-          st = decoded.status();
-          break;
+          return decoded.status();
         }
         decoded_text = std::move(*decoded);
         blob = &decoded_text;
       }
       StatusOr<std::string> carved = ExtractSlice(*blob, id_.value());
-      st = carved.ok() ? install_.InstallFull(*carved, g.target_fp) : carved.status();
-      break;
+      return carved.ok() ? install_.InstallFull(*carved, gossip_->target_fp) : carved.status();
     }
     case DissemContent::kBlobSlice:
-      st = install_.InstallFull(text, g.target_fp);
-      break;
+      return install_.InstallFull(text, gossip_->target_fp);
   }
+  return Status::InvalidArgument("unknown artifact kind");
+}
+
+void NodeRuntime::ApplyDissemArtifact(const DissemChunkMessage& msg) {
+  GossipSession& g = *gossip_;
+  // Content-verify before touching the engine (the fingerprint chain alone
+  // cannot catch a flipped byte). The network never alters payloads, so a
+  // mismatch means the served artifact itself is bad: it takes the same
+  // path as one that fails to apply.
+  const Status st =
+      FingerprintStrategyText(msg.text) == msg.content_fp
+          ? InstallDissemArtifact(msg.content, msg.text)
+          : Status::InvalidArgument("artifact does not match its content fingerprint");
   if (st.ok()) {
-    if (DissemContentIsFull(content)) {
+    if (DissemContentIsFull(msg.content)) {
       g.relay = true;  // we hold a verified full artifact and can re-carve it
     }
+    g.announce_install = true;
     owner_->NotifyInstalled(id_);
     // Fresh version on board: reset so the next hop hears about it quickly.
     ResetTrickle();
     return;
   }
-  if (DissemContentIsPatch(content)) {
-    // The patch does not chain to our installed base: fall back to the blob
-    // artifact from the same server (gossip's analogue of the install nack).
+  if (DissemContentIsPatch(msg.content)) {
+    // The patch is corrupt or does not chain to our installed base: fall
+    // back to the blob artifact from the same server.
     ++g.stats.fallbacks;
     g.want_blob = true;
     g.rx = DissemReassembly{};
     if (!DissemSilenced()) {
-      SendDissemRequest(server);
+      SendDissemRequest(msg.from);
     }
     return;
   }
-  // A content-verified blob refused to install: re-pulling cannot help.
+  // A bad blob artifact: every server ships the same bytes, so re-pulling
+  // cannot help.
   BTR_LOG(kWarning, "install") << "node " << id_.value()
                             << ": gossip blob install refused: " << st.ToString();
   g.gave_up = true;

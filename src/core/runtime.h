@@ -71,8 +71,8 @@ struct RuntimeConfig {
   // falsely accuse honest senders. 0 = perfect clocks.
   SimDuration max_clock_offset = Microseconds(30);
   uint32_t heartbeat_bytes = 32;
-  // Install-plane dissemination: unicast (PR 4 point-to-point) or
-  // Trickle-style gossip with heartbeat-aware pacing.
+  // Install-plane dissemination: Trickle-style gossip with heartbeat-aware
+  // pacing.
   DissemConfig dissem;
 };
 
@@ -152,7 +152,7 @@ class InstallEngine {
   // before any state changes; a mismatch rejects with the engine
   // bit-identical. Accepts the canonical text slice or a v4 slice image
   // (auto-detected). Callers shipping the slice over the wire must
-  // content-verify the bytes first (see StrategyFullMessage::content_fp) —
+  // content-verify the bytes first (see DissemChunkMessage::content_fp) —
   // the SFP chain alone cannot detect a flipped table-row byte.
   Status InstallFull(const std::string& slice_text, uint64_t expected_sfp);
 
@@ -176,28 +176,24 @@ class InstallEngine {
 // What a strategy rollout cost and achieved, aggregated by BtrRuntime.
 struct InstallRunReport {
   SimTime started_at = kSimTimeNever;
-  SimTime completed_at = kSimTimeNever;  // when the last node reached the target
+  // When the last node no honest node convicted reached the target. A
+  // convicted node is isolated (honest nodes drop its packets), so no
+  // neighbor serves it and the rollout cannot wait for it.
+  SimTime completed_at = kSimTimeNever;
   size_t nodes_installed = 0;            // nodes whose engine reached the target
-  size_t fallbacks = 0;                  // full-slice installs after a failed patch
-  uint64_t patch_bytes_sent = 0;         // wire bytes of patch shipments
-  uint64_t full_bytes_sent = 0;          // wire bytes of fallback shipments
-  // Gossip-mode counters (sums of the per-node agent stats, so the values
-  // are shard-layout invariant). `gossip` gates the extra report line so
-  // unicast reports stay byte-identical to the pre-gossip format.
-  bool gossip = false;
+  size_t fallbacks = 0;                  // blob installs after a failed patch
+  uint64_t patch_bytes_sent = 0;         // payload bytes of patch artifacts served
+  uint64_t full_bytes_sent = 0;          // payload bytes of blob artifacts served
+  // Sums of the per-node agent stats, so the values are shard-layout
+  // invariant.
   DissemAgentStats dissem;
 };
 
-// A nacking node gets at most this many full-slice re-shipments per
-// rollout; past that the distributor gives up on it (the node keeps its
-// base slice, nodes_installed stays short) instead of ping-ponging nacks
-// forever with a peer whose shipments are persistently corrupted.
-inline constexpr uint32_t kMaxInstallFallbacksPerNode = 3;
-
-// Wire size of an InstallNackMessage (a node id, a fingerprint, framing) —
-// the smallest real protocol message, and therefore the wire-frame floor
-// BtrSystem pins into NetworkConfig::min_frame_bytes.
+// The wire-frame floor BtrSystem pins into NetworkConfig::min_frame_bytes:
+// the size of the smallest real protocol message, a DissemRequestMessage.
 inline constexpr uint32_t kInstallNackBytes = 24;
+static_assert(kInstallNackBytes == kDissemRequestBytes,
+              "the frame floor is the smallest protocol message");
 
 // Shared, immutable-during-run context.
 struct RuntimeContext {
@@ -227,24 +223,17 @@ class BtrRuntime {
   // manifestations. Call Simulator::RunToCompletion afterwards.
   void Start(uint64_t periods);
 
-  // How a rollout ships the target strategy: sliced patches (the delta
-  // path this subsystem exists for), or the entire target blob to every
-  // node (the naive pre-delta baseline, kept for cost comparisons).
-  enum class InstallShipMode { kPatchSlices, kFullBlob };
-
   // Schedules a strategy rollout at simulated time `at`: every node's
   // engine is seeded with its base slice (the pre-deployment install, no
-  // traffic), then `distributor` ships each other node its sliced patch
-  // over the network as control traffic; a node whose patch fails to
-  // verify nacks and receives its full slice instead. Shipments are paced
-  // at the first-hop serialization rate so a rollout queues at most one
-  // shipment deep in the distributor's control-class guardian instead of
-  // overflowing its bounded backlog. Dissemination cost and latency land
-  // in install_report() and the network stats.
+  // traffic), `distributor` applies its own patch locally, and every node
+  // starts a Trickle gossip agent: the distributor's beacons announce the
+  // target and neighbors pull the patch hop by hop as paced control
+  // traffic; a node whose patch fails to verify pulls the blob artifact
+  // instead. Dissemination cost and latency land in install_report() and
+  // the network stats.
   void ScheduleStrategyInstall(SimTime at, std::shared_ptr<const StrategyUpdate> update,
-                               NodeId distributor,
-                               InstallShipMode mode = InstallShipMode::kPatchSlices);
-  // Finalized from the per-shard completion tallies on every call.
+                               NodeId distributor);
+  // Finalized from the per-node install times and agent stats on every call.
   const InstallRunReport& install_report() const;
 
   const NodeStats& node_stats(NodeId node) const;
@@ -264,17 +253,8 @@ class BtrRuntime {
  private:
   friend class NodeRuntime;
   void RecordConviction(const ConvictionEvent& event);
-  // Install plane: node -> distributor escalation and completion tracking.
-  void HandleInstallNack(NodeId from);
+  // Install plane: completion tracking.
   void NotifyInstalled(NodeId node);
-  // Ships the rollout payload for node `index` (skipping the distributor)
-  // and chains the next shipment one serialization time later.
-  void ShipNextInstall(uint32_t index, InstallShipMode mode);
-  // First-hop serialization time of `bytes` from the distributor to `dst`
-  // under the current routing. With no routing or no route, falls back to
-  // the frame-floor serialization time on the distributor's first attached
-  // link, so shipments are always spaced (never a same-instant burst).
-  SimDuration EstimateInstallTx(NodeId dst, uint32_t bytes) const;
 
   RuntimeContext ctx_;
   // Freelist arenas for message payloads, one per shard: a node's payloads
@@ -291,22 +271,15 @@ class BtrRuntime {
   };
   std::vector<ConvictionShard> conviction_shards_;
   mutable std::vector<ConvictionEvent> convictions_merged_;
-  // Per-shard install-completion tallies (NotifyInstalled runs on the
-  // installing node's shard); summed/maxed into the report on read.
-  struct alignas(64) InstallShard {
-    size_t installed = 0;
-    SimTime last_at = -1;
-  };
-  std::vector<InstallShard> install_shards_;
+  // Per-node install time (kSimTimeNever until the node reaches the
+  // target). NotifyInstalled runs on the installing node's shard and writes
+  // only that node's slot, so the report built from it is layout-invariant.
+  std::vector<SimTime> installed_at_;
   mutable InstallRunReport install_report_final_;
   uint64_t periods_ = 0;
   // Active strategy rollout (install plane), if any.
   std::shared_ptr<const StrategyUpdate> update_;
-  NodeId install_distributor_;
   InstallRunReport install_report_;
-  // Per-node fallback shipments this rollout, capped at
-  // kMaxInstallFallbacksPerNode.
-  std::vector<uint32_t> fallbacks_sent_;
 };
 
 class NodeRuntime {
@@ -342,15 +315,11 @@ class NodeRuntime {
   // the distributor's own install locally (no network hop for itself).
   void EnsureBaseInstalled(const StrategyUpdate& update);
   void ApplyLocalInstall(const StrategyUpdate& update);
-  // Direct full-slice install (distributor-local path of the full-blob
-  // baseline mode).
-  void InstallTargetSlice(const StrategyUpdate& update);
 
-  // Gossip dissemination (config.dissem.mode == kGossip): starts this
-  // node's Trickle agent for the active rollout. WakeDissem revives a
-  // dormant agent — the driver's heal events poke a healed node back into
-  // the conversation, which is what makes catch-up resumable.
-  void StartGossip(NodeId distributor, BtrRuntime::InstallShipMode mode);
+  // Starts this node's Trickle agent for the active rollout. WakeDissem
+  // revives a dormant agent — the runtime's heal events poke a healed node
+  // back into the conversation, which is what makes catch-up resumable.
+  void StartGossip(NodeId distributor);
   void WakeDissem();
   // Agent stats for report aggregation; null when no gossip session ran.
   const DissemAgentStats* gossip_stats() const;
@@ -404,13 +373,7 @@ class NodeRuntime {
   void AdoptPlan(const Plan* plan, uint64_t at_period);
   void RequestMigrationState(const Plan* old_plan, const Plan* new_plan);
 
-  // --- strategy install plane ---
-  void HandleStrategyPatch(const Packet& packet, const StrategyPatchMessage& msg);
-  void HandleStrategyFull(const Packet& packet, const StrategyFullMessage& msg);
-  // Escalates a failed install shipment back to the distributor.
-  void SendInstallNack(NodeId distributor, uint64_t target_fp);
-
-  // --- gossip dissemination ---
+  // --- gossip dissemination (the install plane) ---
   // An active fault (other than delay / value corruption) silences this
   // node's dissemination sends, mirroring the heartbeat discipline.
   bool DissemSilenced() const;
@@ -433,7 +396,10 @@ class NodeRuntime {
   void SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan);
   // Resolves the artifact a serve ships. Returns null if unavailable.
   const std::string* DissemArtifact(DissemContent content, NodeId to) const;
-  void ApplyDissemArtifact(DissemContent content, const std::string& text, NodeId server);
+  // Content-verifies and installs a completed transfer, falling back from a
+  // bad patch to the blob artifact and giving up on a bad blob.
+  void ApplyDissemArtifact(const DissemChunkMessage& msg);
+  Status InstallDissemArtifact(DissemContent content, const std::string& text);
   LinkId LinkToNeighbor(NodeId peer) const;
 
   bool StateReady(TaskId task) const;
@@ -447,7 +413,7 @@ class NodeRuntime {
   std::shared_ptr<BlockPool> arena_;  // payload freelist (shared, see owner)
 
   InstallEngine install_;               // installed-strategy state (install plane)
-  std::unique_ptr<GossipSession> gossip_;  // per-rollout Trickle agent (gossip mode)
+  std::unique_ptr<GossipSession> gossip_;  // per-rollout Trickle agent
   const Plan* plan_ = nullptr;          // active plan
   const Plan* pending_plan_ = nullptr;  // adopted at next period boundary
   FaultSet fault_set_;

@@ -911,7 +911,6 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
     return target.status();
   }
   StrategyUpdate update;
-  update.format = format;
   update.target_blob = target_blob;
   update.base_fp = FingerprintStrategyText(base_blob);
   update.target_fp = FingerprintStrategyText(target_blob);

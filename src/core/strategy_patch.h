@@ -152,10 +152,9 @@ enum class StrategyWireFormat {
 // per-node full target slices (the fallback a node requests when a patch
 // fails to apply).
 struct StrategyUpdate {
-  StrategyWireFormat format = StrategyWireFormat::kV2Text;
   uint64_t base_fp = 0;
   uint64_t target_fp = 0;
-  std::string target_blob;               // what the naive path would ship
+  std::string target_blob;               // blob artifact a failed relay patch falls back to
   // Fingerprint of target_blob's shipped bytes (== target_fp under v2 text;
   // the image hash under v4). Shipments content-verify against this; the
   // text-domain target_fp stays the install chain's identity.

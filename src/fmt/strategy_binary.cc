@@ -1404,23 +1404,6 @@ Status ValidateStrategyImage(const std::string& image) {
   return Status::Ok();
 }
 
-StatusOr<std::string> ExtractSliceImage(const std::string& blob_text, uint32_t node) {
-  StatusOr<std::string> slice = ExtractSlice(blob_text, node);
-  if (!slice.ok()) {
-    return slice.status();
-  }
-  return EncodeStrategyImage(*slice);
-}
-
-StatusOr<std::string> MakeStrategyPatchImage(const std::string& base_blob,
-                                             const std::string& target_blob) {
-  StatusOr<StrategyPatch> patch = MakeStrategyPatch(base_blob, target_blob);
-  if (!patch.ok()) {
-    return patch.status();
-  }
-  return EncodePatchImage(*patch);
-}
-
 // ---- BinaryStrategyView --------------------------------------------------
 
 struct BinaryStrategyView::State {

@@ -74,12 +74,6 @@ StatusOr<StrategyPatch> DecodePatchImage(const std::string& image);
 // plane's verify-before-map step.
 Status ValidateStrategyImage(const std::string& image);
 
-// Binary twins of the text-plane primitives: carve a node's slice / diff
-// two blobs, packed as v4 images instead of text.
-StatusOr<std::string> ExtractSliceImage(const std::string& blob_text, uint32_t node);
-StatusOr<std::string> MakeStrategyPatchImage(const std::string& base_blob,
-                                             const std::string& target_blob);
-
 // Zero-parse accessor over a validated blob/slice image. Map() performs
 // the structural walk once; header fields are then O(1) reads and body
 // chunks are decoded lazily (resolving delta chains and dictionaries from

@@ -6,28 +6,6 @@
 
 namespace btr {
 
-const char* DissemModeName(DissemMode mode) {
-  switch (mode) {
-    case DissemMode::kUnicast:
-      return "unicast";
-    case DissemMode::kGossip:
-      return "gossip";
-  }
-  return "unicast";
-}
-
-bool ParseDissemMode(const std::string& text, DissemMode* mode) {
-  if (text == "unicast") {
-    *mode = DissemMode::kUnicast;
-    return true;
-  }
-  if (text == "gossip") {
-    *mode = DissemMode::kGossip;
-    return true;
-  }
-  return false;
-}
-
 TrickleTimer::TrickleTimer(const DissemConfig& config, uint32_t node, uint64_t key)
     : config_(config), node_(node), key_(key) {
   min_ = std::max<SimDuration>(config.beacon_period, 1);
@@ -125,11 +103,7 @@ void DissemAgentStats::MergeFrom(const DissemAgentStats& o) {
   fallbacks += o.fallbacks;
 }
 
-GossipSession::GossipSession(const DissemConfig& cfg, uint32_t self, uint64_t target,
-                             size_t node_count)
-    : config(cfg),
-      timer(cfg, self, target),
-      target_fp(target),
-      peer_fp(node_count, 0) {}
+GossipSession::GossipSession(const DissemConfig& cfg, uint32_t self, uint64_t target)
+    : config(cfg), timer(cfg, self, target), target_fp(target) {}
 
 }  // namespace btr

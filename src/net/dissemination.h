@@ -1,10 +1,9 @@
-// Trickle-style gossip dissemination for the install plane.
+// Trickle-style gossip dissemination: the install plane's only transport.
 //
-// PR 4's rollout was one distributor unicasting N copies of the same bytes,
-// paced at the first-hop serialization rate; on a shared bus that is N-1
-// redundant transmissions, and the burst starves the distributor's own
-// control-class heartbeats into false omission convictions (the failure mode
-// convoy_staged_task.btrx used to annotate with heartbeats=0).
+// A single distributor shipping every node its slice point-to-point puts
+// N-1 redundant transmissions on a shared bus, and the burst starves its
+// own control-class heartbeats into false omission convictions. Gossip
+// instead spreads the rollout hop by hop, paced below the heartbeat cadence.
 //
 // This module holds the transport-agnostic protocol core, in the spirit of
 // Trickle (Levis et al.):
@@ -13,21 +12,20 @@
 //    deterministic: hash-jittered) interval that doubles while the
 //    neighborhood is consistent and resets to the minimum on inconsistency.
 //    A beacon is suppressed when >= k neighbors already announced the same
-//    version this interval. After `quiescent_intervals` maximum-length
-//    intervals with no dissemination traffic the timer goes dormant, so a
-//    converged (or isolated) fleet stops generating events and the
-//    simulation drains.
+//    version this interval, except the first beacon after an install.
+//    After `quiescent_intervals` maximum-length intervals with no
+//    dissemination traffic the timer goes dormant, so a converged (or
+//    isolated) fleet stops generating events and the simulation drains.
 //  - Chunk planning: artifact transfers are split into chunks sized so one
 //    chunk's serialization time is at most `pace_fraction` of the workload
 //    period, and consecutive chunks are spaced by a duty factor. A
 //    heartbeat that queues behind a rollout therefore waits at most one
 //    chunk time — far less than the two consecutive missed periods an
 //    omission declaration requires.
-//  - GossipSession: per-node protocol state — the timer, a per-peer version
-//    vector (last fingerprint each neighbor announced), resumable transfer
-//    reassembly (a re-request carries the contiguous chunk count already
-//    held, so any server resumes from that offset), and a per-link serve
-//    queue.
+//  - GossipSession: per-node protocol state — the timer, resumable
+//    transfer reassembly (a re-request carries the contiguous chunk count
+//    already held, so any server resumes from that offset), and a per-link
+//    serve queue.
 //
 // The actual wiring — payload structs, Network::Send, simulator timers —
 // lives in src/core/runtime.cc; this header deliberately has no core/
@@ -38,24 +36,21 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "src/common/types.h"
 
 namespace btr {
 
+// Gossip is the only install transport. The enum and DissemConfig::mode
+// remain so existing callers that name the mode keep compiling; nothing
+// reads the field.
 enum class DissemMode : uint8_t {
-  kUnicast = 0,  // PR 4 behavior: distributor ships point-to-point
-  kGossip = 1,   // beacons + suppression + multi-hop relay
+  kGossip = 1,  // beacons + suppression + multi-hop relay
 };
 
-const char* DissemModeName(DissemMode mode);
-// Returns true and sets *mode on "unicast" / "gossip".
-bool ParseDissemMode(const std::string& text, DissemMode* mode);
-
 struct DissemConfig {
-  DissemMode mode = DissemMode::kUnicast;
+  DissemMode mode = DissemMode::kGossip;
   // Minimum Trickle interval. 0 means "one workload period", resolved when
   // the session starts (the natural beat of the system being edited).
   SimDuration beacon_period = 0;
@@ -77,7 +72,7 @@ struct DissemConfig {
 
 // What a chunk stream carries. Relay-capable nodes receive the full artifact
 // (they re-serve it); leaf nodes (single-neighbor) receive only their own
-// slice, which is where gossip's bytes-on-bus win over unicast comes from.
+// slice.
 enum class DissemContent : uint8_t {
   kPatchFull = 0,   // whole BTRPATCH (parse + carve own slice, then relay)
   kPatchSlice = 1,  // per-node BTRPATCH slice (apply only)
@@ -200,8 +195,7 @@ struct PendingServe {
 // Per-node gossip protocol state for one rollout. Owned by NodeRuntime;
 // created when the rollout is announced, torn down with the node.
 struct GossipSession {
-  GossipSession(const DissemConfig& config, uint32_t self, uint64_t target_fp,
-                size_t node_count);
+  GossipSession(const DissemConfig& config, uint32_t self, uint64_t target_fp);
 
   DissemConfig config;
   TrickleTimer timer;
@@ -210,8 +204,6 @@ struct GossipSession {
   uint32_t timer_generation = 0;
 
   uint64_t target_fp = 0;
-  // Version vector: last fingerprint each peer announced (0 = never heard).
-  std::vector<uint64_t> peer_fp;
 
   DissemReassembly rx;
   // Outstanding request, if any.
@@ -220,11 +212,13 @@ struct GossipSession {
   uint32_t progress_mark = 0;    // rx.received at the last progress check
   bool want_blob = false;        // patch path failed; pull the blob artifact
 
-  bool relay = false;      // holds the full artifact; may serve others
-  bool blob_mode = false;  // rollout ships blob artifacts (kFullBlob)
-  // A content-verified blob artifact refused to install (it does not chain
-  // to the target): re-pulling cannot help, so the agent goes silent
-  // instead of beaconing its stale version forever.
+  bool relay = false;  // holds the full artifact; may serve others
+  // Installed since the last beacon: the next fire announces it even if
+  // suppression would silence it (see NodeRuntime::OnTrickleFire).
+  bool announce_install = false;
+  // A blob artifact failed its content check or refused to install: every
+  // server ships the same bytes, so re-pulling cannot help, and the agent
+  // goes silent instead of beaconing its stale version forever.
   bool gave_up = false;
 
   std::deque<PendingServe> serve_queue;

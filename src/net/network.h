@@ -64,9 +64,6 @@ enum class PayloadKind : uint8_t {
   kHeartbeat,
   kStateRequest,
   kStateTransfer,
-  kStrategyPatch,  // install plane: sliced strategy patch (delta install)
-  kStrategyFull,   // install plane: full node slice (fallback install)
-  kInstallNack,    // install plane: node requests the full slice
   kDissemBeacon,   // gossip install: version-announcing Trickle beacon
   kDissemRequest,  // gossip install: pull request (with resume offset)
   kDissemChunk,    // gossip install: one paced chunk of an artifact

@@ -90,7 +90,6 @@ BtrConfig MakeBtrConfig(const ExperimentSpec& spec) {
   config.planner.max_faults = spec.max_faults;
   config.planner.recovery_bound = spec.recovery_bound;
   config.runtime.heartbeats = spec.heartbeats;
-  config.runtime.dissem.mode = spec.dissem;
   if (spec.beacon_period != 0) {
     config.runtime.dissem.beacon_period = spec.beacon_period;
   }

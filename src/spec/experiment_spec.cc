@@ -531,10 +531,6 @@ std::string SerializeExperimentSpec(const ExperimentSpec& spec) {
   if (spec.shards != 0) {
     out += " shards=" + std::to_string(spec.shards);
   }
-  if (spec.dissem != DissemMode::kUnicast) {
-    out += " dissem=";
-    out += DissemModeName(spec.dissem);
-  }
   if (spec.beacon_period != 0) {
     out += " beacon-us=" + Us(spec.beacon_period);
   }
@@ -855,11 +851,6 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
           return LineError(line_no, "shards= must be in [1, 64]");
         }
         spec.shards = static_cast<uint32_t>(shards);
-      }
-      if (kv.Take("dissem", &value)) {
-        if (!ParseDissemMode(std::string(value), &spec.dissem)) {
-          return LineError(line_no, "dissem= must be unicast or gossip");
-        }
       }
       if (kv.Take("beacon-us", &value)) {
         if (!ParseDurationUs(value, &spec.beacon_period) || spec.beacon_period == 0) {

@@ -44,7 +44,6 @@
 #include "src/common/status.h"
 #include "src/core/adversary.h"
 #include "src/core/strategy_delta.h"
-#include "src/net/dissemination.h"
 #include "src/workload/dataflow.h"
 
 namespace btr {
@@ -154,16 +153,13 @@ struct ExperimentSpec {
   uint32_t max_faults = 1;
   SimDuration recovery_bound = Milliseconds(500);
   uint64_t seed = 1;
-  // Heartbeats share the control class with install traffic. With
-  // dissem=gossip the rollout paces itself around the heartbeat cadence, so
-  // scripts with rollouts can keep them on; unicast rollouts may still want
-  // heartbeats=0 to avoid self-convicting the distributor.
+  // Heartbeats share the control class with install traffic; the gossip
+  // rollout paces itself around the heartbeat cadence, so scripts with
+  // rollouts can keep them on.
   bool heartbeats = true;
   // Simulation shards (CONFIG shards=, parallel data plane). 0 = auto.
   // Purely a speed knob: reports are byte-identical for every value.
   uint32_t shards = 0;
-  // Install-plane dissemination (CONFIG dissem=unicast|gossip).
-  DissemMode dissem = DissemMode::kUnicast;
   // Trickle minimum beacon interval (CONFIG beacon-us=). 0 = one workload
   // period, resolved at rollout time.
   SimDuration beacon_period = 0;

@@ -4,14 +4,13 @@
 // Three layers of coverage:
 //   1. TrickleTimer / chunk-planning protocol units (no simulator).
 //   2. The headline scenario: the convoy staged-edit rollout with
-//      heartbeats *enabled* — unicast self-convicts the distributor into
-//      missing sinks and a Definition 3.1 violation, gossip stays clean,
-//      completes on every node, and puts fewer control-class bytes on the
-//      bus than the unicast baseline.
-//   3. Contracts: gossip does not perturb rollout-free runs (byte-identical
-//      reports), shard count stays a pure speed knob under gossip, and the
-//      distributor election admits a healed transient (the bugfix: a node
-//      whose injection ended before rollout_at used to be banned forever).
+//      heartbeats *enabled* stays clean and completes on every node, and
+//      Trickle suppression never strands a neighbor whose only link is a
+//      suppressed node's.
+//   3. Contracts: rollout-free runs carry no install section, shard count
+//      stays a pure speed knob, and the distributor election admits a
+//      healed transient (the bugfix: a node whose injection ended before
+//      rollout_at used to be banned forever).
 
 #include <cstdlib>
 #include <string>
@@ -21,7 +20,6 @@
 
 #include "src/core/btr_system.h"
 #include "src/net/dissemination.h"
-#include "src/net/network.h"
 #include "src/spec/experiment_runner.h"
 #include "src/spec/experiment_spec.h"
 
@@ -156,51 +154,53 @@ TEST(DissemSpec, ConfigKeysRoundTripCanonically) {
       "BTRX 1\n"
       "NAME d\n"
       "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip beacon-us=5000 suppress-k=2\n"
+      "CONFIG f=1 recovery-us=800000 seed=3 beacon-us=5000 suppress-k=2\n"
       "PHASE periods=10\n"
       "END\n";
   auto spec = ParseExperimentSpec(text);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec->dissem, DissemMode::kGossip);
   EXPECT_EQ(spec->beacon_period, Microseconds(5000));
   EXPECT_EQ(spec->suppress_k, 2u);
   EXPECT_EQ(SerializeExperimentSpec(*spec), text);
   // Defaults serialize as absent keys.
-  spec->dissem = DissemMode::kUnicast;
   spec->beacon_period = 0;
   spec->suppress_k = 0;
-  EXPECT_EQ(SerializeExperimentSpec(*spec).find("dissem"), std::string::npos);
+  const std::string out = SerializeExperimentSpec(*spec);
+  EXPECT_EQ(out.find("beacon-us"), std::string::npos);
+  EXPECT_EQ(out.find("suppress-k"), std::string::npos);
 }
 
-TEST(DissemSpec, RejectsUnknownModeAndZeroValues) {
+TEST(DissemSpec, RejectsRetiredModeKeyAndZeroValues) {
   const char* kBad[] = {
-      "CONFIG f=1 recovery-us=800000 seed=3 dissem=broadcast\n",
+      "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip\n",
       "CONFIG f=1 recovery-us=800000 seed=3 beacon-us=0\n",
       "CONFIG f=1 recovery-us=800000 seed=3 suppress-k=0\n",
   };
+  const auto parse = [](const char* config) {
+    return ParseExperimentSpec(std::string("BTRX 1\nNAME d\nSCENARIO convoy nodes=8\n") +
+                               config + "PHASE periods=10\nEND\n");
+  };
   for (const char* config : kBad) {
-    const std::string text = std::string("BTRX 1\nNAME d\nSCENARIO convoy nodes=8\n") +
-                             config + "PHASE periods=10\nEND\n";
-    EXPECT_FALSE(ParseExperimentSpec(text).ok()) << config;
+    EXPECT_FALSE(parse(config).ok()) << config;
   }
+  // Gossip is the only transport, so the mode key is gone, not defaulted.
+  EXPECT_NE(parse(kBad[0]).status().message().find("line 4: unknown key 'dissem'"),
+            std::string::npos);
 }
 
 // --- End-to-end: the convoy staged edit with heartbeats on -------------------
 
 // The convoy_staged_task scenario reduced to its rollout phase, with
-// heartbeats left ON (the configuration that used to be annotated away).
-std::string ConvoyRolloutSpec(const std::string& extra_config) {
-  return "BTRX 1\n"
-         "NAME dissem_convoy\n"
-         "SCENARIO convoy nodes=8\n"
-         "CONFIG f=1 recovery-us=800000 seed=3" +
-         extra_config +
-         "\n"
-         "PHASE periods=60\n"
-         "EDIT at-us=600000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
-         " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
-         "END\n";
-}
+// heartbeats left ON.
+constexpr char kConvoyRolloutSpec[] =
+    "BTRX 1\n"
+    "NAME dissem_convoy\n"
+    "SCENARIO convoy nodes=8\n"
+    "CONFIG f=1 recovery-us=800000 seed=3\n"
+    "PHASE periods=60\n"
+    "EDIT at-us=600000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
+    " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
+    "END\n";
 
 ExperimentReport RunSpecText(const std::string& text) {
   auto spec = ParseExperimentSpec(text);
@@ -210,72 +210,88 @@ ExperimentReport RunSpecText(const std::string& text) {
   return *report;
 }
 
-TEST(GossipRollout, ConvoyWithHeartbeatsStaysCleanAndUndercutsUnicastBytes) {
-  const ExperimentReport unicast = RunSpecText(ConvoyRolloutSpec(""));
-  const ExperimentReport gossip = RunSpecText(ConvoyRolloutSpec(" dissem=gossip"));
-  ASSERT_EQ(unicast.phases.size(), 1u);
+TEST(GossipRollout, ConvoyWithHeartbeatsStaysCleanAndCompletes) {
+  const ExperimentReport gossip = RunSpecText(kConvoyRolloutSpec);
   ASSERT_EQ(gossip.phases.size(), 1u);
-  const RunReport& u = unicast.phases[0];
   const RunReport& g = gossip.phases[0];
 
-  // The bug being fixed: the unicast install burst starves the
-  // distributor's heartbeats, honest nodes get convicted for omission, and
-  // their sinks go missing. Gossip paces below the heartbeat cadence and
-  // none of that happens.
-  EXPECT_GT(u.correctness.incorrect_missing, 0u);
+  // Gossip paces below the heartbeat cadence: no honest node is convicted
+  // for omission, so no sink goes missing.
   EXPECT_EQ(g.correctness.incorrect_missing, 0u);
   EXPECT_EQ(g.correctness.correct_instances, g.correctness.total_instances);
   EXPECT_FALSE(g.correctness.btr_violated);
 
-  // Gossip completes on every node (unicast does not even manage that:
-  // relay guardians drop its burst on backlog).
+  // Gossip completes on every node.
   EXPECT_EQ(g.install.nodes_installed, 8u);
   EXPECT_NE(g.install.completed_at, kSimTimeNever);
 
-  // The suppression + leaf-slice economy must show up on the wire: fewer
-  // control-class bytes on the shared bus than the unicast baseline.
-  const uint64_t u_control =
-      u.network.bytes_by_class[static_cast<int>(TrafficClass::kControl)];
-  const uint64_t g_control =
-      g.network.bytes_by_class[static_cast<int>(TrafficClass::kControl)];
-  EXPECT_LT(g_control, u_control);
-
   // The gossip agents actually gossiped: beacons were sent, some were
-  // suppressed, and transfers were served hop-by-hop.
-  EXPECT_TRUE(g.install.gossip);
+  // suppressed, and transfers were served hop-by-hop — and the report
+  // carries the agent counters.
+  EXPECT_NE(SerializeRunReport(g).find("\ndissem beacons="), std::string::npos);
   EXPECT_GT(g.install.dissem.beacons_sent, 0u);
   EXPECT_GT(g.install.dissem.beacons_suppressed, 0u);
   EXPECT_GT(g.install.dissem.requests_sent, 0u);
   EXPECT_GT(g.install.dissem.serves, 0u);
 }
 
-TEST(GossipRollout, RolloutFreeRunsAreByteIdenticalToUnicast) {
-  const std::string no_edit =
+// Trickle suppression assumes a broadcast medium: a node that heard k
+// consistent announcements stays quiet because its neighbors heard them
+// too. Beacons here travel per link, so a convoy I/O leaf whose only
+// neighbor suppressed every beacon after installing used to go dormant on
+// the old strategy — these seeded rollouts installed 7/8 and 11/12. A
+// fresh install and a stale announcement both owe the neighbor a beacon
+// that suppression cannot silence.
+TEST(GossipRollout, SuppressionNeverStrandsASingleLinkNeighbor) {
+  const std::string task_add =
+      "BTRX 1\n"
+      "NAME stranded_leaf\n"
+      "SCENARIO convoy nodes=8\n"
+      "CONFIG f=1 recovery-us=800000 seed=3\n"
+      "PHASE periods=60\n"
+      "EDIT at-us=400000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
+      " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
+      "END\n";
+  const std::string link_latency =
+      "BTRX 1\n"
+      "NAME stranded_leaf_v4\n"
+      "SCENARIO convoy nodes=12\n"
+      "CONFIG f=1 recovery-us=800000 seed=1 wire=v4\n"
+      "PHASE periods=60\n"
+      "EDIT at-us=500000 kind=link-latency link=v2v1 bw-bps=4000000 prop-us=30\n"
+      "END\n";
+  for (const std::string& text : {task_add, link_latency}) {
+    const ExperimentReport report = RunSpecText(text);
+    ASSERT_EQ(report.phases.size(), 1u);
+    const RunReport& r = report.phases[0];
+    EXPECT_EQ(r.install.nodes_installed, r.per_node.size()) << report.name;
+    EXPECT_NE(r.install.completed_at, kSimTimeNever) << report.name;
+    EXPECT_FALSE(r.correctness.btr_violated) << report.name;
+  }
+}
+
+TEST(GossipRollout, RolloutFreeRunsCarryNoInstallSection) {
+  const ExperimentReport idle = RunSpecText(
       "BTRX 1\n"
       "NAME dissem_idle\n"
       "SCENARIO convoy nodes=8\n"
       "CONFIG f=1 recovery-us=800000 seed=3\n"
       "PHASE periods=30\n"
-      "END\n";
-  auto unicast_spec = ParseExperimentSpec(no_edit);
-  ASSERT_TRUE(unicast_spec.ok());
-  auto gossip_spec = ParseExperimentSpec(no_edit);
-  ASSERT_TRUE(gossip_spec.ok());
-  gossip_spec->dissem = DissemMode::kGossip;
-  auto unicast = RunExperiment(*unicast_spec);
-  auto gossip = RunExperiment(*gossip_spec);
-  ASSERT_TRUE(unicast.ok());
-  ASSERT_TRUE(gossip.ok());
-  // No rollout, no gossip traffic, no report drift: the dissem mode only
-  // exists once an edit is staged.
-  EXPECT_EQ(SerializeExperimentReport(*unicast), SerializeExperimentReport(*gossip));
+      "END\n");
+  ASSERT_EQ(idle.phases.size(), 1u);
+  // No rollout, no gossip agents, no install or dissem report lines.
+  EXPECT_EQ(idle.phases[0].install.started_at, kSimTimeNever);
+  EXPECT_EQ(idle.phases[0].install.dissem.beacons_sent, 0u);
+  const std::string dump = SerializeRunReport(idle.phases[0]);
+  EXPECT_EQ(dump.find("\ninstall "), std::string::npos);
+  EXPECT_EQ(dump.find("\ndissem "), std::string::npos);
 }
 
 TEST(GossipRollout, ReportsAreByteIdenticalAcrossShardCounts) {
   setenv("BTR_SHARD_EXEC", "threads", 1);
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto spec = ParseExperimentSpec(ConvoyRolloutSpec(" dissem=gossip"));
+    auto spec = ParseExperimentSpec(kConvoyRolloutSpec);
     ASSERT_TRUE(spec.ok());
     spec->shards = shards;
     auto report = RunExperiment(*spec);

@@ -296,7 +296,7 @@ TEST(Degradation, ConvoyChurnSpecBeyondFCompletesWithReducedCoverage) {
       "BTRX 1\n"
       "NAME churny\n"
       "SCENARIO convoy-mobile nodes=8 loss-pm=1\n"
-      "CONFIG f=1 recovery-us=800000 seed=1 dissem=gossip\n"
+      "CONFIG f=1 recovery-us=800000 seed=1\n"
       "PHASE periods=200\n"
       "FAULT node=1 at-us=300000 behavior=crash until-us=700000\n"
       "END\n";

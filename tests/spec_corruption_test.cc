@@ -118,6 +118,7 @@ TEST(SpecCorruption, ForgedCountsAndOutOfRangeRefs) {
       {"non-canonical integer", "seed=9", "seed=09"},
       {"negative integer", "at-us=100000 behavior", "at-us=-1 behavior"},
       {"unknown key", "CONFIG f=1", "CONFIG hyperdrive=1 f=1"},
+      {"retired dissem key", "CONFIG f=1", "CONFIG dissem=gossip f=1"},
       {"duplicate key", "CONFIG f=1", "CONFIG f=1 f=1"},
       {"state on a sink", "node=2 deadline-us=8000", "node=2 state=4 deadline-us=8000"},
       {"deadline on a source", "crit=high node=0", "crit=high node=0 deadline-us=10"},

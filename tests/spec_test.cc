@@ -443,10 +443,14 @@ TEST(SpecEquivalence, AvionicsFlapMatchesHandCodedDriver) {
   EXPECT_EQ(SerializeExperimentReport(*via_spec), SerializeExperimentReport(by_hand));
   EXPECT_EQ(FingerprintExperimentReport(*via_spec), FingerprintExperimentReport(by_hand));
 
-  // The rollout actually happened over the simulated network.
+  // The rollout actually happened over the simulated network. The
+  // value-corrupting computer was convicted before it began, and honest
+  // nodes drop its packets, so no one serves it: the rollout completes on
+  // every other node.
   const InstallRunReport& install = via_spec->phases[0].install;
   EXPECT_NE(install.started_at, kSimTimeNever);
-  EXPECT_EQ(install.nodes_installed, system.scenario().topology.node_count());
+  EXPECT_NE(install.completed_at, kSimTimeNever);
+  EXPECT_EQ(install.nodes_installed, system.scenario().topology.node_count() - 1);
   EXPECT_GT(install.patch_bytes_sent, 0u);
 }
 

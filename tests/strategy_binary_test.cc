@@ -132,8 +132,8 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
     const std::string label = "slice " + std::to_string(n);
     CheckRoundTrip(*slice, label.c_str());
 
-    // The binary twin carves the same slice, packed.
-    auto slice_image = fmt::ExtractSliceImage(blob, n);
+    // The packed slice decodes back to the same slice text.
+    auto slice_image = fmt::EncodeStrategyImage(*slice);
     ASSERT_TRUE(slice_image.ok()) << slice_image.status().ToString();
     auto back = fmt::DecodeStrategyImage(*slice_image);
     ASSERT_TRUE(back.ok());
@@ -159,7 +159,7 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
   auto patch = MakeStrategyPatch(blob, target);
   ASSERT_TRUE(patch.ok());
   const std::string patch_text = SaveStrategyPatch(*patch);
-  auto patch_image = fmt::MakeStrategyPatchImage(blob, target);
+  auto patch_image = fmt::EncodePatchImage(*patch);
   ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
   auto decoded_patch = fmt::DecodePatchImage(*patch_image);
   ASSERT_TRUE(decoded_patch.ok()) << decoded_patch.status().ToString();
@@ -277,10 +277,10 @@ TEST(StrategyBinary, FuzzedEditStreamsRoundTrip) {
         ASSERT_TRUE(slice.ok());
         checked += CheckRoundTrip(*slice, "fuzz edited slice");
       }
-      auto patch_image = fmt::MakeStrategyPatchImage(blob, next_blob);
-      ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
       auto patch = MakeStrategyPatch(blob, next_blob);
       ASSERT_TRUE(patch.ok());
+      auto patch_image = fmt::EncodePatchImage(*patch);
+      ASSERT_TRUE(patch_image.ok()) << patch_image.status().ToString();
       auto decoded = fmt::DecodePatchImage(*patch_image);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(SaveStrategyPatch(*decoded), SaveStrategyPatch(*patch));
@@ -595,7 +595,9 @@ TEST(StrategyBinaryCorruption, MismatchedTrailerFingerprint) {
 TEST(StrategyBinaryCorruption, WrongNodeAndWrongChainReject) {
   ImageFixture fx;
   // Node 1's slice image refused by node 0's engine.
-  auto slice1 = fmt::ExtractSliceImage(fx.blob, 1);
+  auto slice1_text = ExtractSlice(fx.blob, 1);
+  ASSERT_TRUE(slice1_text.ok());
+  auto slice1 = fmt::EncodeStrategyImage(*slice1_text);
   ASSERT_TRUE(slice1.ok());
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
@@ -767,7 +769,7 @@ TEST(StrategyBinarySpec, PaceFractionAndWireRoundTripCanonically) {
       "BTRX 1\n"
       "NAME fmt\n"
       "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip pace-fraction=0.125 wire=v4\n"
+      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.125 wire=v4\n"
       "PHASE periods=10\n"
       "END\n";
   auto spec = ParseExperimentSpec(text);
@@ -835,8 +837,8 @@ std::string RolloutSpecText(const std::string& extra_config) {
 }
 
 TEST(StrategyBinaryE2E, GossipV4RolloutInstallsEverywhereAndShipsFewerBytes) {
-  auto v2_spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip"));
-  auto v4_spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip wire=v4"));
+  auto v2_spec = ParseExperimentSpec(RolloutSpecText(""));
+  auto v4_spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
   ASSERT_TRUE(v2_spec.ok() && v4_spec.ok());
   auto v2 = RunExperiment(*v2_spec);
   auto v4 = RunExperiment(*v4_spec);
@@ -865,7 +867,7 @@ TEST(StrategyBinaryE2E, V4ReportsAreByteIdenticalAcrossShardCounts) {
   setenv("BTR_SHARD_EXEC", "threads", 1);
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto spec = ParseExperimentSpec(RolloutSpecText(" dissem=gossip wire=v4"));
+    auto spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
     ASSERT_TRUE(spec.ok());
     spec->shards = shards;
     auto report = RunExperiment(*spec);

@@ -597,8 +597,8 @@ TEST(StrategyPatchCorruption, WrongBaseAndWrongNodeRefused) {
 
 // --- install flow over the simulated network ------------------------------
 
-TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
-  // Plan an avionics system, edit it (link flap), and roll the patched
+TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
+  // Plan an avionics system, edit it (link flap), and gossip the patched
   // strategy out over the simulated network as control traffic.
   Scenario scenario = MakeAvionicsScenario(6);
   // Strictly worse than the dual backbone, so no route ever rides it and
@@ -607,12 +607,6 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
   BtrConfig config;
   config.planner.max_faults = 1;
   config.planner.recovery_bound = Milliseconds(500);
-  // Heartbeats share the control class with install traffic; a bursty
-  // distributor can delay its own heartbeats past a period boundary and
-  // get falsely convicted for omission. Pacing the rollout is the
-  // ROADMAP's dissemination-scheduling item; this test isolates the
-  // install plane itself.
-  config.runtime.heartbeats = false;
   BtrSystem system(scenario, config);
   ASSERT_TRUE(system.Plan().ok());
   const std::string base_blob = SaveStrategy(
@@ -635,6 +629,7 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
   ASSERT_TRUE(update_or.ok());
 
   const Topology& topo = system.scenario().topology;
+  const size_t receivers = topo.node_count() - 1;  // everyone but the distributor
   const SimDuration period = system.scenario().workload.period();
   auto run_install = [&](std::shared_ptr<const StrategyUpdate> update,
                          InstallRunReport* report) {
@@ -660,53 +655,55 @@ TEST(StrategyInstallFlow, PatchRolloutCompletesAndFallsBackOnCorruption) {
     BtrRuntime runtime(ctx);
     runtime.Start(20);
     runtime.ScheduleStrategyInstall(2 * period + 1, std::move(update), NodeId(0));
+    // Returns only once every gossip agent went dormant: the run drains.
     sim.RunToCompletion();
     *report = runtime.install_report();
   };
 
-  // Clean rollout: every node reaches the target via its patch slice.
+  // Clean rollout: every node reaches the target through the patch. On the
+  // dual bus every node neighbors every other, so each receiver pulls the
+  // unsliced patch and carves its own slice.
   InstallRunReport clean;
   run_install(std::make_shared<const StrategyUpdate>(*update_or), &clean);
   EXPECT_EQ(clean.nodes_installed, topo.node_count());
   EXPECT_EQ(clean.fallbacks, 0u);
   EXPECT_NE(clean.completed_at, kSimTimeNever);
   EXPECT_GT(clean.completed_at, clean.started_at);
-  // Delta install: total patch bytes stay below what one full blob costs,
-  // let alone blob-per-node.
+  // Delta install: one patch per receiver still costs less than one full
+  // blob, let alone blob-per-node.
   EXPECT_LT(clean.patch_bytes_sent, target_blob.size());
   EXPECT_EQ(clean.full_bytes_sent, 0u);
 
-  // Corrupt one node's patch in transit: that node must detect it, nack,
-  // and converge through the full-slice fallback.
+  // Corrupt the shipped patch: every receiver's content check catches the
+  // flipped byte, and it converges through the blob artifact instead.
   StrategyUpdate corrupted = *update_or;
-  corrupted.patch_slices[3][corrupted.patch_slices[3].size() / 2] ^= 0x20;
+  corrupted.patch_full[corrupted.patch_full.size() / 2] ^= 0x20;
   InstallRunReport fallback;
   run_install(std::make_shared<const StrategyUpdate>(corrupted), &fallback);
   EXPECT_EQ(fallback.nodes_installed, topo.node_count());
-  EXPECT_EQ(fallback.fallbacks, 1u);
+  EXPECT_EQ(fallback.fallbacks, receivers);
   EXPECT_GT(fallback.full_bytes_sent, 0u);
   EXPECT_NE(fallback.completed_at, kSimTimeNever);
 
-  // Corrupt the fallback slice too — by one digit of a T-row duration, so
-  // the text still validates structurally and its SFP record (which chains
-  // to the blob, not to its own bytes) is intact. Only the shipment's
-  // content fingerprint can catch this; the node must keep nacking rather
-  // than install it, and the distributor must give up after the per-node
-  // cap instead of ping-ponging forever.
+  // Poison the blob too — by one digit of a T-row duration, so the text
+  // still parses and carves into slices. The artifact's content fingerprint
+  // catches it; no receiver may install it, and since every server ships
+  // the same bytes, each gives up and goes silent instead of re-pulling
+  // forever.
   StrategyUpdate poisoned = corrupted;
-  std::string& slice3 = poisoned.full_slices[3];
-  const size_t t_row = slice3.find("\nT ");
+  std::string& blob = poisoned.target_blob;
+  const size_t t_row = blob.find("\nT ");
   ASSERT_NE(t_row, std::string::npos);
-  const size_t line_end = slice3.find('\n', t_row + 1);
+  const size_t line_end = blob.find('\n', t_row + 1);
   const size_t duration_digit = line_end - 1;
-  slice3[duration_digit] = slice3[duration_digit] == '7' ? '8' : '7';
-  ASSERT_TRUE(ValidateSliceText(slice3, 3).ok());  // structurally sound...
+  blob[duration_digit] = blob[duration_digit] == '7' ? '8' : '7';
+  ASSERT_TRUE(ExtractSlice(blob, 1).ok());  // structurally sound...
   InstallRunReport poisoned_report;
   run_install(std::make_shared<const StrategyUpdate>(poisoned), &poisoned_report);
-  // ...yet never installed: node 3 stays on its base slice, everyone else
-  // converges, and the retry loop is bounded.
-  EXPECT_EQ(poisoned_report.nodes_installed, topo.node_count() - 1);
-  EXPECT_EQ(poisoned_report.fallbacks, kMaxInstallFallbacksPerNode);
+  // ...yet never installed: only the distributor (which applied its own
+  // patch locally) reaches the target, and the rollout never completes.
+  EXPECT_EQ(poisoned_report.nodes_installed, 1u);
+  EXPECT_EQ(poisoned_report.fallbacks, receivers);
   EXPECT_EQ(poisoned_report.completed_at, kSimTimeNever);
 }
 
