@@ -7,8 +7,9 @@
 // plans each fault-set level as a parallel wave), schedule attempts
 // (degradation retries), the number of physically unique plan bodies after
 // structural deduplication, the dedup ratio (deduplicated storage over the
-// verbatim one-plan-per-mode layout), and the strategy's per-node memory
-// footprint after dedup.
+// verbatim one-plan-per-mode layout), the strategy's per-node memory
+// footprint after dedup, and the in-memory size of its routing tables
+// (one shortest-path tree table per mode, each counted once).
 //
 // The incremental section measures StrategyBuilder::Rebuild against a full
 // rebuild on single-edit streams (a redundant link flapping down/up; a
@@ -37,7 +38,8 @@ void Run() {
 
   const size_t hw_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   Table table({"nodes", "workload tasks", "f", "modes", "unique plans", "dedup ratio",
-               "plan time x1", "plan time xN", "attempts", "strategy size/node"});
+               "plan time x1", "plan time xN", "attempts", "strategy size/node",
+               "routes"});
 
   struct Case {
     size_t compute_nodes;
@@ -90,12 +92,14 @@ void Run() {
                   CellInt(static_cast<int64_t>(strategy->unique_plan_count())),
                   CellDouble(strategy->DedupRatio(), 2), CellDuration(serial_us * 1e3),
                   CellDuration(parallel_us * 1e3), CellInt(static_cast<int64_t>(attempts)),
-                  CellBytes(static_cast<double>(strategy->MemoryFootprintBytes()))});
+                  CellBytes(static_cast<double>(strategy->MemoryFootprintBytes())),
+                  CellBytes(static_cast<double>(strategy->RoutingFootprintBytes()))});
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("(plan time x1 = single planner thread; xN = one thread per core (N=%zu),\n"
               " waves over fault-set levels; dedup ratio = deduplicated strategy bytes over\n"
-              " the verbatim per-mode layout; size/node counts shared storage once)\n\n",
+              " the verbatim per-mode layout; size/node counts shared storage once;\n"
+              " routes = in-memory routing tables, rebuilt on load and never stored)\n\n",
               hw_threads);
 }
 

@@ -182,11 +182,13 @@ StatusOr<ExperimentReport> RunOne(const ExperimentSpec& spec, const Options& opt
                                   bool print_phases) {
   ExperimentHooks hooks;
   hooks.after_plan = [&](const BtrSystem& system) {
-    std::printf("%s: %zu nodes, %zu tasks, f=%u, R=%.0f ms -> %zu modes (%.1f KB/node)\n",
+    std::printf("%s: %zu nodes, %zu tasks, f=%u, R=%.0f ms -> %zu modes (%.1f KB/node, "
+                "routes %.1f KB)\n",
                 spec.name.c_str(), system.scenario().topology.node_count(),
                 system.scenario().workload.task_count(), spec.max_faults,
                 ToMillisF(spec.recovery_bound), system.strategy().mode_count(),
-                static_cast<double>(system.strategy().MemoryFootprintBytes()) / 1024.0);
+                static_cast<double>(system.strategy().MemoryFootprintBytes()) / 1024.0,
+                static_cast<double>(system.strategy().RoutingFootprintBytes()) / 1024.0);
     if (opts.save_strategy.has_value()) {
       std::ofstream out(*opts.save_strategy);
       out << SaveStrategy(system.strategy(), system.planner().graph(),

@@ -94,8 +94,14 @@ ThreadPool::~ThreadPool() {
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: worker threads may outlive every static destructor.
   static ThreadPool* pool = [] {
-    auto* p = new ThreadPool(std::max<size_t>(1, std::thread::hardware_concurrency()));
-    p->pin_workers_ = std::thread::hardware_concurrency() > 1;
+    // Workers read pin_workers_ as they start, so it is set before the
+    // first spawn (a pool of 1 spawns none).
+    const size_t cores = std::max<size_t>(1, std::thread::hardware_concurrency());
+    auto* p = new ThreadPool(1);
+    p->pin_workers_ = cores > 1;
+    if (cores > 1) {
+      p->EnsureWorkers(cores);
+    }
     return p;
   }();
   return *pool;

@@ -350,6 +350,17 @@ size_t Strategy::MemoryFootprintBytes() const {
   return bytes;
 }
 
+size_t Strategy::RoutingFootprintBytes() const {
+  size_t bytes = 0;
+  std::unordered_set<const RoutingTable*> seen;
+  for (const Plan& mode : modes_) {
+    if (mode.routing != nullptr && seen.insert(mode.routing.get()).second) {
+      bytes += mode.routing->FootprintBytes();
+    }
+  }
+  return bytes;
+}
+
 size_t Strategy::ExpandedFootprintBytes() const {
   size_t bytes = 0;
   for (const Plan& mode : modes_) {

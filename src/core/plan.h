@@ -239,6 +239,12 @@ class Strategy {
   // The same modes with all sharing expanded (one verbatim plan per mode).
   size_t ExpandedFootprintBytes() const;
 
+  // In-memory bytes of the modes' routing tables, each distinct table
+  // counted once (a rebuild's clean modes share the old tables). Not part
+  // of MemoryFootprintBytes: routes are rebuilt from the topology on load,
+  // never stored on flash.
+  size_t RoutingFootprintBytes() const;
+
   // All planned fault sets, in canonical (sorted) order.
   std::vector<FaultSet> PlannedSets() const;
 

@@ -119,14 +119,14 @@ void Planner::RecordRebuildMetrics(size_t dirty_modes, size_t clean_modes,
   metrics_.rebuild_migrated_bodies = migrated_bodies;
 }
 
-StatusOr<Plan> Planner::TryPlan(const FaultSet& faults, const std::vector<const Plan*>& parents,
-                                const std::vector<TaskId>& served_sinks,
-                                const std::shared_ptr<const RoutingTable>& routing) const {
+StatusOr<Plan> Planner::TryPlan(const ModeContext& prepared,
+                                const std::vector<const Plan*>& parents,
+                                const std::vector<TaskId>& served_sinks) const {
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++metrics_.schedule_attempts;
   }
-  ModeContext ctx = placement_->PrepareContext(faults, routing);
+  ModeContext ctx = prepared;
   placement_->ActivateTasks(&ctx, served_sinks);
   Status placed = placement_->Place(&ctx, parents);
   if (!placed.ok()) {
@@ -140,10 +140,34 @@ StatusOr<Plan> Planner::TryPlan(const FaultSet& faults, const std::vector<const 
     const size_t scheduled = static_cast<size_t>(
         std::count_if(body->placement.begin(), body->placement.end(),
                       [](NodeId n) { return n.valid(); }));
-    BTR_LOG(kDebug, "planner") << "mode " << faults.ToString() << " scheduled " << scheduled
-                               << " jobs";
+    BTR_LOG(kDebug, "planner") << "mode " << ctx.faults.ToString() << " scheduled "
+                               << scheduled << " jobs";
   }
-  return Plan(faults, routing, std::move(body).value());
+  return Plan(ctx.faults, ctx.routing, std::move(body).value());
+}
+
+size_t Planner::LargestViablePrefix(const ModeContext& prepared,
+                                    const std::vector<TaskId>& served) const {
+  auto doomed = [&](size_t length) {
+    return placement_->Doomed(
+        prepared, std::vector<TaskId>(served.begin(), served.begin() + length));
+  };
+  if (!doomed(served.size())) {
+    return served.size();
+  }
+  // Invariant: the prefix of length `hi` is doomed; that of length `lo` is
+  // not, or lo == 0 (the empty prefix is always attempted).
+  size_t lo = 0;
+  size_t hi = served.size();
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (doomed(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return lo;
 }
 
 StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
@@ -155,12 +179,26 @@ StatusOr<Plan> Planner::PlanForMode(const FaultSet& faults,
   if (routing == nullptr) {
     routing = std::make_shared<RoutingTable>(*topo_, faults.nodes());
   }
+  // Availability and the lookahead context depend on the mode alone, so
+  // every shedding attempt starts from this one.
+  const ModeContext prepared = placement_->PrepareContext(faults, std::move(routing));
 
   // Stage: sink admission (which flows can run at all, shedding order).
   std::vector<TaskId> served = admission_->Admit(faults);
+  if (config_.shed_by_criticality) {
+    // Every prefix longer than this one is doomed (PlacementStage::Doomed)
+    // and would fail TryPlan, so the shedding loop starts here and returns
+    // the same plan — or the same failure — without those attempts.
+    const size_t viable = LargestViablePrefix(prepared, served);
+    if (viable < served.size()) {
+      BTR_LOG(kDebug, "planner") << "mode " << faults.ToString() << ": skipping "
+                                 << served.size() - viable << " doomed shedding attempts";
+      served.resize(viable);
+    }
+  }
 
   for (;;) {
-    StatusOr<Plan> attempt = TryPlan(faults, parents, served, routing);
+    StatusOr<Plan> attempt = TryPlan(prepared, parents, served);
     if (attempt.ok()) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
       ++metrics_.modes_planned;

@@ -20,7 +20,10 @@
 //   3. ScheduleStage list-schedules the placed tasks with
 //      communication-delay budgets; if infeasible, the planner sheds the
 //      least-critical served sink and retries (criticality-aware
-//      degradation).
+//      degradation). Before the first attempt, a binary search skips the
+//      served-set prefixes that provably cannot plan (PlacementStage::
+//      Doomed): the loop would only have shed through them, so the plan
+//      is the same with fewer attempts.
 //
 // Whole strategies are compiled by the wave-parallel StrategyBuilder
 // (strategy_builder.h); Planner::BuildStrategy is a convenience wrapper.
@@ -111,9 +114,14 @@ class Planner {
                             size_t migrated_bodies) const;
 
  private:
-  StatusOr<Plan> TryPlan(const FaultSet& faults, const std::vector<const Plan*>& parents,
-                         const std::vector<TaskId>& served_sinks,
-                         const std::shared_ptr<const RoutingTable>& routing) const;
+  StatusOr<Plan> TryPlan(const ModeContext& prepared, const std::vector<const Plan*>& parents,
+                         const std::vector<TaskId>& served_sinks) const;
+
+  // Length of the longest prefix of `served` (criticality order) that is
+  // not provably doomed; 0 if every non-empty prefix is doomed. Binary
+  // search: doom is monotone in the prefix.
+  size_t LargestViablePrefix(const ModeContext& prepared,
+                             const std::vector<TaskId>& served) const;
 
   const Topology* topo_;
   const Dataflow* workload_;

@@ -80,12 +80,13 @@ SimDuration LatencyModel::EdgeBudget(NodeId from, NodeId to, uint32_t bytes,
   if (from == to) {
     return 0;
   }
-  const Route& route = routing.RouteBetween(from, to);
-  if (route.empty()) {
+  if (!routing.Reachable(from, to)) {
     return -1;  // unreachable under this mode's routing
   }
+  // Integer sum of per-hop terms, so walking the route backwards through
+  // the routing tree gives the same total as walking it forwards.
   SimDuration budget = 0;
-  for (const Hop& hop : route) {
+  routing.ForEachHopReversed(from, to, [&](const Hop& hop) {
     // The message's own serialization gets the contention headroom factor;
     // queueing is bounded separately: in the worst case every other
     // foreground byte the transmitting node sends this period is ahead of
@@ -99,7 +100,7 @@ SimDuration LatencyModel::EdgeBudget(NodeId from, NodeId to, uint32_t bytes,
       budget += SerializationOnHop(hop, clamped);
     }
     budget += topo_->link(hop.link).propagation;
-  }
+  });
   return budget + config_->epsilon;
 }
 
@@ -208,7 +209,12 @@ ModeContext PlacementStage::PrepareContext(const FaultSet& faults,
 
 void PlacementStage::ActivateTasks(ModeContext* ctx,
                                    const std::vector<TaskId>& served_sinks) const {
-  const uint32_t replicas_kept = ReplicasInMode(ctx->faults.size());
+  MarkActive(*ctx, served_sinks, &ctx->active);
+}
+
+void PlacementStage::MarkActive(const ModeContext& ctx, const std::vector<TaskId>& served_sinks,
+                                std::vector<bool>* active) const {
+  const uint32_t replicas_kept = ReplicasInMode(ctx.faults.size());
   const std::vector<bool> needed = workload_->ReachesSinkMask(served_sinks);
   for (const TaskSpec& spec : workload_->tasks()) {
     if (!needed[spec.id.value()]) {
@@ -217,16 +223,59 @@ void PlacementStage::ActivateTasks(ModeContext* ctx,
     const std::vector<uint32_t>& reps = graph_->ReplicasOf(spec.id);
     const uint32_t keep = std::min<uint32_t>(replicas_kept, static_cast<uint32_t>(reps.size()));
     for (uint32_t r = 0; r < keep; ++r) {
-      ctx->active[reps[r]] = true;
+      (*active)[reps[r]] = true;
     }
     const uint32_t chk = graph_->CheckerOf(spec.id);
     if (chk != AugmentedGraph::kNone) {
-      ctx->active[chk] = true;
+      (*active)[chk] = true;
     }
   }
-  for (NodeId n : ctx->available_list) {
-    ctx->active[graph_->VerifierOf(n)] = true;
+  for (NodeId n : ctx.available_list) {
+    (*active)[graph_->VerifierOf(n)] = true;
   }
+}
+
+bool PlacementStage::Doomed(const ModeContext& ctx,
+                            const std::vector<TaskId>& served_sinks) const {
+  std::vector<bool> active(graph_->size(), false);
+  MarkActive(ctx, served_sinks, &active);
+
+  // Union-find over the active augmented edges: every task of one set must
+  // sit in one connected part of the surviving topology.
+  std::vector<uint32_t> parent(graph_->size());
+  for (uint32_t id = 0; id < parent.size(); ++id) {
+    parent[id] = id;
+  }
+  auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (const AugEdge& e : graph_->edges()) {
+    if (active[e.from] && active[e.to]) {
+      parent[find(e.from)] = find(e.to);
+    }
+  }
+  // First pinned node seen per set.
+  std::vector<NodeId> anchor(graph_->size());
+  for (uint32_t id = 0; id < graph_->size(); ++id) {
+    const NodeId pinned = graph_->task(id).pinned;
+    if (!active[id] || !pinned.valid()) {
+      continue;
+    }
+    if (!ctx.available[pinned.value()]) {
+      return true;  // Place: pinned task on a faulty node
+    }
+    NodeId& first = anchor[find(id)];
+    if (!first.valid()) {
+      first = pinned;
+    } else if (!ctx.routing->Reachable(first, pinned)) {
+      return true;  // BuildBody: some edge on the path between them is unreachable
+    }
+  }
+  return false;
 }
 
 double PlacementStage::Score(const ModeContext& ctx, uint32_t aug_id, NodeId candidate,

@@ -127,6 +127,16 @@ class PlacementStage {
   // reaching a served sink, their checkers, and every surviving verifier).
   void ActivateTasks(ModeContext* ctx, const std::vector<TaskId>& served_sinks) const;
 
+  // True if no placement can serve `served_sinks` in ctx's mode: an active
+  // task is pinned to a faulty node (Place rejects it), or the active tasks
+  // join, through active edges, pinned tasks on nodes that cannot reach
+  // each other (every placement on the path between them lies on a
+  // surviving node, so some edge on it spans the cut and ScheduleStage
+  // rejects it as unreachable). Active sets only grow with the served
+  // set, so for criticality-ordered prefixes the property is monotone.
+  // Reads ctx's availability and routing, never its active mask.
+  bool Doomed(const ModeContext& ctx, const std::vector<TaskId>& served_sinks) const;
+
   // Greedy scored placement of every active task; fills ctx->placement.
   Status Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const;
 
@@ -143,6 +153,10 @@ class PlacementStage {
   }
 
  private:
+  // ActivateTasks' selection, written into `active` (all false on entry).
+  void MarkActive(const ModeContext& ctx, const std::vector<TaskId>& served_sinks,
+                  std::vector<bool>* active) const;
+
   const Topology* topo_;
   const Dataflow* workload_;
   const AugmentedGraph* graph_;

@@ -101,23 +101,26 @@ constexpr uint32_t kNoLink = UINT32_MAX;
 
 // Hop-for-hop route equality with the old table's link ids translated into
 // the new id space: a hop matches only if it rides the same *physical*
-// link, not merely the same numeric id.
+// link, not merely the same numeric id. Routes are shortest-path trees
+// (each route extends its predecessor's by one hop), so equal hop counts
+// and equal last hops on every pair imply equal routes hop for hop.
 bool RoutesEquivalent(const RoutingTable& old_routing, const RoutingTable& new_routing,
                       size_t node_count, const std::vector<uint32_t>& new_link_from_old) {
   for (uint32_t src = 0; src < node_count; ++src) {
     for (uint32_t dst = 0; dst < node_count; ++dst) {
-      const Route& old_route = old_routing.RouteBetween(NodeId(src), NodeId(dst));
-      const Route& new_route = new_routing.RouteBetween(NodeId(src), NodeId(dst));
-      if (old_route.size() != new_route.size()) {
+      const size_t hops = old_routing.HopCount(NodeId(src), NodeId(dst));
+      if (hops != new_routing.HopCount(NodeId(src), NodeId(dst))) {
         return false;
       }
-      for (size_t h = 0; h < old_route.size(); ++h) {
-        const uint32_t translated = new_link_from_old[old_route[h].link.value()];
-        if (old_route[h].sender != new_route[h].sender ||
-            old_route[h].receiver != new_route[h].receiver || translated == kNoLink ||
-            translated != new_route[h].link.value()) {
-          return false;
-        }
+      if (hops == 0) {
+        continue;
+      }
+      const Hop old_hop = old_routing.LastHop(NodeId(src), NodeId(dst));
+      const Hop new_hop = new_routing.LastHop(NodeId(src), NodeId(dst));
+      const uint32_t translated = new_link_from_old[old_hop.link.value()];
+      if (old_hop.sender != new_hop.sender || translated == kNoLink ||
+          translated != new_hop.link.value()) {
+        return false;
       }
     }
   }
@@ -706,40 +709,38 @@ StatusOr<Strategy> StrategyBuilder::Rebuild(const Strategy& old_strategy,
           }
         }
       }
-      // A table built for the equivalence check is handed to PlanForMode if
-      // the mode turns out dirty, so no mode pays for Dijkstra twice.
-      std::shared_ptr<const RoutingTable> prebuilt;
-      if (!dirty) {
-        if (ctx.routing_recompute) {
-          prebuilt = std::make_shared<RoutingTable>(new_topo, faults.nodes());
-          if (RoutesEquivalent(*old_plan->routing, *prebuilt, new_topo.node_count(),
-                               ctx.new_link_from_old)) {
-            out.routing = prebuilt;
-          } else {
-            dirty = true;
+      // The mode's routing table. Clean and dirty modes alike keep the old
+      // table whenever the edit provably cannot move a route: without a
+      // routing recompute, no Dijkstra weight changed, surviving link ids
+      // are unchanged, and added links (if any) are parallel-covered, so a
+      // route can only have moved if this mode routed over a removed link.
+      std::shared_ptr<const RoutingTable> routing;
+      if (old_plan != nullptr && !ctx.routing_recompute) {
+        bool moved = false;
+        for (LinkId removed : ctx.removed_old_links) {
+          if (old_plan->routing->UsesLink(removed)) {
+            moved = true;
+            break;
           }
-        } else if (ctx.topo_structure_changed) {
-          // Ids stable and added links parallel-covered: routes can only
-          // have moved if this mode actually routed over a removed link.
-          for (LinkId removed : ctx.removed_old_links) {
-            if (old_plan->routing->UsesLink(removed)) {
-              dirty = true;
-              break;
-            }
-          }
-          if (!dirty) {
-            out.routing = old_plan->routing;
-          }
-        } else {
-          // Link structure and Dijkstra weights unchanged: the old table is
-          // the new table (link ids are order-stable under ApplyDelta).
-          out.routing = old_plan->routing;
         }
+        if (moved) {
+          dirty = true;
+        } else {
+          routing = old_plan->routing;
+        }
+      }
+      // Otherwise a table built for the equivalence check is handed to
+      // PlanForMode if the mode turns out dirty, so no mode pays for
+      // Dijkstra twice.
+      if (!dirty && routing == nullptr) {
+        routing = std::make_shared<RoutingTable>(new_topo, faults.nodes());
+        dirty = !RoutesEquivalent(*old_plan->routing, *routing, new_topo.node_count(),
+                                  ctx.new_link_from_old);
       }
       if (!dirty && ctx.any_changed_link) {
         for (size_t l = 0; l < ctx.changed_new_link.size(); ++l) {
           if (ctx.changed_new_link[l] != 0 &&
-              out.routing->UsesLink(LinkId(static_cast<uint32_t>(l)))) {
+              routing->UsesLink(LinkId(static_cast<uint32_t>(l)))) {
             dirty = true;  // a re-measured link sits on some route
             break;
           }
@@ -747,7 +748,9 @@ StatusOr<Strategy> StrategyBuilder::Rebuild(const Strategy& old_strategy,
       }
 
       out.dirty = dirty;
-      if (dirty) {
+      if (!dirty) {
+        out.routing = std::move(routing);
+      } else {
         std::vector<const Plan*> parents;
         parents.reserve(faults.size());
         for (NodeId x : faults.nodes()) {
@@ -756,7 +759,7 @@ StatusOr<Strategy> StrategyBuilder::Rebuild(const Strategy& old_strategy,
             parents.push_back(parent);
           }
         }
-        out.planned = new_planner.PlanForMode(faults, parents, std::move(prebuilt));
+        out.planned = new_planner.PlanForMode(faults, parents, std::move(routing));
         if (!out.planned->ok()) {
           failed.store(true, std::memory_order_relaxed);
         }

@@ -26,7 +26,10 @@
 //           lies on some route, an edited task is active (or would become
 //           active), adjacency shifted under the vulnerability heuristic,
 //           or any parent mode's plan body changed. Dirty modes are
-//           replanned on the thread pool exactly like a full build.
+//           replanned on the thread pool exactly like a full build, with
+//           the old mode's routing table whenever the edit provably cannot
+//           move a route (workload-only edits, bandwidth-only re-measures,
+//           removals of links no route used).
 //   clean — every stage input is provably unchanged. The old mode's
 //           deduplicated PlanBody is re-linked as-is (or, when the
 //           augmented-task universe changed shape, migrated id-for-id —

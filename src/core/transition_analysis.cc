@@ -22,12 +22,11 @@ SimDuration ControlLatency(const Topology& topo, const NetworkConfig& config,
   if (a == b) {
     return 0;
   }
-  const Route& route = routing.RouteBetween(a, b);
   SimDuration total = 0;
-  for (const Hop& hop : route) {
+  routing.ForEachHopReversed(a, b, [&](const Hop& hop) {
     total += ControlSerialization(topo, config, hop, bytes);
     total += topo.link(hop.link).propagation;
-  }
+  });
   return total;
 }
 

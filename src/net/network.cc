@@ -128,23 +128,22 @@ MessageId Network::Send(NodeId src, NodeId dst, uint32_t size_bytes, TrafficClas
   p->cls = cls;
   p->payload = std::move(payload);
   p->sent_at = sim_->Now();
+  routing_->CopyRoute(src, dst, &p->route);
   if (loopback) {
     // Loopback: deliver immediately (no medium usage).
     sim_->After(0, [this, p]() { Deliver(p); });
   } else {
-    ForwardHop(p, routing_, 0);
+    ForwardHop(p, 0);
   }
   return id;
 }
 
-void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> routing,
-                         size_t hop_index) {
-  const Route& route = routing->RouteBetween(packet->src, packet->dst);
-  if (hop_index >= route.size()) {
+void Network::ForwardHop(Packet* packet, size_t hop_index) {
+  if (hop_index >= packet->route.size()) {
     Deliver(packet);
     return;
   }
-  const Hop& hop = route[hop_index];
+  const Hop hop = packet->route[hop_index];
 
   // Every hop executes either on the shard that owns hop.sender (the first
   // hop inside Send, later hops inside the relay's arrival event) or on the
@@ -197,8 +196,8 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
       loss_p > 0.0 && LossUnit(sim_->seed(), hop.link, packet->id,
                                static_cast<uint32_t>(hop_index)) < loss_p;
   // Hop state is packed so the closure fits the event queue's inline
-  // buffer; the receiver is resolved now (the captured routing table is
-  // immutable, so the arrival-time lookup gave the same answer). The
+  // buffer; the receiver is resolved now (the packet's route is fixed at
+  // send time, so the arrival-time lookup gave the same answer). The
   // arrival event is owned by the hop receiver: a cross-shard hop rides the
   // sender's mailbox, and the lookahead bound holds because arrival is at
   // least tx(min frame) + propagation after now.
@@ -208,7 +207,7 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
     bool lost;
   };
   const HopState hs{static_cast<uint32_t>(hop_index + 1), hop.receiver.value(), lost};
-  sim_->AtActor(hs.receiver, arrival, [this, packet, routing = std::move(routing), hs]() mutable {
+  sim_->AtActor(hs.receiver, arrival, [this, packet, hs]() {
     if (hs.lost) {
       ShardState& local = CurrentState();
       ++local.stats.packets_dropped_loss;
@@ -221,7 +220,7 @@ void Network::ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> rou
       ReleasePacket(local, packet);
       return;
     }
-    ForwardHop(packet, std::move(routing), hs.next_hop);
+    ForwardHop(packet, hs.next_hop);
   });
 }
 

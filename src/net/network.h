@@ -14,8 +14,11 @@
 //
 // Packets are freelist-pooled: a hop forwards the same pooled object through
 // the event queue instead of copying the packet into each hop's closure, and
-// the pool recycles it on delivery or drop. Payload objects are allocated
-// from a shared BlockPool (see MakePooled) by whoever builds them.
+// the pool recycles it on delivery or drop. Send copies the route into the
+// pooled packet once (reusing the vector's capacity), so a routing switch
+// mid-flight cannot re-route a packet and hop closures carry no table
+// handle. Payload objects are allocated from a shared BlockPool (see
+// MakePooled) by whoever builds them.
 //
 // Sharding: all mutable transport state is split per shard. Guardian
 // timelines are partitioned by the shard of the *sender* (a hop's guardian
@@ -86,6 +89,7 @@ struct Packet {
   PayloadPtr payload;
   SimTime sent_at = 0;
   SimTime delivered_at = 0;
+  Route route;  // fixed at send time; empty for loopback
 };
 
 using DeliveryFn = std::function<void(const Packet&)>;
@@ -208,8 +212,7 @@ class Network {
   Packet* AcquirePacket(ShardState& st);
   void ReleasePacket(ShardState& st, Packet* packet);
 
-  void ForwardHop(Packet* packet, std::shared_ptr<const RoutingTable> routing,
-                  size_t hop_index);
+  void ForwardHop(Packet* packet, size_t hop_index);
   void Deliver(Packet* packet);
 
   Simulator* sim_;

@@ -1,14 +1,22 @@
 #include "src/net/routing.h"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
 #include <limits>
 #include <queue>
 
 namespace btr {
 
+namespace {
+constexpr uint32_t kNone = NodeId::Invalid().value();
+}  // namespace
+
 RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excluded)
-    : n_(topo.node_count()), routes_(n_ * n_), path_propagation_(n_ * n_, 0) {
+    : n_(topo.node_count()),
+      pred_(n_ * n_, kNone),
+      link_(n_ * n_, kNone),
+      hops_(n_ * n_, 0),
+      path_propagation_(n_ * n_, 0) {
   std::vector<bool> is_excluded(n_, false);
   for (NodeId x : excluded) {
     if (x.valid() && x.value() < n_) {
@@ -17,14 +25,22 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
   }
 
   // Dijkstra from every source over (propagation + per-hop serialization
-  // epsilon) edge weights; ties broken by node id for determinism.
+  // epsilon) edge weights; ties broken by node id for determinism. The
+  // source's row of pred_/link_ is its shortest-path tree. Scratch buffers
+  // are reused across sources.
+  constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+  std::vector<int64_t> dist(n_);
+  std::vector<uint32_t> settled;  // nodes in the order their distance became final
+  settled.reserve(n_);
+  using QueueEntry = std::pair<int64_t, uint32_t>;  // (dist, node)
+  std::vector<QueueEntry> queue_storage;
+  queue_storage.reserve(n_);
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq(
+      std::greater<>(), std::move(queue_storage));
   for (size_t s = 0; s < n_; ++s) {
-    const NodeId src(static_cast<uint32_t>(s));
-    constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
-    std::vector<int64_t> dist(n_, kInf);
-    std::vector<Hop> via(n_);  // hop taken to reach node i
-    using QueueEntry = std::pair<int64_t, uint32_t>;  // (dist, node)
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+    const size_t row = s * n_;
+    std::fill(dist.begin(), dist.end(), kInf);
+    settled.clear();
     dist[s] = 0;
     pq.push({0, static_cast<uint32_t>(s)});
     while (!pq.empty()) {
@@ -33,6 +49,7 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
       if (d > dist[u]) {
         continue;
       }
+      settled.push_back(u);
       const NodeId nu(u);
       // A relay (non-source intermediate) must not be excluded.
       if (u != s && is_excluded[u]) {
@@ -49,75 +66,89 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
           }
           if (d + w < dist[v.value()]) {
             dist[v.value()] = d + w;
-            via[v.value()] = Hop{nu, l, v};
+            pred_[row + v.value()] = u;
+            link_[row + v.value()] = l.value();
             pq.push({dist[v.value()], v.value()});
           }
         }
       }
     }
-    for (size_t t = 0; t < n_; ++t) {
-      if (t == s || dist[t] >= kInf) {
-        continue;
-      }
-      Route route;
-      SimDuration prop = 0;
-      for (uint32_t cur = static_cast<uint32_t>(t); cur != s;) {
-        const Hop& h = via[cur];
-        route.push_back(h);
-        prop += topo.link(h.link).propagation;
-        cur = h.sender.value();
-      }
-      std::reverse(route.begin(), route.end());
-      routes_[Index(src, NodeId(static_cast<uint32_t>(t)))] = std::move(route);
-      path_propagation_[Index(src, NodeId(static_cast<uint32_t>(t)))] = prop;
+    // Edge weights are positive, so every node settles after its
+    // predecessor: one pass in settle order fills hop counts and sums.
+    for (size_t i = 1; i < settled.size(); ++i) {
+      const size_t at = row + settled[i];
+      const size_t from = row + pred_[at];
+      hops_[at] = hops_[from] + 1;
+      path_propagation_[at] =
+          path_propagation_[from] + topo.link(LinkId(link_[at])).propagation;
     }
   }
 }
 
-const Route& RoutingTable::RouteBetween(NodeId src, NodeId dst) const {
-  if (!src.valid() || !dst.valid() || src.value() >= n_ || dst.value() >= n_ || src == dst) {
-    return empty_;
+Route RoutingTable::RouteBetween(NodeId src, NodeId dst) const {
+  Route route;
+  CopyRoute(src, dst, &route);
+  return route;
+}
+
+void RoutingTable::CopyRoute(NodeId src, NodeId dst, Route* out) const {
+  out->resize(HopCount(src, dst));
+  size_t h = out->size();
+  ForEachHopReversed(src, dst, [&](const Hop& hop) { (*out)[--h] = hop; });
+}
+
+Hop RoutingTable::LastHop(NodeId src, NodeId dst) const {
+  if (HopCount(src, dst) == 0) {
+    return Hop{};
   }
-  return routes_[Index(src, dst)];
+  const size_t at = Index(src, dst);
+  return Hop{NodeId(pred_[at]), LinkId(link_[at]), dst};
 }
 
 bool RoutingTable::Reachable(NodeId src, NodeId dst) const {
   if (src == dst) {
     return true;
   }
-  return !RouteBetween(src, dst).empty();
+  return HopCount(src, dst) != 0;
 }
 
 size_t RoutingTable::HopCount(NodeId src, NodeId dst) const {
-  return RouteBetween(src, dst).size();
+  if (!InRange(src, dst)) {
+    return 0;
+  }
+  return hops_[Index(src, dst)];
 }
 
 SimDuration RoutingTable::PathPropagation(NodeId src, NodeId dst) const {
-  if (src == dst || !src.valid() || !dst.valid()) {
+  if (src == dst || !InRange(src, dst)) {
     return 0;
   }
   return path_propagation_[Index(src, dst)];
 }
 
 bool RoutingTable::UsesLink(LinkId link) const {
-  for (const Route& route : routes_) {
-    for (const Hop& hop : route) {
-      if (hop.link == link) {
-        return true;
-      }
+  if (!link.valid()) {
+    return false;
+  }
+  for (uint32_t l : link_) {
+    if (l == link.value()) {
+      return true;
     }
   }
   return false;
 }
 
 bool RoutingTable::RouteUsesRelay(NodeId src, NodeId dst, NodeId relay) const {
-  const Route& r = RouteBetween(src, dst);
-  for (size_t i = 0; i + 1 < r.size(); ++i) {
-    if (r[i].receiver == relay) {
-      return true;
-    }
-  }
-  return false;
+  bool uses = false;
+  ForEachHopReversed(src, dst, [&](const Hop& hop) {
+    uses = uses || (hop.sender == relay && hop.sender != src);
+  });
+  return uses;
+}
+
+size_t RoutingTable::FootprintBytes() const {
+  return pred_.size() * sizeof(uint32_t) + link_.size() * sizeof(uint32_t) +
+         hops_.size() * sizeof(uint32_t) + path_propagation_.size() * sizeof(SimDuration);
 }
 
 }  // namespace btr

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <string>
+
+#include "src/common/rng.h"
 #include "src/net/network.h"
 #include "src/net/routing.h"
 #include "src/net/topology.h"
@@ -97,6 +104,174 @@ TEST(Routing, PathPropagationSums) {
   Topology t = Topology::Ring(6, 1'000'000, Microseconds(7));
   RoutingTable routes(t);
   EXPECT_EQ(routes.PathPropagation(NodeId(0), NodeId(3)), 3 * Microseconds(7));
+}
+
+TEST(Routing, NodeIdsBeyondTheTableHaveNoRoute) {
+  Topology t = Topology::Ring(4, 1'000'000, Microseconds(7));
+  RoutingTable routes(t);
+  const NodeId beyond(4);
+  // (0, 4) would alias the (1, 0) entry and (4, 0) would index past the
+  // table without the range check.
+  EXPECT_EQ(routes.PathPropagation(NodeId(0), beyond), 0);
+  EXPECT_EQ(routes.PathPropagation(beyond, NodeId(0)), 0);
+  EXPECT_EQ(routes.PathPropagation(NodeId::Invalid(), NodeId(0)), 0);
+  EXPECT_EQ(routes.HopCount(beyond, NodeId(0)), 0u);
+  EXPECT_FALSE(routes.Reachable(NodeId(0), beyond));
+  EXPECT_TRUE(routes.RouteBetween(beyond, NodeId(0)).empty());
+  EXPECT_FALSE(routes.RouteUsesRelay(NodeId(0), beyond, NodeId(1)));
+  EXPECT_FALSE(routes.LastHop(NodeId(0), beyond).sender.valid());
+}
+
+// The materialized all-pairs Dijkstra that the tree-backed RoutingTable
+// replaced, kept as the reference: one explicit hop list per (src, dst).
+struct ReferenceRoutes {
+  size_t n = 0;
+  std::vector<Route> routes;  // n*n, row-major
+  std::vector<SimDuration> propagation;
+
+  const Route& Between(size_t src, size_t dst) const { return routes[src * n + dst]; }
+};
+
+ReferenceRoutes ReferenceDijkstra(const Topology& topo, const std::vector<NodeId>& excluded) {
+  ReferenceRoutes ref;
+  ref.n = topo.node_count();
+  const size_t n = ref.n;
+  ref.routes.assign(n * n, Route());
+  ref.propagation.assign(n * n, 0);
+  std::vector<bool> is_excluded(n, false);
+  for (NodeId x : excluded) {
+    is_excluded[x.value()] = true;
+  }
+  for (size_t s = 0; s < n; ++s) {
+    constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+    std::vector<int64_t> dist(n, kInf);
+    std::vector<Hop> via(n);
+    using QueueEntry = std::pair<int64_t, uint32_t>;
+    std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+    dist[s] = 0;
+    pq.push({0, static_cast<uint32_t>(s)});
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) {
+        continue;
+      }
+      const NodeId nu(u);
+      if (u != s && is_excluded[u]) {
+        continue;
+      }
+      for (LinkId l : topo.LinksAt(nu)) {
+        const LinkSpec& spec = topo.link(l);
+        const int64_t w = spec.propagation + 1000;
+        for (NodeId v : spec.endpoints) {
+          if (v != nu && d + w < dist[v.value()]) {
+            dist[v.value()] = d + w;
+            via[v.value()] = Hop{nu, l, v};
+            pq.push({dist[v.value()], v.value()});
+          }
+        }
+      }
+    }
+    for (size_t t = 0; t < n; ++t) {
+      if (t == s || dist[t] >= kInf) {
+        continue;
+      }
+      Route route;
+      SimDuration prop = 0;
+      for (uint32_t cur = static_cast<uint32_t>(t); cur != s;) {
+        const Hop& h = via[cur];
+        route.push_back(h);
+        prop += topo.link(h.link).propagation;
+        cur = h.sender.value();
+      }
+      std::reverse(route.begin(), route.end());
+      ref.routes[s * n + t] = std::move(route);
+      ref.propagation[s * n + t] = prop;
+    }
+  }
+  return ref;
+}
+
+// Seeded topology mixing point-to-point links and multi-endpoint buses,
+// with propagation drawn from three values (so equal-cost paths tie) and
+// occasional parallel links; some seeds leave parts disconnected.
+Topology RandomTopology(Rng* rng) {
+  Topology topo;
+  const size_t n = 4 + rng->NextBelow(7);
+  topo.AddNodes(n);
+  std::vector<NodeId> nodes;
+  for (size_t i = 0; i < n; ++i) {
+    nodes.push_back(NodeId(static_cast<uint32_t>(i)));
+  }
+  const size_t links = n / 2 + rng->NextBelow(n);
+  for (size_t l = 0; l < links; ++l) {
+    rng->Shuffle(&nodes);
+    const size_t ends = rng->NextBelow(3) == 0 ? 3 + rng->NextBelow(3) : 2;
+    std::vector<NodeId> endpoints(nodes.begin(), nodes.begin() + std::min(ends, n));
+    const SimDuration propagation = Microseconds(static_cast<int64_t>(rng->NextBelow(3)));
+    topo.AddLink(endpoints, 1'000'000, propagation);
+    if (rng->NextBelow(8) == 0) {
+      topo.AddLink(endpoints, 2'000'000, propagation);  // parallel twin
+    }
+  }
+  return topo;
+}
+
+void ExpectMatchesReference(const Topology& topo, const std::vector<NodeId>& excluded,
+                            const std::string& label) {
+  const RoutingTable table(topo, excluded);
+  const ReferenceRoutes ref = ReferenceDijkstra(topo, excluded);
+  const size_t n = topo.node_count();
+  std::vector<bool> link_used(topo.link_count(), false);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t d = 0; d < n; ++d) {
+      const NodeId src(static_cast<uint32_t>(s));
+      const NodeId dst(static_cast<uint32_t>(d));
+      const Route& want = ref.Between(s, d);
+      const Route got = table.RouteBetween(src, dst);
+      ASSERT_EQ(got.size(), want.size()) << label << " " << s << "->" << d;
+      for (size_t h = 0; h < want.size(); ++h) {
+        EXPECT_EQ(got[h].sender, want[h].sender) << label << " " << s << "->" << d;
+        EXPECT_EQ(got[h].link, want[h].link) << label << " " << s << "->" << d;
+        EXPECT_EQ(got[h].receiver, want[h].receiver) << label << " " << s << "->" << d;
+        link_used[want[h].link.value()] = true;
+      }
+      EXPECT_EQ(table.HopCount(src, dst), want.size());
+      EXPECT_EQ(table.PathPropagation(src, dst), ref.propagation[s * n + d]);
+      EXPECT_EQ(table.Reachable(src, dst), s == d || !want.empty());
+      for (size_t r = 0; r < n; ++r) {
+        const NodeId relay(static_cast<uint32_t>(r));
+        bool relays = false;
+        for (size_t h = 0; h + 1 < want.size(); ++h) {
+          relays = relays || want[h].receiver == relay;
+        }
+        EXPECT_EQ(table.RouteUsesRelay(src, dst, relay), relays)
+            << label << " " << s << "->" << d << " via " << r;
+      }
+    }
+  }
+  for (uint32_t l = 0; l < topo.link_count(); ++l) {
+    EXPECT_EQ(table.UsesLink(LinkId(l)), link_used[l]) << label << " link " << l;
+  }
+  EXPECT_FALSE(table.UsesLink(LinkId::Invalid()));
+}
+
+TEST(Routing, TreeTableMatchesMaterializedDijkstraUnderEveryFaultSetUpToTwo) {
+  Rng rng(2015);
+  for (int trial = 0; trial < 24; ++trial) {
+    const Topology topo = RandomTopology(&rng);
+    const uint32_t n = static_cast<uint32_t>(topo.node_count());
+    const std::string label = "trial " + std::to_string(trial);
+    ExpectMatchesReference(topo, {}, label);
+    for (uint32_t a = 0; a < n; ++a) {
+      ExpectMatchesReference(topo, {NodeId(a)}, label + " {" + std::to_string(a) + "}");
+      for (uint32_t b = a + 1; b < n; ++b) {
+        ExpectMatchesReference(
+            topo, {NodeId(a), NodeId(b)},
+            label + " {" + std::to_string(a) + "," + std::to_string(b) + "}");
+      }
+    }
+  }
 }
 
 class NetworkTest : public ::testing::Test {
@@ -233,6 +408,26 @@ TEST(NetworkMultiHop, RelayForwardsAndDownRelayDrops) {
   sim.RunToCompletion();
   EXPECT_EQ(received, 1);
   EXPECT_GE(net.stats().packets_dropped_down, 1u);
+}
+
+TEST(NetworkMultiHop, RouteIsFixedAtSend) {
+  Topology topo = Topology::Ring(4, 8'000'000, Microseconds(2));
+  Simulator sim(1);
+  Network net(&sim, &topo, NetworkConfig{});
+  int received = 0;
+  net.SetReceiver(NodeId(2), [&](const Packet&) { ++received; });
+
+  // 0 -> 2 leaves through relay 1. A table installed while the packet is
+  // in flight routes the other way round, through 3, which is down: the
+  // packet must finish the route it was sent on.
+  ASSERT_TRUE(net.routing()->RouteUsesRelay(NodeId(0), NodeId(2), NodeId(1)));
+  net.Send(NodeId(0), NodeId(2), 100, TrafficClass::kForeground,
+           std::make_shared<TestPayload>());
+  net.SetRouting(std::make_shared<RoutingTable>(topo, std::vector<NodeId>{NodeId(1)}));
+  net.SetNodeDown(NodeId(3), true);
+  sim.RunToCompletion();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(net.stats().packets_dropped_down, 0u);
 }
 
 TEST(NetworkMultiHop, RelayDropModelsByzantineGateway) {
