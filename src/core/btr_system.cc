@@ -292,7 +292,11 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
       return Status::FailedPrecondition(
           "staged rollout needs a distributor that is honest at rollout time");
     }
-    runtime.ScheduleStrategyInstall(staged_->rollout_at, staged_->update, distributor);
+    const Status scheduled =
+        runtime.ScheduleStrategyInstall(staged_->rollout_at, staged_->update, distributor);
+    if (!scheduled.ok()) {
+      return scheduled;
+    }
   }
   sim.RunToCompletion();
 

@@ -237,11 +237,21 @@ void BtrRuntime::Start(uint64_t periods) {
   }
 }
 
-void BtrRuntime::ScheduleStrategyInstall(SimTime at,
-                                         std::shared_ptr<const StrategyUpdate> update,
-                                         NodeId distributor) {
-  assert(update != nullptr && update->base_slices.size() == nodes_.size() &&
-         update->slice_fps.size() == nodes_.size());
+Status BtrRuntime::ScheduleStrategyInstall(SimTime at,
+                                           std::shared_ptr<const StrategyUpdate> update,
+                                           NodeId distributor) {
+  if (update == nullptr) {
+    return Status::InvalidArgument("strategy install: no update");
+  }
+  if (update->base_slices.size() != nodes_.size() ||
+      update->patch_slices.size() != nodes_.size()) {
+    return Status::InvalidArgument("strategy install: update built for " +
+                                   std::to_string(update->base_slices.size()) +
+                                   " nodes, runtime has " + std::to_string(nodes_.size()));
+  }
+  if (!distributor.valid() || distributor.value() >= nodes_.size()) {
+    return Status::InvalidArgument("strategy install: distributor outside the node universe");
+  }
   update_ = std::move(update);
   installed_at_.assign(nodes_.size(), kSimTimeNever);
   ctx_.sim->At(at, [this, distributor]() {
@@ -259,6 +269,7 @@ void BtrRuntime::ScheduleStrategyInstall(SimTime at,
       node->StartGossip(distributor);
     }
   });
+  return Status::Ok();
 }
 
 void BtrRuntime::NotifyInstalled(NodeId node) {
@@ -1142,9 +1153,10 @@ void NodeRuntime::ApplyLocalInstall(const StrategyUpdate& update) {
     owner_->NotifyInstalled(id_);
     return;
   }
-  // Local fallback: the distributor holds the full slices already.
+  // Local fallback: the distributor carves its own full slice.
   ++owner_->install_report_.fallbacks;
-  if (install_.InstallFull(update.full_slices[id_.value()], update.target_fp).ok()) {
+  const FallbackSlice* slice = update.fallback_slice(id_.value());
+  if (slice != nullptr && install_.InstallFull(slice->bytes, update.target_fp).ok()) {
     owner_->NotifyInstalled(id_);
   }
 }
@@ -1384,7 +1396,8 @@ LinkId NodeRuntime::LinkToNeighbor(NodeId peer) const {
 // leaf is the slice it can carve deterministically from its own verified
 // copy (SaveStrategyPatchSlice / ExtractSlice). Reading the carved texts off
 // the shared StrategyUpdate models exactly that without holding N copies of
-// identical bytes per node.
+// identical bytes per node; a fallback slice is carved there on its first
+// request.
 const std::string* NodeRuntime::DissemArtifact(DissemContent content, NodeId to) const {
   const StrategyUpdate* update = owner_->update_.get();
   if (update == nullptr) {
@@ -1398,9 +1411,10 @@ const std::string* NodeRuntime::DissemArtifact(DissemContent content, NodeId to)
     case DissemContent::kPatchSlice:
       return to.value() < update->patch_slices.size() ? &update->patch_slices[to.value()]
                                                       : nullptr;
-    case DissemContent::kBlobSlice:
-      return to.value() < update->full_slices.size() ? &update->full_slices[to.value()]
-                                                     : nullptr;
+    case DissemContent::kBlobSlice: {
+      const FallbackSlice* slice = update->fallback_slice(to.value());
+      return slice != nullptr ? &slice->bytes : nullptr;
+    }
   }
   return nullptr;
 }
@@ -1440,7 +1454,7 @@ void NodeRuntime::MaybeServeNext() {
           serve.content_fp = owner_->update_->target_blob_fp;
           break;
         case DissemContent::kBlobSlice:
-          serve.content_fp = owner_->update_->slice_fps[serve.to.value()];
+          serve.content_fp = owner_->update_->fallback_slice(serve.to.value())->fp;
           break;
         case DissemContent::kPatchSlice:
           serve.content_fp = FingerprintStrategyText(*artifact);

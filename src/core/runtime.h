@@ -230,9 +230,11 @@ class BtrRuntime {
   // target and neighbors pull the patch hop by hop as paced control
   // traffic; a node whose patch fails to verify pulls the blob artifact
   // instead. Dissemination cost and latency land in install_report() and
-  // the network stats.
-  void ScheduleStrategyInstall(SimTime at, std::shared_ptr<const StrategyUpdate> update,
-                               NodeId distributor);
+  // the network stats. InvalidArgument, with nothing scheduled, for a
+  // missing update, one built for another node count, or a distributor
+  // outside the node universe.
+  Status ScheduleStrategyInstall(SimTime at, std::shared_ptr<const StrategyUpdate> update,
+                                 NodeId distributor);
   // Finalized from the per-node install times and agent stats on every call.
   const InstallRunReport& install_report() const;
 

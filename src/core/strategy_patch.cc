@@ -1,10 +1,13 @@
 #include "src/core/strategy_patch.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <string_view>
 #include <unordered_map>
 
 #include "src/common/hash.h"
+#include "src/common/log.h"
 #include "src/core/strategy_io.h"
 #include "src/fmt/strategy_binary.h"
 #include "src/core/strategy_parts_internal.h"
@@ -388,10 +391,12 @@ bool BucketChunkByNode(const std::string& chunk, std::string* pre, std::string* 
   return true;
 }
 
-// Renders every node's slice of a parsed blob in one pass: each body chunk
-// is split and bucketed once, so total work is O(blob + total slice bytes)
-// instead of the per-node re-filtering's O(blob x nodes).
-std::vector<std::string> RenderAllSlicesOfBlob(const Parts& blob, uint64_t sfp) {
+// Renders every node's slice of a parsed blob in one pass, handing each to
+// `sink(node, slice)` in node order: each body chunk is split and bucketed
+// once, so total work is O(blob + total slice bytes) instead of the
+// per-node re-filtering's O(blob x nodes).
+template <typename Sink>
+void ForEachSliceOfBlob(const Parts& blob, uint64_t sfp, Sink&& sink) {
   const size_t body_count = blob.bodies.size();
   std::vector<std::string> pres(body_count);
   std::vector<std::string> posts(body_count);
@@ -401,8 +406,6 @@ std::vector<std::string> RenderAllSlicesOfBlob(const Parts& blob, uint64_t sfp) 
     bucketed[id] =
         BucketChunkByNode(blob.bodies[id], &pres[id], &posts[id], &buckets[id]) ? 1 : 0;
   }
-  std::vector<std::string> slices;
-  slices.reserve(blob.node_count);
   std::vector<std::string> chunks(body_count);
   std::vector<const std::string*> chunk_ptrs(body_count);
   for (uint64_t node = 0; node < blob.node_count; ++node) {
@@ -419,11 +422,10 @@ std::vector<std::string> RenderAllSlicesOfBlob(const Parts& blob, uint64_t sfp) 
       }
       chunk_ptrs[id] = &chunks[id];
     }
-    slices.push_back(RenderSliceText(node, blob.aug_count, blob.node_count, blob.edge_count,
-                                     blob.has_prov, blob.prov_max_faults,
-                                     blob.prov_planner_fp, sfp, chunk_ptrs, blob.modes));
+    sink(node, RenderSliceText(node, blob.aug_count, blob.node_count, blob.edge_count,
+                               blob.has_prov, blob.prov_max_faults, blob.prov_planner_fp, sfp,
+                               chunk_ptrs, blob.modes));
   }
-  return slices;
 }
 
 // Renders SaveStrategyPatch(MakeStrategyPatchSlice(patch, n)) for every
@@ -534,12 +536,9 @@ StatusOr<std::vector<std::string>> RenderPatchSliceTexts(const StrategyPatch& pa
 }
 
 // Shared core of MakeStrategyPatch and BuildStrategyUpdate: diffs two
-// already-parsed blobs. When `target_slices` is non-null it receives the
-// rendered full target slice of every node (the same renders that produce
-// slice_fps), so callers that need both never render twice.
+// already-parsed blobs.
 StatusOr<StrategyPatch> MakePatchFromParts(const Parts& base, const Parts& target,
-                                           uint64_t base_fp, uint64_t target_fp,
-                                           std::vector<std::string>* target_slices) {
+                                           uint64_t base_fp, uint64_t target_fp) {
   if (base.is_slice || target.is_slice) {
     return Status::InvalidArgument("patches diff full blobs, not slices");
   }
@@ -620,13 +619,10 @@ StatusOr<StrategyPatch> MakePatchFromParts(const Parts& base, const Parts& targe
     }
   }
 
-  std::vector<std::string> slices = RenderAllSlicesOfBlob(target, patch.target_fp);
-  for (uint32_t n = 0; n < target.node_count; ++n) {
-    patch.slice_fps.emplace_back(n, FingerprintStrategyText(slices[n]));
-  }
-  if (target_slices != nullptr) {
-    *target_slices = std::move(slices);
-  }
+  patch.slice_fps.reserve(target.node_count);
+  ForEachSliceOfBlob(target, patch.target_fp, [&patch](uint64_t node, std::string slice) {
+    patch.slice_fps.emplace_back(static_cast<uint32_t>(node), FingerprintStrategyText(slice));
+  });
   return patch;
 }
 
@@ -643,7 +639,7 @@ StatusOr<StrategyPatch> MakeStrategyPatch(const std::string& base_blob,
     return target.status();
   }
   return MakePatchFromParts(*base, *target, FingerprintStrategyText(base_blob),
-                            FingerprintStrategyText(target_blob), nullptr);
+                            FingerprintStrategyText(target_blob));
 }
 
 StatusOr<StrategyPatch> MakeStrategyPatchSlice(const StrategyPatch& patch, uint32_t node) {
@@ -899,6 +895,60 @@ StatusOr<std::string> ReassembleStrategy(const std::vector<std::string>& slices)
   return out;
 }
 
+// The parsed target a StrategyUpdate carves its fallback slices from, and
+// one slot per node that the first fallback_slice(node) call fills.
+struct StrategyUpdate::FallbackStore {
+  struct Slot {
+    std::once_flag once;
+    bool ok = false;
+    FallbackSlice slice;
+  };
+
+  FallbackStore(Parts parsed_target, uint64_t sfp, StrategyWireFormat wire)
+      : target(std::move(parsed_target)),
+        target_fp(sfp),
+        format(wire),
+        slots(std::make_unique<Slot[]>(target.node_count)) {}
+
+  void Build(uint32_t node, Slot* slot) {
+    std::string bytes = RenderSliceOfBlob(target, node, target_fp);
+    if (format == StrategyWireFormat::kV4Binary) {
+      StatusOr<std::string> image = fmt::EncodeStrategyImage(bytes);
+      if (!image.ok()) {
+        BTR_LOG(kWarning, "install") << "node " << node << ": fallback slice not built: "
+                                     << image.status().ToString();
+        return;
+      }
+      bytes = std::move(*image);
+    }
+    slot->slice.fp = FingerprintStrategyText(bytes);
+    slot->slice.bytes = std::move(bytes);
+    slot->ok = true;
+  }
+
+  const Parts target;
+  const uint64_t target_fp;
+  const StrategyWireFormat format;
+  const std::unique_ptr<Slot[]> slots;
+  std::atomic<size_t> built{0};
+};
+
+const FallbackSlice* StrategyUpdate::fallback_slice(uint32_t node) const {
+  if (fallback_ == nullptr || node >= fallback_->target.node_count) {
+    return nullptr;
+  }
+  FallbackStore::Slot& slot = fallback_->slots[node];
+  std::call_once(slot.once, [this, node, &slot] {
+    fallback_->Build(node, &slot);
+    fallback_->built.fetch_add(1, std::memory_order_relaxed);
+  });
+  return slot.ok ? &slot.slice : nullptr;
+}
+
+size_t StrategyUpdate::fallback_slices_built() const {
+  return fallback_ != nullptr ? fallback_->built.load(std::memory_order_relaxed) : 0;
+}
+
 StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
                                              const std::string& target_blob,
                                              StrategyWireFormat format) {
@@ -914,8 +964,8 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   update.target_blob = target_blob;
   update.base_fp = FingerprintStrategyText(base_blob);
   update.target_fp = FingerprintStrategyText(target_blob);
-  StatusOr<StrategyPatch> patch = MakePatchFromParts(*base, *target, update.base_fp,
-                                                     update.target_fp, &update.full_slices);
+  StatusOr<StrategyPatch> patch =
+      MakePatchFromParts(*base, *target, update.base_fp, update.target_fp);
   if (!patch.ok()) {
     return patch.status();
   }
@@ -923,7 +973,10 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   const uint32_t n = static_cast<uint32_t>(patch->node_count);
   // Base slices describe the already-installed state, so they are always
   // rendered in the text domain regardless of the wire format.
-  update.base_slices = RenderAllSlicesOfBlob(*base, update.base_fp);
+  update.base_slices.reserve(n);
+  ForEachSliceOfBlob(*base, update.base_fp, [&update](uint64_t, std::string slice) {
+    update.base_slices.push_back(std::move(slice));
+  });
   StatusOr<std::vector<std::string>> patch_slices = RenderPatchSliceTexts(*patch);
   if (!patch_slices.ok()) {
     return patch_slices.status();
@@ -941,11 +994,6 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
     }
     update.patch_full = std::move(*patch_img);
     for (uint32_t node = 0; node < n; ++node) {
-      StatusOr<std::string> slice_img = fmt::EncodeStrategyImage(update.full_slices[node]);
-      if (!slice_img.ok()) {
-        return slice_img.status();
-      }
-      update.full_slices[node] = std::move(*slice_img);
       StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(*patch, node);
       if (!sliced.ok()) {
         return sliced.status();
@@ -959,10 +1007,9 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   }
   update.target_blob_fp = FingerprintStrategyText(update.target_blob);
   update.patch_full_fp = FingerprintStrategyText(update.patch_full);
-  update.slice_fps.reserve(n);
-  for (uint32_t node = 0; node < n; ++node) {
-    update.slice_fps.push_back(FingerprintStrategyText(update.full_slices[node]));
-  }
+  update.fallback_ =
+      std::make_shared<StrategyUpdate::FallbackStore>(std::move(*target), update.target_fp,
+                                                      format);
   return update;
 }
 

@@ -38,6 +38,7 @@
 #define BTR_SRC_CORE_STRATEGY_PATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,11 +147,23 @@ enum class StrategyWireFormat {
   kV4Binary = 4, // v4 binary images (see src/fmt/strategy_binary.h)
 };
 
+// A node's full target slice in the wire format: the fallback it installs
+// when its patch fails to apply.
+struct FallbackSlice {
+  std::string bytes;
+  // Fingerprint of `bytes`. Travels with a fallback shipment so the
+  // receiver can content-verify the artifact — the slice's own SFP record
+  // chains to the parent blob, not to its own bytes, so it cannot detect
+  // in-transit corruption of a table row.
+  uint64_t fp = 0;
+};
+
 // Everything a distributor needs to roll a strategy edit out to the nodes
 // (see BtrRuntime::ScheduleStrategyInstall): per-node base slices (the
-// pre-deployed install), per-node patch slices (the delta shipment), and
-// per-node full target slices (the fallback a node requests when a patch
-// fails to apply).
+// pre-deployed install), per-node patch slices (the delta shipment), and,
+// on request, per-node full target slices (the fallback a node requests
+// when a patch fails to apply). A clean rollout ships no fallback, so
+// those are built only when asked for.
 struct StrategyUpdate {
   uint64_t base_fp = 0;
   uint64_t target_fp = 0;
@@ -161,17 +174,31 @@ struct StrategyUpdate {
   uint64_t target_blob_fp = 0;
   std::vector<std::string> base_slices;  // per node: installed-before state (always text)
   std::vector<std::string> patch_slices; // per node: sliced patch, wire format
-  std::vector<std::string> full_slices;  // per node: full target slice, wire format
-  // Per node: fingerprint of full_slices[n]'s shipped bytes. Travels with a
-  // fallback shipment so the receiver can content-verify the artifact —
-  // the slice's own SFP record chains to the parent blob, not to its own
-  // bytes, so it cannot detect in-transit corruption of a table row.
-  std::vector<uint64_t> slice_fps;
   // Unsliced patch in the wire format. Gossip relays receive this (instead
   // of N per-node slices), carve their own slice locally, and re-serve it
   // to the next hop.
   std::string patch_full;
   uint64_t patch_full_fp = 0;
+
+  // Node `node`'s full target slice in the wire format, carved (and under
+  // v4 encoded) from the target BuildStrategyUpdate parsed, once per node,
+  // on the first call. Safe to call concurrently (shard workers serve
+  // fallbacks); the result stays at the same address for the update's
+  // lifetime, so a serve may re-read it per chunk. Null for a node outside
+  // the universe, on an update BuildStrategyUpdate did not make, or if the
+  // slice's encoder self-check fails. The bytes equal ExtractSlice of the
+  // target (its v4 image under v4), whatever target_blob holds now.
+  const FallbackSlice* fallback_slice(uint32_t node) const;
+  // How many nodes' fallback slices have been built (diagnostics). Copies
+  // of an update share one set of built slices, and so this count.
+  size_t fallback_slices_built() const;
+
+ private:
+  friend StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
+                                                      const std::string& target_blob,
+                                                      StrategyWireFormat format);
+  struct FallbackStore;
+  std::shared_ptr<FallbackStore> fallback_;
 };
 
 StatusOr<StrategyUpdate> BuildStrategyUpdate(

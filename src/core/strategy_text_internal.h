@@ -12,6 +12,8 @@
 #define BTR_SRC_CORE_STRATEGY_TEXT_INTERNAL_H_
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -193,10 +195,40 @@ inline bool PlausibleFloatField(std::string_view s) {
   return true;
 }
 
+// SplitFields into at most `N` caller-owned slots, without allocating:
+// false on an empty field (as SplitFields) and on an (N+1)-th field.
+template <size_t N>
+inline bool SplitFieldsFixed(std::string_view line, std::array<std::string_view, N>* fields,
+                             size_t* count) {
+  *count = 0;
+  if (line.empty()) {
+    return false;
+  }
+  size_t start = 0;
+  while (true) {
+    if (*count == N) {
+      return false;
+    }
+    const size_t sp = line.find(' ', start);
+    const std::string_view field =
+        sp == std::string_view::npos ? line.substr(start) : line.substr(start, sp - start);
+    if (field.empty()) {
+      return false;
+    }
+    (*fields)[(*count)++] = field;
+    if (sp == std::string_view::npos) {
+      return true;
+    }
+    start = sp + 1;
+  }
+}
+
 // Validates one line of a plan-body chunk (U/P/S/T/B/END). On success,
 // `*is_end` marks the END line and `*t_node` is the node of a T record
 // (UINT64_MAX otherwise). All id fields must be canonical decimal and
-// in range for `dims`.
+// in range for `dims`. Runs once per body line of every parse, so it
+// splits into fixed slots: no record has more than five fields, and a
+// sixth rejects the line exactly as the per-tag field counts would.
 inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_t* t_node,
                             bool* is_end) {
   *t_node = UINT64_MAX;
@@ -205,8 +237,9 @@ inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_
     *is_end = true;
     return true;
   }
-  std::vector<std::string_view> f;
-  if (!SplitFields(line, &f)) {
+  std::array<std::string_view, 5> f;
+  size_t n = 0;
+  if (!SplitFieldsFixed(line, &f, &n)) {
     return false;
   }
   uint64_t v0 = 0;
@@ -214,29 +247,35 @@ inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_
   uint64_t v2 = 0;
   uint64_t v3 = 0;
   if (f[0] == "U") {
-    return f.size() == 2 && PlausibleFloatField(f[1]);
+    return n == 2 && PlausibleFloatField(f[1]);
   }
   if (f[0] == "P") {
-    return f.size() == 4 && ParseU64(f[1], &v0) && v0 < dims.aug_count &&
-           ParseU64(f[2], &v1) && v1 < dims.node_count && ParseU64(f[3], &v2);
+    return n == 4 && ParseU64(f[1], &v0) && v0 < dims.aug_count && ParseU64(f[2], &v1) &&
+           v1 < dims.node_count && ParseU64(f[3], &v2);
   }
   if (f[0] == "S") {
-    return f.size() == 2 && ParseU64(f[1], &v0);
+    return n == 2 && ParseU64(f[1], &v0);
   }
   if (f[0] == "T") {
-    if (f.size() != 5 || !ParseU64(f[1], &v0) || v0 >= dims.node_count ||
-        !ParseU64(f[2], &v1) || v1 >= dims.aug_count || !ParseU64(f[3], &v2) ||
-        !ParseU64(f[4], &v3)) {
+    if (n != 5 || !ParseU64(f[1], &v0) || v0 >= dims.node_count || !ParseU64(f[2], &v1) ||
+        v1 >= dims.aug_count || !ParseU64(f[3], &v2) || !ParseU64(f[4], &v3)) {
       return false;
     }
     *t_node = v0;
     return true;
   }
   if (f[0] == "B") {
-    return f.size() == 3 && ParseU64(f[1], &v0) && v0 < dims.edge_count &&
-           ParseU64(f[2], &v1);
+    return n == 3 && ParseU64(f[1], &v0) && v0 < dims.edge_count && ParseU64(f[2], &v1);
   }
   return false;
+}
+
+// Appends `value` in canonical decimal (what std::to_string prints),
+// without a temporary string.
+inline void AppendDecimal(std::string* out, uint64_t value) {
+  char digits[20];
+  const std::to_chars_result r = std::to_chars(digits, digits + sizeof(digits), value);
+  out->append(digits, r.ptr);
 }
 
 // Drops T records of other nodes from a body chunk (verbatim otherwise).

@@ -19,6 +19,7 @@ namespace btr {
 namespace fmt {
 namespace {
 
+using strategy_text::AppendDecimal;
 using strategy_text::BodyDims;
 using strategy_text::Parts;
 using strategy_text::PlausibleFloatField;
@@ -208,26 +209,47 @@ Status ParseChunk(const std::string& chunk, const BodyDims& dims, DictBuilder* d
 // Renders records back to the canonical chunk text — the exact inverse of
 // ParseChunk (raw sections preserve file order; delta sections were only
 // chosen for canonically sorted bodies, where sorted order IS file order).
+// Every decoded body of every image runs through here, so digits are
+// appended in place rather than built as temporaries.
 std::string RenderChunk(const BodyRecords& rec, const Dicts& dicts) {
   std::string out = "U ";
   out += dicts.strings[rec.u_ref];
   out += '\n';
   for (const PRow& row : rec.p) {
-    out += "P " + std::to_string(row.aug) + " " + std::to_string(row.node) + " " +
-           std::to_string(row.start) + "\n";
+    out += "P ";
+    AppendDecimal(&out, row.aug);
+    out += ' ';
+    AppendDecimal(&out, row.node);
+    out += ' ';
+    AppendDecimal(&out, row.start);
+    out += '\n';
   }
   for (uint64_t sink : rec.s) {
-    out += "S " + std::to_string(sink) + "\n";
+    out += "S ";
+    AppendDecimal(&out, sink);
+    out += '\n';
   }
+  std::string node_prefix;
   for (const Pair& run : rec.t) {
-    const std::string node_prefix = "T " + std::to_string(run.first) + " ";
+    node_prefix = "T ";
+    AppendDecimal(&node_prefix, run.first);
+    node_prefix += ' ';
     for (const TableRow& row : dicts.tables[run.second]) {
-      out += node_prefix + std::to_string(row[0]) + " " + std::to_string(row[1]) + " " +
-             std::to_string(row[2]) + "\n";
+      out += node_prefix;
+      AppendDecimal(&out, row[0]);
+      out += ' ';
+      AppendDecimal(&out, row[1]);
+      out += ' ';
+      AppendDecimal(&out, row[2]);
+      out += '\n';
     }
   }
   for (const Pair& budget : rec.b) {
-    out += "B " + std::to_string(budget.first) + " " + std::to_string(budget.second) + "\n";
+    out += "B ";
+    AppendDecimal(&out, budget.first);
+    out += ' ';
+    AppendDecimal(&out, budget.second);
+    out += '\n';
   }
   out += "END\n";
   return out;

@@ -694,10 +694,12 @@ TEST(StrategyBinary, BulkSliceRenderersMatchPerNodePrimitives) {
     auto full_slice = ExtractSlice(target, n);
     auto patch_slice_text = SaveStrategyPatchSlice(*patch, n);
     ASSERT_TRUE(base_slice.ok() && full_slice.ok() && patch_slice_text.ok());
+    const FallbackSlice* fallback = update->fallback_slice(n);
+    ASSERT_NE(fallback, nullptr) << "node " << n;
     EXPECT_EQ(update->base_slices[n], *base_slice) << "node " << n;
-    EXPECT_EQ(update->full_slices[n], *full_slice) << "node " << n;
+    EXPECT_EQ(fallback->bytes, *full_slice) << "node " << n;
     EXPECT_EQ(update->patch_slices[n], *patch_slice_text) << "node " << n;
-    EXPECT_EQ(update->slice_fps[n], FingerprintStrategyText(*full_slice)) << "node " << n;
+    EXPECT_EQ(fallback->fp, FingerprintStrategyText(*full_slice)) << "node " << n;
   }
   EXPECT_EQ(update->target_blob_fp, update->target_fp);  // v2: same bytes
 }
@@ -733,32 +735,37 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
   EXPECT_TRUE(fmt::IsV4Image(v4->patch_full));
   EXPECT_EQ(v4->target_blob_fp, FingerprintStrategyText(v4->target_blob));
   EXPECT_EQ(v4->patch_full_fp, FingerprintStrategyText(v4->patch_full));
-  for (uint32_t n = 0; n < v4->full_slices.size(); ++n) {
-    EXPECT_TRUE(fmt::IsV4Image(v4->full_slices[n])) << n;
+  const uint32_t nodes = static_cast<uint32_t>(v4->base_slices.size());
+  for (uint32_t n = 0; n < nodes; ++n) {
+    const FallbackSlice* full4 = v4->fallback_slice(n);
+    const FallbackSlice* full2 = v2->fallback_slice(n);
+    ASSERT_TRUE(full4 != nullptr && full2 != nullptr) << n;
+    EXPECT_TRUE(fmt::IsV4Image(full4->bytes)) << n;
     EXPECT_TRUE(fmt::IsV4Image(v4->patch_slices[n])) << n;
-    EXPECT_EQ(v4->slice_fps[n], FingerprintStrategyText(v4->full_slices[n])) << n;
+    EXPECT_EQ(full4->fp, FingerprintStrategyText(full4->bytes)) << n;
     // Base slices describe the installed (text) state either way.
     EXPECT_EQ(v4->base_slices[n], v2->base_slices[n]) << n;
     // The image decodes to exactly the v2 slice text.
-    auto decoded = fmt::DecodeStrategyImage(v4->full_slices[n]);
+    auto decoded = fmt::DecodeStrategyImage(full4->bytes);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, v2->full_slices[n]) << n;
+    EXPECT_EQ(*decoded, full2->bytes) << n;
   }
 
   // Engines ride the v4 artifacts to the same end state as v2 text.
-  for (uint32_t n = 0; n < v4->full_slices.size(); ++n) {
+  for (uint32_t n = 0; n < nodes; ++n) {
     InstallEngine patched{NodeId(n)};
     ASSERT_TRUE(patched.InstallFull(v4->base_slices[n], v4->base_fp).ok());
     ASSERT_TRUE(patched.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(patched.strategy_fingerprint(), v4->target_fp);
-    EXPECT_EQ(patched.slice(), v2->full_slices[n]) << "node " << n;
+    EXPECT_EQ(patched.slice(), v2->fallback_slice(n)->bytes) << "node " << n;
     EXPECT_GT(patched.stats().image_installs, 0u);
 
     InstallEngine mapped{NodeId(n)};
-    ASSERT_TRUE(mapped.InstallFull(v4->full_slices[n], v4->target_fp).ok()) << "node " << n;
+    const std::string& image = v4->fallback_slice(n)->bytes;
+    ASSERT_TRUE(mapped.InstallFull(image, v4->target_fp).ok()) << "node " << n;
     EXPECT_EQ(mapped.strategy_fingerprint(), v4->target_fp);
     EXPECT_TRUE(mapped.slice().empty());  // zero-parse: stored as the image
-    EXPECT_EQ(mapped.image(), v4->full_slices[n]);
+    EXPECT_EQ(mapped.image(), image);
   }
 }
 

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/planner.h"
 #include "src/core/strategy_io.h"
+#include "src/core/strategy_parts_internal.h"
+#include "src/core/strategy_text_internal.h"
 #include "src/workload/generators.h"
 
 namespace btr {
@@ -222,6 +226,155 @@ TEST(StrategyIo, DimensionMismatchRejected) {
   ASSERT_TRUE(strategy.ok());
   const std::string blob = SaveStrategy(*strategy, other_planner.graph(), other.topology);
   EXPECT_FALSE(f.Load(blob).ok());
+}
+
+
+// --- body-record validator oracle -------------------------------------------
+
+// The validator as it was before it split into fixed field slots: one
+// vector of fields per line. ValidBodyRecord must accept and reject exactly
+// the same lines, with the same outputs.
+bool ReferenceValidBodyRecord(std::string_view line, const strategy_text::BodyDims& dims,
+                              uint64_t* t_node, bool* is_end) {
+  using strategy_text::ParseU64;
+  *t_node = UINT64_MAX;
+  *is_end = false;
+  if (line == "END") {
+    *is_end = true;
+    return true;
+  }
+  std::vector<std::string_view> f;
+  if (!strategy_text::SplitFields(line, &f)) {
+    return false;
+  }
+  uint64_t v0 = 0;
+  uint64_t v1 = 0;
+  uint64_t v2 = 0;
+  uint64_t v3 = 0;
+  if (f[0] == "U") {
+    return f.size() == 2 && strategy_text::PlausibleFloatField(f[1]);
+  }
+  if (f[0] == "P") {
+    return f.size() == 4 && ParseU64(f[1], &v0) && v0 < dims.aug_count &&
+           ParseU64(f[2], &v1) && v1 < dims.node_count && ParseU64(f[3], &v2);
+  }
+  if (f[0] == "S") {
+    return f.size() == 2 && ParseU64(f[1], &v0);
+  }
+  if (f[0] == "T") {
+    if (f.size() != 5 || !ParseU64(f[1], &v0) || v0 >= dims.node_count ||
+        !ParseU64(f[2], &v1) || v1 >= dims.aug_count || !ParseU64(f[3], &v2) ||
+        !ParseU64(f[4], &v3)) {
+      return false;
+    }
+    *t_node = v0;
+    return true;
+  }
+  if (f[0] == "B") {
+    return f.size() == 3 && ParseU64(f[1], &v0) && v0 < dims.edge_count &&
+           ParseU64(f[2], &v1);
+  }
+  return false;
+}
+
+// Mutations of one canonical body line that probe every rejection rule:
+// extra fields, stray spaces, non-canonical and oversized numbers, ids at
+// and past each dimension, and unknown tags.
+std::vector<std::string> MutateBodyLine(const std::string& line,
+                                        const strategy_text::BodyDims& dims) {
+  std::vector<std::string> out = {line, line + " 7", line + " 7 7", " " + line, line + " ",
+                                  "", "END ", " END", "END 0", "ENDX"};
+  const size_t first_space = line.find(' ');
+  if (first_space == std::string::npos) {
+    return out;
+  }
+  out.push_back(line.substr(0, first_space) + "  " + line.substr(first_space + 1));
+  out.push_back(line.substr(0, first_space) + " 0" + line.substr(first_space + 1));
+  for (const char* tag : {"X", "t", "TT", "PS", "END", "U"}) {
+    out.push_back(tag + line.substr(first_space));
+  }
+  // Replace each field in turn.
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == ' ') {
+      starts.push_back(i + 1);
+    }
+  }
+  for (size_t k = 1; k < starts.size(); ++k) {
+    const size_t end = k + 1 < starts.size() ? starts[k + 1] - 1 : line.size();
+    const std::string head = line.substr(0, starts[k]);
+    const std::string rest = line.substr(end);
+    for (const std::string& value :
+         {std::string("123456789012345678901"), std::string("18446744073709551615"),
+          std::string("18446744073709551616"), std::string("00"), std::string("-1"),
+          std::string("1.5"), std::to_string(dims.aug_count),
+          std::to_string(dims.aug_count - 1), std::to_string(dims.node_count),
+          std::to_string(dims.node_count - 1), std::to_string(dims.edge_count),
+          std::to_string(dims.edge_count - 1)}) {
+      out.push_back(head + value + rest);
+    }
+  }
+  return out;
+}
+
+// Probes every body line of `blob` and its mutations; returns the probe
+// count.
+size_t CheckValidatorAgainstReference(const std::string& blob, const char* label) {
+  auto parts = strategy_text::ParseParts(blob);
+  EXPECT_TRUE(parts.ok()) << label << ": " << parts.status().ToString();
+  if (!parts.ok()) {
+    return 0;
+  }
+  const strategy_text::BodyDims dims{parts->aug_count, parts->node_count, parts->edge_count};
+  size_t probes = 0;
+  for (const std::string& chunk : parts->bodies) {
+    size_t pos = 0;
+    while (pos < chunk.size()) {
+      const size_t nl = chunk.find('\n', pos);
+      const std::string line = chunk.substr(pos, nl - pos);
+      pos = nl + 1;
+      for (const std::string& probe : MutateBodyLine(line, dims)) {
+        uint64_t ref_node = 0;
+        bool ref_end = false;
+        uint64_t node = 0;
+        bool end = false;
+        const bool ref_ok = ReferenceValidBodyRecord(probe, dims, &ref_node, &ref_end);
+        const bool ok = strategy_text::ValidBodyRecord(probe, dims, &node, &end);
+        EXPECT_EQ(ok, ref_ok) << label << ": \"" << probe << "\"";
+        EXPECT_EQ(node, ref_node) << label << ": \"" << probe << "\"";
+        EXPECT_EQ(end, ref_end) << label << ": \"" << probe << "\"";
+        ++probes;
+      }
+    }
+  }
+  return probes;
+}
+
+std::string PlannedBlob(Scenario scenario, uint32_t f) {
+  PlannerConfig config;
+  config.max_faults = f;
+  Planner planner(&scenario.topology, &scenario.workload, config);
+  auto strategy = planner.BuildStrategy();
+  EXPECT_TRUE(strategy.ok()) << strategy.status().ToString();
+  return strategy.ok() ? SaveStrategy(*strategy, planner.graph(), scenario.topology)
+                       : std::string();
+}
+
+TEST(StrategyText, BodyValidatorMatchesVectorSplittingReference) {
+  size_t probes = CheckValidatorAgainstReference(PlannedBlob(MakeConvoyScenario(6), 1),
+                                                 "convoy6");
+  probes += CheckValidatorAgainstReference(PlannedBlob(MakeAvionicsScenario(6), 1),
+                                           "avionics6");
+  for (uint64_t seed : {3, 17, 29}) {
+    Rng rng(seed);
+    RandomDagParams params;
+    params.compute_nodes = 4;
+    params.layers = 2;
+    params.tasks_per_layer = 3;
+    probes += CheckValidatorAgainstReference(PlannedBlob(MakeRandomScenario(&rng, params), 1),
+                                             "random");
+  }
+  EXPECT_GT(probes, 5000u);
 }
 
 }  // namespace

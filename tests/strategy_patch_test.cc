@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/core/adversary.h"
 #include "src/core/btr_system.h"
@@ -31,6 +33,7 @@
 #include "src/core/strategy_patch.h"
 #include "src/crypto/keys.h"
 #include "src/net/network.h"
+#include "src/net/partition.h"
 #include "src/sim/simulator.h"
 #include "src/workload/generators.h"
 
@@ -118,7 +121,7 @@ std::string CheckPatchOracle(const std::string& old_blob, const System& old_sys,
     }
     // The oracle: applying the patch to the old slice must equal the full
     // install of the new slice, byte-for-byte.
-    EXPECT_EQ(*result, update->full_slices[node])
+    EXPECT_EQ(*result, update->fallback_slice(static_cast<uint32_t>(node))->bytes)
         << label << ": applied slice diverged for node " << node;
     applied_slices.push_back(std::move(*result));
   }
@@ -420,7 +423,7 @@ TEST(StrategyPatch, FuzzedApplyEqualsFullInstall) {
       ASSERT_TRUE(update.ok());
       for (uint32_t n = 0; n < engines.size(); ++n) {
         ASSERT_TRUE(engines[n].ApplyPatch(update->patch_slices[n]).ok()) << label;
-        EXPECT_EQ(engines[n].slice(), update->full_slices[n]) << label;
+        EXPECT_EQ(engines[n].slice(), update->fallback_slice(n)->bytes) << label;
         EXPECT_EQ(engines[n].strategy_fingerprint(), update->target_fp) << label;
       }
       blob = next_blob;
@@ -654,7 +657,8 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
     ctx.config = config.runtime;
     BtrRuntime runtime(ctx);
     runtime.Start(20);
-    runtime.ScheduleStrategyInstall(2 * period + 1, std::move(update), NodeId(0));
+    ASSERT_TRUE(
+        runtime.ScheduleStrategyInstall(2 * period + 1, std::move(update), NodeId(0)).ok());
     // Returns only once every gossip agent went dormant: the run drains.
     sim.RunToCompletion();
     *report = runtime.install_report();
@@ -705,6 +709,304 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
   EXPECT_EQ(poisoned_report.nodes_installed, 1u);
   EXPECT_EQ(poisoned_report.fallbacks, receivers);
   EXPECT_EQ(poisoned_report.completed_at, kSimTimeNever);
+}
+
+
+// A planned 6-vehicle convoy and one v2v re-measure rolled out by gossip
+// with v4 images, run on BtrRuntime directly (as BtrSystem::Run does) so a
+// test can hand it a doctored update. Even nodes are the vehicles' I/O
+// leaves: their one neighbor serves them per-node slices.
+BtrConfig ConvoyConfig() {
+  BtrConfig config;
+  config.planner.max_faults = 1;
+  config.planner.recovery_bound = Milliseconds(800);
+  return config;
+}
+
+std::string PlannedConvoyBlob(const BtrSystem& system) {
+  return SaveStrategy(system.strategy(), system.planner().graph(), system.scenario().topology);
+}
+
+struct ConvoyRollout {
+  static constexpr uint64_t kPeriods = 300;
+  BtrConfig config = ConvoyConfig();
+  BtrSystem system{MakeConvoyScenario(6), config};
+  std::string base_blob;
+  std::string target_blob;
+
+  struct Result {
+    std::string report;  // SerializeRunReport
+    InstallRunReport install;
+    ShardLayout layout;
+  };
+
+  ConvoyRollout() {
+    EXPECT_TRUE(system.Plan().ok());
+    base_blob = PlannedConvoyBlob(system);
+    StrategyDelta delta;
+    delta.edits.push_back(DeltaEdit::LinkLatencyChange("v2v1", 4'000'000, Microseconds(30)));
+    Topology topo;
+    Dataflow workload{Milliseconds(20)};
+    EXPECT_TRUE(ApplyDelta(system.scenario().topology, system.scenario().workload, delta,
+                           &topo, &workload)
+                    .ok());
+    Planner planner(&topo, &workload, config.planner);
+    StrategyBuilder builder(&planner, 2);
+    auto rebuilt = builder.Build();
+    EXPECT_TRUE(rebuilt.ok());
+    target_blob = SaveStrategy(*rebuilt, planner.graph(), topo);
+  }
+
+  std::shared_ptr<const StrategyUpdate> Update() const {
+    auto update = BuildStrategyUpdate(base_blob, target_blob, StrategyWireFormat::kV4Binary);
+    EXPECT_TRUE(update.ok());
+    return std::make_shared<const StrategyUpdate>(std::move(update).value());
+  }
+
+  // Runs the rollout of `update` from `distributor` on `shards` shards, or
+  // returns why it could not be scheduled.
+  StatusOr<Result> Run(std::shared_ptr<const StrategyUpdate> update, uint32_t shards = 1,
+                       NodeId distributor = NodeId(0)) const {
+    const Topology& topo = system.scenario().topology;
+    Result result;
+    NetworkConfig netcfg = config.planner.network;
+    netcfg.min_frame_bytes = std::max(netcfg.min_frame_bytes, kInstallNackBytes);
+    result.layout = PartitionTopology(topo, shards, netcfg);
+    Simulator sim(config.seed, result.layout);
+    Network network(&sim, &topo, netcfg);
+    Rng key_rng(config.seed ^ 0x5eedc0deULL);
+    KeyStore keys(topo.node_count(), &key_rng);
+    AdversarySpec adversary;
+    Monitor monitor(&system.scenario().workload, &system.strategy(), &adversary,
+                    config.planner.recovery_bound);
+    monitor.ConfigureShards(sim.shard_count());
+    RuntimeContext ctx;
+    ctx.sim = &sim;
+    ctx.network = &network;
+    ctx.topo = &topo;
+    ctx.workload = &system.scenario().workload;
+    ctx.graph = &system.planner().graph();
+    ctx.strategy = &system.strategy();
+    ctx.planner = &system.planner();
+    ctx.keys = &keys;
+    ctx.adversary = &adversary;
+    ctx.monitor = &monitor;
+    ctx.config = config.runtime;
+    BtrRuntime runtime(ctx);
+    runtime.Start(kPeriods);
+    const Status scheduled =
+        runtime.ScheduleStrategyInstall(Milliseconds(100), std::move(update), distributor);
+    if (!scheduled.ok()) {
+      return scheduled;
+    }
+    sim.RunToCompletion();
+    RunReport report;
+    report.periods = kPeriods;
+    report.simulated_time = sim.Now();
+    report.events_executed = sim.events_executed();
+    report.correctness = monitor.Evaluate(kPeriods);
+    report.network = network.stats();
+    report.total_node_stats = runtime.TotalStats();
+    report.install = runtime.install_report();
+    for (uint32_t n = 0; n < topo.node_count(); ++n) {
+      report.per_node.push_back(runtime.node_stats(NodeId(n)));
+    }
+    result.install = report.install;
+    result.report = SerializeRunReport(report);
+    return result;
+  }
+};
+
+TEST(StrategyInstallFlow, ScheduleRejectsUpdateForAnotherNodeCount) {
+  // An update carved for an 8-node convoy would index a 12-node runtime's
+  // base_slices / patch_slices out of bounds: every build type refuses it
+  // before anything is scheduled.
+  BtrSystem small(MakeConvoyScenario(4), ConvoyConfig());
+  ASSERT_TRUE(small.Plan().ok());
+  const std::string small_blob = PlannedConvoyBlob(small);
+  auto mismatched = BuildStrategyUpdate(small_blob, small_blob);
+  ASSERT_TRUE(mismatched.ok());
+  const ConvoyRollout rollout;
+  for (auto update : {std::make_shared<const StrategyUpdate>(*mismatched),
+                      std::shared_ptr<const StrategyUpdate>()}) {
+    const auto run = rollout.Run(update);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << run.status().ToString();
+  }
+}
+
+TEST(StrategyInstallFlow, ScheduleRejectsDistributorOutsideTheNodeUniverse) {
+  const ConvoyRollout rollout;
+  for (NodeId distributor : {NodeId(12), NodeId(1000), NodeId::Invalid()}) {
+    const auto run = rollout.Run(rollout.Update(), 1, distributor);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << run.status().ToString();
+  }
+}
+
+// --- on-demand fallback slices --------------------------------------------
+
+// Re-measure a seeded link, reweight a seeded compute task, add a
+// best-effort sink fed by a seeded compute task, then revert the three.
+std::vector<StrategyDelta> FallbackEditStream(const Scenario& s, uint64_t seed) {
+  Rng rng(seed);
+  const LinkSpec& link =
+      s.topology.link(LinkId(static_cast<uint32_t>(rng.NextBelow(s.topology.link_count()))));
+  const int64_t bandwidth =
+      link.bandwidth_bps * static_cast<int64_t>(60 + rng.NextBelow(30)) / 100;
+  const SimDuration propagation =
+      link.propagation + Microseconds(1 + static_cast<int64_t>(rng.NextBelow(20)));
+  const std::vector<TaskId> computes = s.workload.ComputeIds();
+  const TaskSpec& reweighted = s.workload.task(computes[rng.NextBelow(computes.size())]);
+  const Criticality criticality = reweighted.criticality == Criticality::kBestEffort
+                                      ? Criticality::kSafetyCritical
+                                      : Criticality::kBestEffort;
+  const std::vector<TaskId> sinks = s.workload.SinkIds();
+  TaskSpec sink;
+  sink.name = "fallback_sink";
+  sink.kind = TaskKind::kSink;
+  sink.wcet = Microseconds(40);
+  sink.criticality = Criticality::kBestEffort;
+  sink.pinned_node = s.workload.task(sinks[rng.NextBelow(sinks.size())]).pinned_node;
+  sink.relative_deadline = s.workload.period();
+  const std::string& feeder = s.workload.task(computes[rng.NextBelow(computes.size())]).name;
+
+  std::vector<StrategyDelta> stream(6);
+  stream[0].edits.push_back(DeltaEdit::LinkLatencyChange(link.name, bandwidth, propagation));
+  stream[1].edits.push_back(DeltaEdit::TaskReweight(reweighted.name, criticality));
+  stream[2].edits.push_back(DeltaEdit::TaskAdd(sink, {DeltaChannel{feeder, sink.name, 64}}));
+  stream[3].edits.push_back(DeltaEdit::TaskRemove(sink.name));
+  stream[4].edits.push_back(DeltaEdit::TaskReweight(reweighted.name, reweighted.criticality));
+  stream[5].edits.push_back(
+      DeltaEdit::LinkLatencyChange(link.name, link.bandwidth_bps, link.propagation));
+  return stream;
+}
+
+// Builds the stream's update at every step in `format` and digests every
+// node's fallback slice bytes and content fingerprint, in step and node
+// order.
+uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
+                              StrategyWireFormat format) {
+  const PlannerConfig config = SmallConfig(f);
+  const std::vector<StrategyDelta> stream = FallbackEditStream(scenario, seed);
+  std::deque<System> generations;
+  System& base = generations.emplace_back();
+  base.topo = std::move(scenario.topology);
+  base.workload = std::move(scenario.workload);
+  base.MakePlanner(config);
+  StrategyBuilder builder(base.planner.get(), config.planner_threads);
+  auto strategy = builder.Build();
+  EXPECT_TRUE(strategy.ok());
+  std::string blob = Blob(*strategy, *base.planner);
+  Hasher digest;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const System& old_sys = generations.back();
+    System& next = generations.emplace_back();
+    EXPECT_TRUE(
+        ApplyDelta(old_sys.topo, old_sys.workload, stream[i], &next.topo, &next.workload).ok())
+        << stream[i].ToString();
+    next.MakePlanner(config);
+    StrategyBuilder next_builder(next.planner.get(), config.planner_threads);
+    auto next_strategy = next_builder.Build();
+    EXPECT_TRUE(next_strategy.ok()) << stream[i].ToString();
+    const std::string next_blob = Blob(*next_strategy, *next.planner);
+    auto update = BuildStrategyUpdate(blob, next_blob, format);
+    EXPECT_TRUE(update.ok()) << stream[i].ToString();
+    // Building the update carves no fallback slice.
+    EXPECT_EQ(update->fallback_slices_built(), 0u);
+    const uint32_t nodes = static_cast<uint32_t>(update->base_slices.size());
+    for (uint32_t n = 0; n < nodes; ++n) {
+      const FallbackSlice* slice = update->fallback_slice(n);
+      EXPECT_NE(slice, nullptr) << "step " << i << " node " << n;
+      if (slice == nullptr) {
+        return 0;
+      }
+      EXPECT_EQ(slice->fp, FingerprintStrategyText(slice->bytes));
+      // A second request returns the same storage.
+      EXPECT_EQ(update->fallback_slice(n), slice);
+      digest.AddString(slice->bytes);
+      digest.Add(slice->fp);
+    }
+    EXPECT_EQ(update->fallback_slices_built(), nodes);
+    EXPECT_EQ(update->fallback_slice(nodes), nullptr);
+    blob = next_blob;
+  }
+  return digest.Digest();
+}
+
+// The digests were recorded at the reference build, where BuildStrategyUpdate
+// rendered and encoded every node's slice eagerly into per-node vectors:
+// the slices built on demand carry the same bytes and fingerprints.
+TEST(FallbackSlices, MatchEagerSlicesPinnedAtReference) {
+  const struct {
+    const char* name;
+    Scenario scenario;
+    uint32_t f;
+    uint64_t seed;
+    uint64_t v2_digest;
+    uint64_t v4_digest;
+  } cases[] = {
+      {"convoy6", MakeConvoyScenario(6), 1, 71, 0x49de05c033972017, 0x8538a9ef8fc059eb},
+      {"avionics6", MakeAvionicsScenario(6), 1, 72, 0x304efa65acc82c77, 0x152cc1da43345cad},
+  };
+  for (const auto& c : cases) {
+    const uint64_t v2 = FallbackStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV2Text);
+    const uint64_t v4 =
+        FallbackStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV4Binary);
+    EXPECT_EQ(v2, c.v2_digest) << c.name << " v2: got 0x" << std::hex << v2;
+    EXPECT_EQ(v4, c.v4_digest) << c.name << " v4: got 0x" << std::hex << v4;
+  }
+}
+
+// Flips a byte in the middle of every node's patch slice: the distributor
+// (node 0) falls back locally, and every leaf falls back to its slice,
+// while the relays ride the intact unsliced patch.
+std::shared_ptr<const StrategyUpdate> CorruptPatchSlices(const StrategyUpdate& clean) {
+  StrategyUpdate update = clean;
+  for (std::string& slice : update.patch_slices) {
+    slice[slice.size() / 2] = static_cast<char>(slice[slice.size() / 2] ^ 0x20);
+  }
+  return std::make_shared<const StrategyUpdate>(std::move(update));
+}
+
+TEST(FallbackSlices, BuiltOnlyForNodesThatFallBack) {
+  const ConvoyRollout rollout;
+  const size_t nodes = rollout.system.scenario().topology.node_count();
+
+  const auto clean = rollout.Update();
+  const auto clean_run = rollout.Run(clean);
+  ASSERT_TRUE(clean_run.ok()) << clean_run.status().ToString();
+  EXPECT_EQ(clean_run->install.nodes_installed, nodes);
+  EXPECT_NE(clean_run->install.completed_at, kSimTimeNever);
+  EXPECT_EQ(clean_run->install.fallbacks, 0u);
+  EXPECT_EQ(clean->fallback_slices_built(), 0u);
+
+  const auto corrupted = CorruptPatchSlices(*rollout.Update());
+  const auto fallback_run = rollout.Run(corrupted);
+  ASSERT_TRUE(fallback_run.ok()) << fallback_run.status().ToString();
+  EXPECT_EQ(fallback_run->install.nodes_installed, nodes);
+  EXPECT_NE(fallback_run->install.completed_at, kSimTimeNever);
+  EXPECT_EQ(fallback_run->install.fallbacks, nodes / 2);  // node 0 and the other five leaves
+  EXPECT_EQ(corrupted->fallback_slices_built(), fallback_run->install.fallbacks);
+}
+
+TEST(FallbackSlices, FallbackRolloutIsByteIdenticalAcrossShardCounts) {
+  setenv("BTR_SHARD_EXEC", "threads", 1);
+  const ConvoyRollout rollout;
+  std::string baseline;
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    const auto update = CorruptPatchSlices(*rollout.Update());
+    const auto run = rollout.Run(update, shards);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(update->fallback_slices_built(), run->install.fallbacks) << "shards=" << shards;
+    if (shards == 1) {
+      baseline = run->report;
+      EXPECT_GT(run->install.fallbacks, 2u);
+      continue;
+    }
+    // Fallen-back leaves on different shards build their slices there.
+    EXPECT_NE(run->layout.ShardOf(2), run->layout.ShardOf(8)) << "shards=" << shards;
+    EXPECT_EQ(run->report, baseline) << "report diverged at shards=" << shards;
+  }
+  unsetenv("BTR_SHARD_EXEC");
 }
 
 }  // namespace
