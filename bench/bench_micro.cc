@@ -61,15 +61,22 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel)->Arg(1024)->Arg(16384);
 
-void BM_FlatMapInsertFindErase(benchmark::State& state) {
-  // The runtime-state container: packed-key flat map.
+// Packed (id, period) keys over the eight periods a node's buffers hold
+// just before the runtime retires the older half.
+std::vector<uint64_t> RetentionKeys() {
   Rng rng(7);
   std::vector<uint64_t> keys(4096);
   for (uint64_t& k : keys) {
-    k = PackIdPeriod(static_cast<uint32_t>(rng.NextBelow(64)), rng.NextBelow(1024));
+    k = PackIdPeriod(static_cast<uint32_t>(rng.NextBelow(64)), rng.NextBelow(8));
   }
+  return keys;
+}
+
+void BM_PeriodMapInsertFindDrop(benchmark::State& state) {
+  // The runtime-state container: per-period flat-map buckets.
+  const std::vector<uint64_t> keys = RetentionKeys();
   for (auto _ : state) {
-    FlatMap64<uint64_t> m;
+    PeriodMap64<uint64_t> m;
     uint64_t sum = 0;
     for (uint64_t k : keys) {
       m.InsertOrAssign(k, k);
@@ -77,22 +84,18 @@ void BM_FlatMapInsertFindErase(benchmark::State& state) {
     for (uint64_t k : keys) {
       sum += *m.Find(k);
     }
-    m.EraseIf([](uint64_t k, const uint64_t&) { return PeriodOfPackedKey(k) < 512; });
+    m.DropPeriodsBelow(4);
     benchmark::DoNotOptimize(sum);
     benchmark::DoNotOptimize(m.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(keys.size()));
 }
-BENCHMARK(BM_FlatMapInsertFindErase);
+BENCHMARK(BM_PeriodMapInsertFindDrop);
 
 void BM_StdMapInsertFindErase(benchmark::State& state) {
   // Reference point: the ordered container the runtime used to key by
   // pairs/tuples (same packed keys for comparability).
-  Rng rng(7);
-  std::vector<uint64_t> keys(4096);
-  for (uint64_t& k : keys) {
-    k = PackIdPeriod(static_cast<uint32_t>(rng.NextBelow(64)), rng.NextBelow(1024));
-  }
+  const std::vector<uint64_t> keys = RetentionKeys();
   for (auto _ : state) {
     std::map<uint64_t, uint64_t> m;
     uint64_t sum = 0;
@@ -102,7 +105,7 @@ void BM_StdMapInsertFindErase(benchmark::State& state) {
     for (uint64_t k : keys) {
       sum += m.find(k)->second;
     }
-    std::erase_if(m, [](const auto& kv) { return PeriodOfPackedKey(kv.first) < 512; });
+    std::erase_if(m, [](const auto& kv) { return PeriodOfPackedKey(kv.first) < 4; });
     benchmark::DoNotOptimize(sum);
     benchmark::DoNotOptimize(m.size());
   }

@@ -94,10 +94,8 @@ class BftRun {
   }
 
   BftReport Execute() {
-    const SimDuration period_len = scenario_->workload.period();
-    for (uint64_t p = 0; p < periods_; ++p) {
-      sim_.At(static_cast<SimTime>(p) * period_len, [this, p]() { BeginPeriod(p); });
-    }
+    sim_.AtSeries(0, scenario_->workload.period(), periods_,
+                  [this](uint64_t p) { BeginPeriod(p); });
     for (const FaultInjection& inj : adversary_->injections()) {
       if (inj.behavior == FaultBehavior::kCrash) {
         sim_.At(inj.manifest_at, [this, inj]() { network_.SetNodeDown(inj.node, true); });

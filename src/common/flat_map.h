@@ -9,19 +9,19 @@
 // operations touch one or two cache lines and never allocate.
 //
 // Iteration order is the probe order, which is NOT insertion or key order
-// and may change on rehash: nothing behavioral may depend on it. The
-// runtime only iterates via EraseIf for retention GC, whose predicate is
-// order-independent and idempotent (EraseIf may re-examine entries that
-// backward-shift into already-visited slots).
+// and may change on rehash: nothing behavioral may depend on it, and the
+// runtime never iterates. Its per-period buffers are PeriodMap64 /
+// PeriodSet64: one flat table per period, retired whole (see below).
 
 #ifndef BTR_SRC_COMMON_FLAT_MAP_H_
 #define BTR_SRC_COMMON_FLAT_MAP_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "src/common/packed_key.h"
 
 namespace btr {
 
@@ -42,14 +42,20 @@ class FlatMap64 {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  // Empties the table, keeping its capacity. Empty slots already hold V(),
+  // so only held values are released.
   void clear() {
-    std::fill(full_.begin(), full_.end(), uint8_t{0});
-    values_.assign(values_.size(), V());
-    size_ = 0;
+    for (size_t i = 0; size_ > 0; ++i) {
+      if (full_[i]) {
+        full_[i] = 0;
+        values_[i] = V();
+        --size_;
+      }
+    }
   }
 
   void reserve(size_t n) {
-    size_t cap = 16;
+    size_t cap = kMinCapacity;
     while (cap * 3 < n * 4) {  // keep load factor under 3/4
       cap *= 2;
     }
@@ -116,20 +122,6 @@ class FlatMap64 {
     return true;
   }
 
-  // Removes every entry for which pred(key, value) is true. The predicate
-  // must be pure and idempotent: backward-shift deletion can move entries
-  // into slots the scan already passed, so an entry may be evaluated twice.
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    for (size_t i = 0; i < capacity(); /* advance below */) {
-      if (full_[i] && pred(keys_[i], values_[i])) {
-        EraseAt(i);  // the backward shift may refill slot i: re-examine it
-      } else {
-        ++i;
-      }
-    }
-  }
-
   // Calls fn(key, value) for every entry, in probe order (NOT deterministic
   // across rehash policies — for tests and diagnostics only).
   template <typename Fn>
@@ -143,6 +135,10 @@ class FlatMap64 {
 
  private:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
+  // Small: the runtime keeps a table per period and buffer, most holding a
+  // handful of keys, and all of them together should take about what one
+  // table over every live period would.
+  static constexpr size_t kMinCapacity = 4;
 
   size_t capacity() const { return keys_.size(); }
   size_t Mask() const { return capacity() - 1; }
@@ -172,7 +168,7 @@ class FlatMap64 {
 
   void MaybeGrow() {
     if (capacity() == 0) {
-      Rehash(16);
+      Rehash(kMinCapacity);
     } else if ((size_ + 1) * 4 > capacity() * 3) {
       Rehash(capacity() * 2);
     }
@@ -245,14 +241,112 @@ class FlatSet64 {
   bool empty() const { return map_.empty(); }
   void clear() { map_.clear(); }
 
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    map_.EraseIf([&pred](uint64_t key, const Unit&) { return pred(key); });
-  }
-
  private:
   struct Unit {};
   FlatMap64<Unit> map_;
+};
+
+// Per-period buffer keyed by packed keys (src/common/packed_key.h): each
+// entry lives in a FlatMap64 bucket for its key's exact period, and
+// DropPeriodsBelow retires whole buckets. Retention then costs the dropped
+// periods' own entries, not a scan of one table holding every live period,
+// and no argument about which periods a lookup can reach is needed: the
+// key set is exactly that of one table swept of the same periods. Emptied
+// tables are kept and reused by later periods, so a steady run does not
+// allocate.
+template <typename V>
+class PeriodMap64 {
+ public:
+  V* Find(uint64_t key) {
+    const size_t i = IndexOf(PeriodOfPackedKey(key));
+    return i != kNone ? buckets_[i].Find(key) : nullptr;
+  }
+  const V* Find(uint64_t key) const {
+    const size_t i = IndexOf(PeriodOfPackedKey(key));
+    return i != kNone ? buckets_[i].Find(key) : nullptr;
+  }
+  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
+
+  // FlatMap64 semantics, in the key's period bucket.
+  bool Emplace(uint64_t key, V value) {
+    return BucketFor(PeriodOfPackedKey(key)).Emplace(key, std::move(value));
+  }
+  void InsertOrAssign(uint64_t key, V value) {
+    BucketFor(PeriodOfPackedKey(key)).InsertOrAssign(key, std::move(value));
+  }
+
+  // Drops every entry whose period is below `floor`, releasing its value.
+  void DropPeriodsBelow(uint64_t floor) {
+    size_t kept = 0;
+    for (size_t i = 0; i < periods_.size(); ++i) {
+      if (periods_[i] < floor) {
+        buckets_[i].clear();
+        spare_.push_back(std::move(buckets_[i]));
+        continue;
+      }
+      if (kept != i) {
+        periods_[kept] = periods_[i];
+        buckets_[kept] = std::move(buckets_[i]);
+      }
+      ++kept;
+    }
+    periods_.resize(kept);
+    buckets_.resize(kept);
+  }
+
+  size_t size() const {
+    size_t total = 0;
+    for (const FlatMap64<V>& bucket : buckets_) {
+      total += bucket.size();
+    }
+    return total;
+  }
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  // Live buckets are few (the runtime keeps about two horizons of periods)
+  // and the newest are probed most, so a backward scan beats hashing.
+  size_t IndexOf(uint64_t period) const {
+    for (size_t i = periods_.size(); i-- > 0;) {
+      if (periods_[i] == period) {
+        return i;
+      }
+    }
+    return kNone;
+  }
+
+  FlatMap64<V>& BucketFor(uint64_t period) {
+    const size_t i = IndexOf(period);
+    if (i != kNone) {
+      return buckets_[i];
+    }
+    periods_.push_back(period);
+    if (spare_.empty()) {
+      buckets_.emplace_back();
+    } else {
+      buckets_.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+    return buckets_.back();
+  }
+
+  std::vector<uint64_t> periods_;         // period of buckets_[i]
+  std::vector<FlatMap64<V>> buckets_;
+  std::vector<FlatMap64<V>> spare_;       // cleared, awaiting a new period
+};
+
+// Set form of PeriodMap64.
+class PeriodSet64 {
+ public:
+  bool Insert(uint64_t key) { return map_.Emplace(key, Unit{}); }
+  bool Contains(uint64_t key) const { return map_.Contains(key); }
+  void DropPeriodsBelow(uint64_t floor) { map_.DropPeriodsBelow(floor); }
+  size_t size() const { return map_.size(); }
+
+ private:
+  struct Unit {};
+  PeriodMap64<Unit> map_;
 };
 
 }  // namespace btr

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 
@@ -235,6 +236,15 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
       return Status::InvalidArgument("fault injection on unknown node");
     }
   }
+  // Period starts are p * period in SimTime: refuse a run whose end does
+  // not fit before anything is sized from its length.
+  SimTime run_end = 0;
+  if (periods > static_cast<uint64_t>(kSimTimeNever) ||
+      __builtin_mul_overflow(static_cast<SimTime>(periods), scenario_->workload.period(),
+                             &run_end)) {
+    return Status::InvalidArgument("run of " + std::to_string(periods) +
+                                   " periods overflows simulated time");
+  }
 
   // Pin the wire-frame floor to the smallest real protocol message for
   // EVERY run, sharded or not: the conservative lookahead is derived from
@@ -254,7 +264,12 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   Monitor monitor(&scenario_->workload, strategy_.get(), &adversary_,
                   config_.planner.recovery_bound);
   monitor.ConfigureShards(sim.shard_count());
-  monitor.ReserveObservations(periods * scenario_->workload.SinkIds().size());
+  size_t expected_observations = 0;
+  if (__builtin_mul_overflow(periods, scenario_->workload.SinkIds().size(),
+                             &expected_observations)) {
+    expected_observations = SIZE_MAX;
+  }
+  monitor.ReserveObservations(expected_observations);
 
   RuntimeContext ctx;
   ctx.sim = &sim;

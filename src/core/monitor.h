@@ -14,6 +14,7 @@
 #ifndef BTR_SRC_CORE_MONITOR_H_
 #define BTR_SRC_CORE_MONITOR_H_
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -90,8 +91,12 @@ class Monitor {
   void ConfigureShards(uint32_t shards);
 
   // Pre-sizes the observation tables for the expected number of sink
-  // instances, so a long run does not rehash them dozens of times.
+  // instances, so a long run does not rehash them dozens of times. Only a
+  // hint: beyond kMaxReservedObservations the tables grow as the run goes,
+  // so no run length can make the start allocate more than that.
+  static constexpr size_t kMaxReservedObservations = size_t{1} << 16;
   void ReserveObservations(size_t expected) {
+    expected = std::min(expected, kMaxReservedObservations);
     for (auto& shard : observations_) {
       shard.map.reserve(expected / observations_.size() + 1);
     }

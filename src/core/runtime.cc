@@ -187,14 +187,11 @@ void BtrRuntime::Start(uint64_t periods) {
   assert(root != nullptr && "strategy must contain the fault-free plan");
   ctx_.network->SetRouting(root->routing);
 
-  const SimDuration period_len = ctx_.workload->period();
-  for (uint64_t p = 0; p < periods; ++p) {
-    ctx_.sim->At(static_cast<SimTime>(p) * period_len, [this, p]() {
-      for (auto& node : nodes_) {
-        node->BeginPeriod(p);
-      }
-    });
-  }
+  ctx_.sim->AtSeries(0, ctx_.workload->period(), periods, [this](uint64_t p) {
+    for (auto& node : nodes_) {
+      node->BeginPeriod(p);
+    }
+  });
 
   // Adversary side effects visible to the network layer. A transient
   // injection (finite `until`) undoes its side effect when it heals; the
@@ -464,22 +461,14 @@ void NodeRuntime::BeginPeriod(uint64_t period) {
     return;
   }
 
-  // Garbage-collect stale buffers. Every container keys the period in the
-  // packed key's low bits, so one predicate covers them all. The sweep is
-  // O(table capacity), so it runs once per horizon rather than per period:
-  // stale keys are never probed again (all lookups are exact (id, period)
-  // keys for recent periods), so later deletion is behaviorally invisible
-  // and memory stays bounded by ~2x the horizon.
+  // Retire stale buffers once per horizon, whole periods at a time: memory
+  // stays bounded by about twice the horizon.
   if (period >= kBufferHorizon && period % kBufferHorizon == 0) {
     const uint64_t floor = period - kBufferHorizon;
-    const auto stale = [floor](uint64_t key) { return PeriodOfPackedKey(key) < floor; };
-    inputs_.EraseIf([&stale](uint64_t key, const ReceivedInput&) { return stale(key); });
-    replica_records_.EraseIf(
-        [&stale](uint64_t key, const std::shared_ptr<const OutputRecord>&) {
-          return stale(key);
-        });
-    heartbeats_seen_.EraseIf(stale);
-    declared_.EraseIf(stale);
+    inputs_.DropPeriodsBelow(floor);
+    replica_records_.DropPeriodsBelow(floor);
+    heartbeats_seen_.DropPeriodsBelow(floor);
+    declared_.DropPeriodsBelow(floor);
   }
 
   const SimDuration period_len = ctx_.workload->period();

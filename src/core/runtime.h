@@ -423,17 +423,17 @@ class NodeRuntime {
   uint64_t quiet_until_period_ = 0;     // timing checks suppressed before this
 
   // Per-period runtime state, flat-hashed by packed 64-bit keys (see
-  // packed_key.h). Iteration order never reaches behavior: these are only
-  // probed by key and garbage-collected with order-independent predicates.
+  // packed_key.h) in one bucket per period, only probed by key and retired
+  // a whole period at a time.
   // Input buffers: PackIdPeriod(producer task, period) -> first received.
-  FlatMap64<ReceivedInput> inputs_;
+  PeriodMap64<ReceivedInput> inputs_;
   // Replica records for checkers: PackTaskReplicaPeriod(task, replica,
   // period) -> record.
-  FlatMap64<std::shared_ptr<const OutputRecord>> replica_records_;
+  PeriodMap64<std::shared_ptr<const OutputRecord>> replica_records_;
   // Heartbeats seen: PackIdPeriod(node, period).
-  FlatSet64 heartbeats_seen_;
+  PeriodSet64 heartbeats_seen_;
   // Path declarations already made: PackNodePairPeriod(lo, hi, period).
-  FlatSet64 declared_;
+  PeriodSet64 declared_;
   // Workload task ids whose migration state has not arrived yet.
   FlatSet64 awaiting_state_;
   // Fault-set hashes already warned about as beyond-f (warn once per

@@ -81,6 +81,32 @@ Simulator::~Simulator() {
   SetLogTimeSource(nullptr);
 }
 
+void Simulator::AtSeries(SimTime first, SimDuration interval, uint64_t count,
+                         std::function<void(uint64_t)> fn) {
+  assert(ThisThreadExec().actor == kDriverActor && !ThisThreadExec().worker);
+  assert(first >= Now() && interval >= 0);
+  // Driver priorities must stay below every actor priority (see
+  // NextActorPrio).
+  assert(count < (uint64_t{1} << 40) - next_driver_prio_);
+  if (count == 0) {
+    return;
+  }
+  series_.push_back(std::make_unique<Series>(
+      Series{first, interval, count, next_driver_prio_, std::move(fn)}));
+  next_driver_prio_ += count;
+  QueueOccurrence(series_.back().get(), 0);
+}
+
+void Simulator::QueueOccurrence(const Series* series, uint64_t k) {
+  DriverQueue().Schedule(series->first + static_cast<SimTime>(k) * series->interval,
+                         series->first_prio + k, kDriverActor, [this, series, k]() {
+                           if (k + 1 < series->count) {
+                             QueueOccurrence(series, k + 1);
+                           }
+                           series->fn(k);
+                         });
+}
+
 bool Simulator::Cancel(EventHandle h) {
   if (!h.valid()) {
     return false;

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -120,6 +121,16 @@ class Simulator {
     return At(Now() + delay, std::move(fn));
   }
 
+  // Schedules the driver series fn(k) at first + k * interval for every
+  // k < count, from the exclusive (driver) path. Only the next occurrence
+  // is ever queued: each one queues its successor before calling fn. The
+  // `count` driver priorities a loop of At() calls would have drawn are
+  // reserved here, so every occurrence, and every event scheduled after
+  // this call, pops with the same (when, priority) as under that loop,
+  // while the queue stays as short as a one-period run's.
+  void AtSeries(SimTime first, SimDuration interval, uint64_t count,
+                std::function<void(uint64_t)> fn);
+
   // Cancels an event previously scheduled on the calling context's shard.
   // A handle owned by another shard's queue is rejected with an error: the
   // owning queue's lazy sweep must only ever be touched by its own shard.
@@ -158,6 +169,13 @@ class Simulator {
   struct alignas(64) ActorSeq {
     uint64_t next = 0;
   };
+  struct Series {
+    SimTime first;
+    SimDuration interval;
+    uint64_t count;
+    uint64_t first_prio;
+    std::function<void(uint64_t)> fn;
+  };
 
   // Canonical tie-break priority. Driver events use a bare counter (always
   // below every actor priority at equal timestamps); actor events use
@@ -177,6 +195,8 @@ class Simulator {
   }
 
   EventQueue& DriverQueue() { return shard_count_ == 1 ? shards_[0]->queue : driver_queue_; }
+
+  void QueueOccurrence(const Series* series, uint64_t k);
 
   void StartWorkers();
   void StopWorkers();
@@ -200,6 +220,8 @@ class Simulator {
   std::vector<Mailbox> mail_;
   std::vector<ActorSeq> actor_seq_;
   uint64_t next_driver_prio_ = 1;
+  // unique_ptr: queued occurrences point at their series.
+  std::vector<std::unique_ptr<Series>> series_;
 
   SimTime now_ = 0;
   uint64_t seed_ = 0;

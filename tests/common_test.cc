@@ -404,32 +404,13 @@ TEST(FlatMap, RandomizedAgainstStdMap) {
   EXPECT_EQ(seen, ref.size());
 }
 
-TEST(FlatMap, EraseIfMatchesReference) {
-  Rng rng(99);
-  FlatMap64<uint64_t> flat;
-  std::map<uint64_t, uint64_t> ref;
-  for (int i = 0; i < 3000; ++i) {
-    const uint64_t key = rng.Next() % 1024;
-    flat.InsertOrAssign(key, key * 3);
-    ref[key] = key * 3;
-  }
-  const auto stale = [](uint64_t key) { return key % 7 == 0; };
-  flat.EraseIf([&](uint64_t key, const uint64_t&) { return stale(key); });
-  std::erase_if(ref, [&](const auto& kv) { return stale(kv.first); });
-  EXPECT_EQ(flat.size(), ref.size());
-  for (const auto& [key, value] : ref) {
-    ASSERT_NE(flat.Find(key), nullptr);
-    EXPECT_EQ(*flat.Find(key), value);
-  }
-}
-
 TEST(FlatSet, InsertContainsErase) {
   FlatSet64 s;
   EXPECT_TRUE(s.Insert(PackIdPeriod(3, 9)));
   EXPECT_FALSE(s.Insert(PackIdPeriod(3, 9)));
   EXPECT_TRUE(s.Contains(PackIdPeriod(3, 9)));
   EXPECT_FALSE(s.Contains(PackIdPeriod(3, 10)));
-  s.EraseIf([](uint64_t key) { return PeriodOfPackedKey(key) < 10; });
+  EXPECT_TRUE(s.Erase(PackIdPeriod(3, 9)));
   EXPECT_TRUE(s.empty());
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "src/core/btr_system.h"
+#include "src/spec/experiment_runner.h"
+#include "src/spec/experiment_spec.h"
 #include "src/workload/generators.h"
 
 namespace btr {
@@ -215,6 +217,65 @@ TEST(ShardInvariance, TransientHealingFaultByteIdenticalAcrossShardCounts) {
     transient.behavior = FaultBehavior::kValueCorruption;
     system.AddFault(transient);
   });
+}
+
+// --- Events on period boundaries ------------------------------------------------
+//
+// An injection, heal or rollout at exactly p * period ties on timestamp with
+// period p's tick and is ordered by priority alone. These report
+// fingerprints were recorded when every tick was queued up front; they pin
+// that order (avionics, 10 ms periods) at shards 1 and 4 on worker threads.
+
+struct BoundaryCase {
+  const char* name;
+  const char* body;  // SCENARIO .. END, with %SHARDS% in its CONFIG
+  uint64_t fingerprint;
+};
+
+std::string WithShards(std::string body, uint32_t shards) {
+  const std::string token = "%SHARDS%";
+  body.replace(body.find(token), token.size(), std::to_string(shards));
+  return body;
+}
+
+TEST(PeriodBoundaries, FingerprintsPinnedAcrossShardCounts) {
+  const BoundaryCase cases[] = {
+      {"crash_on_boundary",
+       "SCENARIO avionics nodes=8\n"
+       "CONFIG f=2 recovery-us=500000 seed=5 shards=%SHARDS%\n"
+       "PHASE periods=60\n"
+       "FAULT node=critical-primary at-us=200000 behavior=crash\n",
+       0xe64c561cfed32260ULL},
+      {"heal_on_boundary",
+       "SCENARIO avionics nodes=8\n"
+       "CONFIG f=2 recovery-us=500000 seed=6 shards=%SHARDS%\n"
+       "PHASE periods=60\n"
+       "FAULT node=3 at-us=150000 behavior=crash until-us=300000\n"
+       "FAULT node=critical-primary at-us=120000 behavior=omission until-us=400000\n",
+       0x516c7f74519526a1ULL},
+      {"rollout_on_boundary",
+       "SCENARIO avionics nodes=6\n"
+       "CONFIG f=1 recovery-us=500000 seed=42 shards=%SHARDS%\n"
+       "PHASE periods=90\n"
+       "EDIT at-us=500000 kind=link-remove link=backboneB\n"
+       "PHASE periods=30\n",
+       0x79811f2986241ca8ULL},
+  };
+  setenv("BTR_SHARD_EXEC", "threads", 1);
+  for (const BoundaryCase& c : cases) {
+    for (uint32_t shards : {1u, 4u}) {
+      const std::string text = std::string("BTRX 1\nNAME ") + c.name + "\n" +
+                               WithShards(c.body, shards) + "END\n";
+      auto spec = ParseExperimentSpec(text);
+      ASSERT_TRUE(spec.ok()) << c.name << ": " << spec.status().ToString();
+      auto report = RunExperiment(*spec);
+      ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().ToString();
+      EXPECT_EQ(FingerprintExperimentReport(*report), c.fingerprint)
+          << c.name << " at shards=" << shards << std::hex << ": 0x"
+          << FingerprintExperimentReport(*report);
+    }
+  }
+  unsetenv("BTR_SHARD_EXEC");
 }
 
 }  // namespace

@@ -176,5 +176,17 @@ TEST_F(MonitorTest, DuplicateSinkOutputsKeepFirst) {
   EXPECT_EQ(report.incorrect_value, 0u);
 }
 
+TEST_F(MonitorTest, ObservationReserveIsACappedHint) {
+  // A trillion-period run's worth of sink instances: reserved in full, the
+  // tables alone would need terabytes.
+  AdversarySpec adversary;
+  Monitor monitor(&scenario_.workload, &strategy_, &adversary, Milliseconds(500));
+  monitor.ConfigureShards(2);
+  monitor.ReserveObservations(size_t{1} << 42);
+  FeedGolden(&monitor, 20);
+  const CorrectnessReport report = monitor.Evaluate(20);
+  EXPECT_EQ(report.correct_instances, report.total_instances);
+}
+
 }  // namespace
 }  // namespace btr

@@ -3,7 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/common/flat_map.h"
+#include "src/common/packed_key.h"
+#include "src/common/rng.h"
 #include "src/core/btr_system.h"
+#include "src/spec/experiment_runner.h"
+#include "src/spec/experiment_spec.h"
 #include "src/workload/generators.h"
 
 namespace btr {
@@ -375,6 +385,184 @@ TEST(Runtime, InvalidFaultNodeRejected) {
   system.AddFault({NodeId(999), 0, FaultBehavior::kCrash, 0, NodeId::Invalid(), 0});
   auto report = system.Run(10);
   EXPECT_FALSE(report.ok());
+}
+
+TEST(Runtime, QueuedEventsAfterStartDoNotGrowWithRunLength) {
+  // Period ticks are a series with one occurrence queued, so what Start
+  // leaves queued is the same for a 10-period run and a 100000-period one.
+  BtrSystem system(MakeAvionicsScenario(), DefaultConfig());
+  ASSERT_TRUE(system.Plan().ok());
+  const Topology& topo = system.scenario().topology;
+  AdversarySpec adversary;
+  FaultInjection crash;
+  crash.node = NodeId(1);
+  crash.manifest_at = Milliseconds(50);
+  crash.until = Milliseconds(90);
+  crash.behavior = FaultBehavior::kCrash;
+  adversary.Add(crash);
+  const auto pending_after_start = [&](uint64_t periods) {
+    Simulator sim(7);
+    Network network(&sim, &topo, system.config().planner.network);
+    Rng key_rng(7);
+    KeyStore keys(topo.node_count(), &key_rng);
+    Monitor monitor(&system.scenario().workload, &system.strategy(), &adversary,
+                    Milliseconds(500));
+    RuntimeContext ctx;
+    ctx.sim = &sim;
+    ctx.network = &network;
+    ctx.topo = &topo;
+    ctx.workload = &system.scenario().workload;
+    ctx.graph = &system.planner().graph();
+    ctx.strategy = &system.strategy();
+    ctx.planner = &system.planner();
+    ctx.keys = &keys;
+    ctx.adversary = &adversary;
+    ctx.monitor = &monitor;
+    ctx.config = system.config().runtime;
+    BtrRuntime runtime(ctx);
+    runtime.Start(periods);
+    return sim.pending_events();
+  };
+  const size_t short_run = pending_after_start(10);
+  EXPECT_EQ(short_run, 3u);  // the next tick, the crash, its heal
+  EXPECT_EQ(pending_after_start(1000), short_run);
+  EXPECT_EQ(pending_after_start(100000), short_run);
+}
+
+// --- Buffer retention -------------------------------------------------------
+//
+// The runtime's per-period buffers (PeriodMap64 / PeriodSet64) retire whole
+// periods. The reference is the retention they replaced: one FlatMap64
+// holding every live period, swept of the keys below the floor. Both are
+// driven at the runtime's cadence (every kHorizon-th period, drop the
+// periods below period - kHorizon) by one seeded stream that also inserts
+// late, for periods the sweep already dropped.
+
+constexpr uint64_t kHorizon = 4;
+
+template <typename V>
+void SweepBelow(FlatMap64<V>* map, uint64_t floor) {
+  std::vector<uint64_t> stale;
+  map->ForEach([&](uint64_t key, const V&) {
+    if (PeriodOfPackedKey(key) < floor) {
+      stale.push_back(key);
+    }
+  });
+  for (uint64_t key : stale) {
+    map->Erase(key);
+  }
+}
+
+// Calls step(period, key, op) for a seeded stream of operations on keys of
+// periods [period - 10, period], and retire(floor) at the runtime's cadence.
+template <typename Step, typename Retire>
+void DriveRetentionStream(uint64_t seed, Step step, Retire retire) {
+  Rng rng(seed);
+  for (uint64_t period = 0; period < 300; ++period) {
+    if (period >= kHorizon && period % kHorizon == 0) {
+      retire(period - kHorizon);
+    }
+    const uint64_t ops = 1 + rng.NextBelow(40);
+    for (uint64_t i = 0; i < ops; ++i) {
+      const uint64_t back = std::min<uint64_t>(period, rng.NextBelow(11));
+      const uint64_t key = PackIdPeriod(static_cast<uint32_t>(rng.NextBelow(12)), period - back);
+      step(key, rng.NextBelow(4));
+    }
+  }
+}
+
+TEST(Retention, PeriodMapMatchesTheSweptTable) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    FlatMap64<uint64_t> reference;
+    PeriodMap64<uint64_t> buckets;
+    uint64_t value = 0;
+    DriveRetentionStream(
+        seed,
+        [&](uint64_t key, uint64_t op) {
+          ++value;
+          switch (op) {
+            case 0:
+              ASSERT_EQ(buckets.Emplace(key, value), reference.Emplace(key, value));
+              break;
+            case 1:
+              buckets.InsertOrAssign(key, value);
+              reference.InsertOrAssign(key, value);
+              break;
+            default: {
+              const uint64_t* want = reference.Find(key);
+              const uint64_t* got = buckets.Find(key);
+              ASSERT_EQ(got != nullptr, want != nullptr);
+              if (want != nullptr) {
+                ASSERT_EQ(*got, *want);
+              }
+              ASSERT_EQ(buckets.Contains(key), reference.Contains(key));
+            }
+          }
+          ASSERT_EQ(buckets.size(), reference.size());
+        },
+        [&](uint64_t floor) {
+          SweepBelow(&reference, floor);
+          buckets.DropPeriodsBelow(floor);
+          ASSERT_EQ(buckets.size(), reference.size());
+        });
+  }
+}
+
+TEST(Retention, PeriodSetMatchesTheSweptTable) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    // FlatSet64's own storage: a FlatMap64 of empty values.
+    FlatMap64<char> reference;
+    PeriodSet64 buckets;
+    DriveRetentionStream(
+        seed,
+        [&](uint64_t key, uint64_t op) {
+          if (op < 2) {
+            ASSERT_EQ(buckets.Insert(key), reference.Emplace(key, 0));
+          } else {
+            ASSERT_EQ(buckets.Contains(key), reference.Contains(key));
+          }
+          ASSERT_EQ(buckets.size(), reference.size());
+        },
+        [&](uint64_t floor) {
+          SweepBelow(&reference, floor);
+          buckets.DropPeriodsBelow(floor);
+          ASSERT_EQ(buckets.size(), reference.size());
+        });
+  }
+}
+
+// --- Hostile run lengths ------------------------------------------------------
+
+TEST(Runtime, RunLengthThatOverflowsSimulatedTimeIsRefused) {
+  BtrSystem system(MakeAvionicsScenario(), DefaultConfig());
+  ASSERT_TRUE(system.Plan().ok());
+  for (uint64_t periods : {uint64_t{100000000000000}, ~uint64_t{0}}) {
+    auto report = system.Run(periods);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << report.status().ToString();
+  }
+  // The system stays usable.
+  EXPECT_TRUE(system.Run(5).ok());
+}
+
+TEST(Runtime, ExperimentWithOverflowingPhaseIsRefused) {
+  std::ifstream in(std::string(BTR_SOURCE_DIR) + "/examples/specs/avionics_flap.btrx");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string hostile = text.str();
+  const std::string phase = "PHASE periods=120";
+  const size_t at = hostile.find(phase);
+  ASSERT_NE(at, std::string::npos);
+  hostile.replace(at, phase.size(), "PHASE periods=100000000000000");
+  auto spec = ParseExperimentSpec(hostile);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto report = RunExperiment(*spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("overflows simulated time"), std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(Adversary, LatestManifestedInjectionWinsOnOneNode) {

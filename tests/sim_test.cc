@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -229,6 +231,108 @@ TEST(Simulator, CancelledEventDoesNotRun) {
   sim.Cancel(h);
   sim.RunToCompletion();
   EXPECT_FALSE(fired);
+}
+
+// One script, with its period ticks scheduled either by AtSeries or by the
+// eager loop of At() calls it replaced. Each actor keeps its own log (a
+// sharded run executes actors on worker threads); the driver log is written
+// only between windows.
+struct TickScript {
+  std::vector<std::string> driver;
+  std::vector<std::vector<std::string>> actors;
+  std::vector<size_t> pending;     // pending_events() at each stop
+  std::vector<uint64_t> ticks_left;  // ticks not yet run at each stop
+};
+
+TickScript RunTickScript(bool series, const ShardLayout& layout) {
+  constexpr uint64_t kTicks = 6;
+  constexpr uint32_t kActors = 3;
+  Simulator sim(7, layout);
+  TickScript out;
+  out.actors.resize(kActors);
+  uint64_t ticks_run = 0;
+  const auto note = [&sim](std::vector<std::string>* log, const std::string& what) {
+    log->push_back(what + "@" + std::to_string(sim.Now()));
+  };
+  // Driver events registered before the series, one on a tick's timestamp.
+  sim.At(30, [&] { note(&out.driver, "early driver"); });
+  EventHandle doomed;
+  const auto tick = [&](uint64_t k) {
+    ++ticks_run;
+    note(&out.driver, "tick " + std::to_string(k));
+    const uint32_t actor = static_cast<uint32_t>(k % kActors);
+    // Jobs through AtActor draw driver priorities: one lands inside the
+    // period, one exactly on the next tick.
+    sim.AtActor(actor, sim.Now() + 4, [&, actor, k] {
+      note(&out.actors[actor], "job " + std::to_string(k));
+      sim.After(3, [&, actor, k] { note(&out.actors[actor], "follow-up " + std::to_string(k)); });
+    });
+    sim.AtActor(actor, sim.Now() + 10,
+                [&, actor, k] { note(&out.actors[actor], "boundary job " + std::to_string(k)); });
+    if (k == 1) {
+      doomed = sim.At(45, [&] { note(&out.driver, "doomed"); });
+    }
+    if (k == 3) {
+      EXPECT_TRUE(sim.Cancel(doomed));
+    }
+  };
+  if (series) {
+    sim.AtSeries(10, 10, kTicks, tick);
+  } else {
+    for (uint64_t k = 0; k < kTicks; ++k) {
+      sim.At(10 + static_cast<SimTime>(k) * 10, [&tick, k] { tick(k); });
+    }
+  }
+  // Driver events registered after the series, on tick timestamps.
+  sim.At(20, [&] { note(&out.driver, "late driver"); });
+  sim.At(60, [&] { note(&out.driver, "last driver"); });
+  const EventHandle cancelled = sim.At(40, [&] { note(&out.driver, "cancelled"); });
+  EXPECT_TRUE(sim.Cancel(cancelled));
+  for (SimTime stop : {25, 35, 35, 52}) {
+    sim.RunUntil(stop);
+    out.pending.push_back(sim.pending_events());
+    out.ticks_left.push_back(kTicks - ticks_run);
+  }
+  sim.RunToCompletion();
+  out.pending.push_back(sim.pending_events());
+  out.ticks_left.push_back(kTicks - ticks_run);
+  EXPECT_EQ(ticks_run, kTicks);
+  return out;
+}
+
+void ExpectSeriesMatchesEagerLoop(const ShardLayout& layout) {
+  const TickScript eager = RunTickScript(false, layout);
+  const TickScript series = RunTickScript(true, layout);
+  EXPECT_EQ(series.driver, eager.driver);
+  EXPECT_EQ(series.actors, eager.actors);
+  ASSERT_EQ(series.pending.size(), eager.pending.size());
+  for (size_t i = 0; i < eager.pending.size(); ++i) {
+    // The eager loop queues every remaining tick; the series at most one.
+    const uint64_t left = eager.ticks_left[i];
+    EXPECT_EQ(series.ticks_left[i], left);
+    EXPECT_EQ(series.pending[i], eager.pending[i] - left + std::min<uint64_t>(left, 1))
+        << "stop " << i;
+  }
+  EXPECT_EQ(series.driver.size(), 9u);  // 6 ticks, early, late, last
+}
+
+TEST(Simulator, SeriesRunsInTheEagerLoopsOrder) {
+  ExpectSeriesMatchesEagerLoop(ShardLayout{});
+}
+
+TEST(Simulator, SeriesRunsInTheEagerLoopsOrderOnShards) {
+  ShardLayout layout;
+  layout.shard_count = 2;
+  layout.shard_of = {0, 1, 0};
+  layout.lookahead = 2;
+  ExpectSeriesMatchesEagerLoop(layout);
+}
+
+TEST(Simulator, EmptySeriesQueuesNothing) {
+  Simulator sim(1);
+  sim.AtSeries(0, 10, 0, [](uint64_t) { ADD_FAILURE() << "empty series ran"; });
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.RunToCompletion();
 }
 
 TEST(LocalClock, PerfectClockIsIdentity) {
