@@ -41,6 +41,21 @@ const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& 
   return ctx.strategy->LookupNearestCovered(faults);
 }
 
+// A shipped blob or slice in either wire form, as the canonical text it
+// encodes.
+StatusOr<std::string> ArtifactText(const std::string& artifact) {
+  if (fmt::IsV4Image(artifact)) {
+    return fmt::DecodeStrategyImage(artifact);
+  }
+  return artifact;
+}
+
+// A shipped patch in either wire form.
+StatusOr<StrategyPatch> ParsePatchArtifact(const std::string& artifact) {
+  return fmt::IsV4Image(artifact) ? fmt::DecodePatchImage(artifact)
+                                  : ParseStrategyPatch(artifact);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -50,48 +65,16 @@ const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& 
 uint64_t InstallEngine::StateFingerprint() const {
   Hasher hasher;
   hasher.AddString(slice_);
-  hasher.AddString(image_);
   hasher.Add(strategy_fp_);
   hasher.Add(version_);
   hasher.Add(node_.value());
   return hasher.Digest();
 }
 
-Status InstallEngine::InstallFull(const std::string& slice_text, uint64_t expected_sfp) {
-  if (fmt::IsV4Image(slice_text)) {
-    // Image path: verify → map → swap, no text is parsed or rendered. The
-    // deep validation walks every section and body payload off to the
-    // side, so a forged-count / out-of-range-reference image is rejected
-    // here with the engine bit-identical (bit flips never get this far —
-    // the image seal catches them at Map).
-    StatusOr<fmt::BinaryStrategyView> view = fmt::BinaryStrategyView::Map(slice_text);
-    if (!view.ok()) {
-      ++stats_.patches_rejected;
-      return view.status();
-    }
-    if (!view->is_slice() || view->node() != node_.value()) {
-      ++stats_.patches_rejected;
-      return Status::InvalidArgument("image is not this node's strategy slice");
-    }
-    if (view->slice_sfp() != expected_sfp) {
-      ++stats_.patches_rejected;
-      return Status::FailedPrecondition(
-          "slice image does not chain to the expected strategy fingerprint");
-    }
-    const Status deep = fmt::ValidateStrategyImage(slice_text);
-    if (!deep.ok()) {
-      ++stats_.patches_rejected;
-      return deep;
-    }
-    image_ = slice_text;
-    slice_.clear();
-    strategy_fp_ = expected_sfp;
-    ++version_;
-    ++stats_.full_installs;
-    ++stats_.image_installs;
-    return Status::Ok();
-  }
-  StatusOr<uint64_t> sfp = ValidateSliceText(slice_text, node_.value());
+Status InstallEngine::InstallFull(const std::string& slice, uint64_t expected_sfp) {
+  StatusOr<std::string> text = ArtifactText(slice);
+  const StatusOr<uint64_t> sfp =
+      text.ok() ? ValidateSliceText(*text, node_.value()) : text.status();
   if (!sfp.ok()) {
     ++stats_.patches_rejected;
     return sfp.status();
@@ -101,54 +84,34 @@ Status InstallEngine::InstallFull(const std::string& slice_text, uint64_t expect
     return Status::FailedPrecondition(
         "slice does not chain to the expected strategy fingerprint; refusing to install");
   }
-  slice_ = slice_text;
-  image_.clear();
+  slice_ = std::move(*text);
   strategy_fp_ = *sfp;
   ++version_;
   ++stats_.full_installs;
   return Status::Ok();
 }
 
-Status InstallEngine::ApplyPatch(const std::string& patch_text) {
+Status InstallEngine::ApplyPatch(const std::string& patch) {
   if (!installed()) {
     ++stats_.patches_rejected;
     return Status::FailedPrecondition("no base slice installed; patch has nothing to apply to");
   }
-  const bool patch_is_image = fmt::IsV4Image(patch_text);
-  StatusOr<StrategyPatch> patch =
-      patch_is_image ? fmt::DecodePatchImage(patch_text) : ParseStrategyPatch(patch_text);
-  if (!patch.ok()) {
+  StatusOr<StrategyPatch> parsed = ParsePatchArtifact(patch);
+  if (!parsed.ok()) {
     ++stats_.patches_rejected;
-    return patch.status();
-  }
-  // An image-mode base materializes its canonical text off to the side;
-  // the installed image stays untouched until the patch fully verifies.
-  const std::string* base = &slice_;
-  std::string materialized;
-  if (!image_.empty()) {
-    StatusOr<std::string> text = fmt::DecodeStrategyImage(image_);
-    if (!text.ok()) {
-      ++stats_.patches_rejected;
-      return text.status();
-    }
-    materialized = std::move(*text);
-    base = &materialized;
+    return parsed.status();
   }
   // Verify-then-swap: the new slice is fully assembled and fingerprint-
   // checked before the installed state changes.
-  StatusOr<std::string> applied = ApplyPatchToSlice(*base, *patch);
+  StatusOr<std::string> applied = ApplyPatchToSlice(slice_, *parsed);
   if (!applied.ok()) {
     ++stats_.patches_rejected;
     return applied.status();
   }
   slice_ = std::move(*applied);
-  image_.clear();
-  strategy_fp_ = patch->target_fp;
+  strategy_fp_ = parsed->target_fp;
   ++version_;
   ++stats_.patches_applied;
-  if (patch_is_image) {
-    ++stats_.image_installs;
-  }
   return Status::Ok();
 }
 
@@ -1560,8 +1523,7 @@ Status NodeRuntime::InstallDissemArtifact(DissemContent content, const std::stri
     case DissemContent::kPatchSlice:
       return install_.ApplyPatch(text);
     case DissemContent::kPatchFull: {
-      StatusOr<StrategyPatch> patch =
-          fmt::IsV4Image(text) ? fmt::DecodePatchImage(text) : ParseStrategyPatch(text);
+      StatusOr<StrategyPatch> patch = ParsePatchArtifact(text);
       if (!patch.ok()) {
         return patch.status();
       }
@@ -1569,17 +1531,9 @@ Status NodeRuntime::InstallDissemArtifact(DissemContent content, const std::stri
       return sliced.ok() ? install_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {
-      // A v4 blob image decodes to canonical text before carving; the
-      // carved slice installs through the text path either way.
-      const std::string* blob = &text;
-      std::string decoded_text;
-      if (fmt::IsV4Image(text)) {
-        StatusOr<std::string> decoded = fmt::DecodeStrategyImage(text);
-        if (!decoded.ok()) {
-          return decoded.status();
-        }
-        decoded_text = std::move(*decoded);
-        blob = &decoded_text;
+      StatusOr<std::string> blob = ArtifactText(text);
+      if (!blob.ok()) {
+        return blob.status();
       }
       StatusOr<std::string> carved = ExtractSlice(*blob, id_.value());
       return carved.ok() ? install_.InstallFull(*carved, gossip_->target_fp) : carved.status();

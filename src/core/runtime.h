@@ -105,7 +105,6 @@ struct InstallEngineStats {
   uint64_t full_installs = 0;
   uint64_t patches_applied = 0;
   uint64_t patches_rejected = 0;
-  uint64_t image_installs = 0;  // successful installs shipped as v4 images
   uint64_t bytes_received = 0;  // wire bytes of install payloads delivered
 };
 
@@ -117,27 +116,22 @@ struct InstallEngineStats {
 // engine bit-identical (see StateFingerprint), so a corrupted or
 // wrong-base shipment can never strand a node on a half-applied strategy.
 //
-// Shipments arrive in either wire format (auto-detected by magic). A v4
-// slice image installs by verify → map → swap with zero text parsing: the
-// sealed image is structurally validated (src/fmt/strategy_binary.h) and
-// stored as-is; the canonical text is materialized lazily only when a
-// later patch needs the base text, at which point the engine transitions
-// back to text mode. Exactly one of slice()/image() is non-empty while
-// installed.
+// Shipments arrive in either wire format (auto-detected by magic). The
+// installed form is always the canonical slice text: a v4 image is decoded
+// on entry (src/fmt/strategy_binary.h) and then verified like text, so the
+// installed state does not depend on the wire format it arrived in.
 class InstallEngine {
  public:
   InstallEngine() = default;
   explicit InstallEngine(NodeId node) : node_(node) {}
 
-  bool installed() const { return !slice_.empty() || !image_.empty(); }
+  bool installed() const { return !slice_.empty(); }
   // Fingerprint of the full strategy blob the installed slice was carved
   // from (the provenance chain's link to the next patch's BASE).
   uint64_t strategy_fingerprint() const { return strategy_fp_; }
   // Monotonic install counter (full installs + applied patches).
   uint64_t version() const { return version_; }
   const std::string& slice() const { return slice_; }
-  // Installed v4 slice image (empty when the install state is text).
-  const std::string& image() const { return image_; }
   const InstallEngineStats& stats() const { return stats_; }
 
   // Fingerprint over the installed-strategy state only (slice bytes, chain
@@ -154,20 +148,19 @@ class InstallEngine {
   // (auto-detected). Callers shipping the slice over the wire must
   // content-verify the bytes first (see DissemChunkMessage::content_fp) —
   // the SFP chain alone cannot detect a flipped table-row byte.
-  Status InstallFull(const std::string& slice_text, uint64_t expected_sfp);
+  Status InstallFull(const std::string& slice, uint64_t expected_sfp);
 
   // Applies a sliced patch (BTRPATCH text or v4 patch image) against the
   // installed slice. Fails without side effects unless the patch parses,
   // chains to the installed fingerprint, and its applied result verifies
   // against the patch's NSLICE fingerprint.
-  Status ApplyPatch(const std::string& patch_text);
+  Status ApplyPatch(const std::string& patch);
 
   void CountReceivedBytes(uint64_t bytes) { stats_.bytes_received += bytes; }
 
  private:
   NodeId node_;
-  std::string slice_;  // canonical text slice (text mode)
-  std::string image_;  // sealed v4 slice image (image mode)
+  std::string slice_;  // canonical text slice
   uint64_t strategy_fp_ = 0;
   uint64_t version_ = 0;
   InstallEngineStats stats_;

@@ -637,31 +637,6 @@ Status DecodeBodyPayload(std::string_view span, uint64_t id, const BodyDims& dim
   return Status::Ok();
 }
 
-// Reads just far enough into a body payload to learn its parent reference
-// (the lazy view resolves delta chains iteratively with this, so a forged
-// long chain cannot recurse the stack).
-StatusOr<std::optional<uint64_t>> PeekParent(std::string_view span, uint64_t id) {
-  ByteReader r(span);
-  uint64_t flags = 0;
-  if (!r.ReadVarint(&flags)) {
-    return BadImage("truncated body payload");
-  }
-  if ((flags & ~kFlagMask) != 0) {
-    return BadImage("unknown body flags");
-  }
-  if (flags == 0) {
-    return std::optional<uint64_t>();
-  }
-  uint64_t pid = 0;
-  if (!r.ReadVarint(&pid)) {
-    return BadImage("truncated body payload");
-  }
-  if (pid >= id) {
-    return BadImage("body parent not earlier");
-  }
-  return std::optional<uint64_t>(pid);
-}
-
 // ---- wave-DAG prefix parents ---------------------------------------------
 
 // For each body, the body referenced by the first referencing mode's fault
@@ -1424,96 +1399,6 @@ Status ValidateStrategyImage(const std::string& image) {
     return bodies.status();
   }
   return Status::Ok();
-}
-
-// ---- BinaryStrategyView --------------------------------------------------
-
-struct BinaryStrategyView::State {
-  std::string image;
-  Shell shell;  // spans point into `image`
-  // Lazily decoded bodies; not thread-safe (one view per consumer, like
-  // every other install-plane object).
-  std::vector<std::optional<BodyRecords>> memo;
-};
-
-StatusOr<BinaryStrategyView> BinaryStrategyView::Map(std::string image) {
-  auto state = std::make_shared<State>();
-  state->image = std::move(image);
-  StatusOr<Shell> shell = DecodeShell(state->image);
-  if (!shell.ok()) {
-    return shell.status();
-  }
-  if (shell->kind == kKindPatch) {
-    return BadImage("patch image; use DecodePatchImage");
-  }
-  state->shell = std::move(*shell);
-  state->memo.resize(state->shell.body_spans.size());
-  return BinaryStrategyView(std::move(state));
-}
-
-bool BinaryStrategyView::is_slice() const { return state_->shell.kind == kKindSlice; }
-uint64_t BinaryStrategyView::node() const { return state_->shell.node; }
-uint64_t BinaryStrategyView::slice_sfp() const { return state_->shell.sfp; }
-uint64_t BinaryStrategyView::aug_count() const { return state_->shell.dims.aug_count; }
-uint64_t BinaryStrategyView::node_count() const { return state_->shell.dims.node_count; }
-uint64_t BinaryStrategyView::edge_count() const { return state_->shell.dims.edge_count; }
-uint64_t BinaryStrategyView::body_count() const { return state_->shell.body_spans.size(); }
-uint64_t BinaryStrategyView::mode_count() const { return state_->shell.modes.size(); }
-bool BinaryStrategyView::has_prov() const { return state_->shell.has_prov; }
-uint64_t BinaryStrategyView::prov_max_faults() const { return state_->shell.prov_max_faults; }
-uint64_t BinaryStrategyView::prov_planner_fp() const { return state_->shell.prov_planner_fp; }
-uint64_t BinaryStrategyView::text_fingerprint() const { return state_->shell.text_fp; }
-const std::string& BinaryStrategyView::image() const { return state_->image; }
-
-StatusOr<std::string> BinaryStrategyView::BodyChunk(uint64_t id) const {
-  State& state = *state_;
-  if (id >= state.memo.size()) {
-    return BadImage("body id out of range");
-  }
-  // Walk the undecoded suffix of the parent chain (ids strictly decrease,
-  // so this terminates), then decode it root-first.
-  std::vector<uint64_t> chain;
-  uint64_t cur = id;
-  while (!state.memo[cur].has_value()) {
-    chain.push_back(cur);
-    const StatusOr<std::optional<uint64_t>> parent = PeekParent(state.shell.body_spans[cur], cur);
-    if (!parent.ok()) {
-      return parent.status();
-    }
-    if (!parent->has_value()) {
-      break;
-    }
-    cur = **parent;
-  }
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const ParentLookup parent_of = [&state](uint64_t pid) -> const BodyRecords* {
-      if (pid >= state.memo.size() || !state.memo[pid].has_value()) {
-        return nullptr;
-      }
-      return &*state.memo[pid];
-    };
-    BodyRecords records;
-    const Status decoded = DecodeBodyPayload(state.shell.body_spans[*it], *it, state.shell.dims,
-                                             state.shell.dicts, parent_of, &records);
-    if (!decoded.ok()) {
-      return decoded;
-    }
-    state.memo[*it] = std::move(records);
-  }
-  return RenderChunk(*state.memo[id], state.shell.dicts);
-}
-
-StatusOr<std::string> BinaryStrategyView::DecodeText() const {
-  State& state = *state_;
-  std::vector<DecodedBody> bodies(state.memo.size());
-  for (uint64_t id = 0; id < state.memo.size(); ++id) {
-    const StatusOr<std::string> chunk = BodyChunk(id);  // fills the memo
-    if (!chunk.ok()) {
-      return chunk.status();
-    }
-    bodies[id].records = *state.memo[id];
-  }
-  return RenderShellText(state.shell, bodies);
 }
 
 }  // namespace fmt

@@ -5,8 +5,7 @@
 //
 //   1. Round trip — DecodeStrategyImage(EncodeStrategyImage(S)) == S
 //      byte-for-byte for fuzzed strategies and edit streams (blobs, every
-//      node slice, and patch images), and the lazy BinaryStrategyView
-//      resolves the same bytes chunk by chunk.
+//      node slice, and patch images).
 //   2. Adversarial — truncation at every section boundary, a bit-flip
 //      sweep, forged section counts/offsets (re-sealed so only the
 //      structural validators can catch them), out-of-range references,
@@ -82,8 +81,8 @@ System* MakeBaseSystem(std::deque<System>* generations, const PlannerConfig& con
   return &sys;
 }
 
-// Round-trips one canonical text through the image codec and the lazy
-// view; returns how many distinct serializations were checked.
+// Round-trips one canonical text through the image codec; returns how many
+// distinct serializations were checked.
 size_t CheckRoundTrip(const std::string& text, const char* label) {
   auto image = fmt::EncodeStrategyImage(text);
   if (!image.ok()) {
@@ -98,19 +97,6 @@ size_t CheckRoundTrip(const std::string& text, const char* label) {
     return 0;
   }
   EXPECT_EQ(*decoded, text) << label << ": decode(encode(S)) diverged";
-
-  auto view = fmt::BinaryStrategyView::Map(*image);
-  if (!view.ok()) {
-    ADD_FAILURE() << label << ": map failed: " << view.status().ToString();
-    return 0;
-  }
-  EXPECT_EQ(view->text_fingerprint(), FingerprintStrategyText(text)) << label;
-  auto lazy = view->DecodeText();
-  if (!lazy.ok()) {
-    ADD_FAILURE() << label << ": view decode failed: " << lazy.status().ToString();
-    return 0;
-  }
-  EXPECT_EQ(*lazy, text) << label << ": lazy view decode diverged";
   return 1;
 }
 
@@ -138,11 +124,6 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
     auto back = fmt::DecodeStrategyImage(*slice_image);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, *slice) << label;
-    auto view = fmt::BinaryStrategyView::Map(*slice_image);
-    ASSERT_TRUE(view.ok());
-    EXPECT_TRUE(view->is_slice());
-    EXPECT_EQ(view->node(), n);
-    EXPECT_EQ(view->slice_sfp(), FingerprintStrategyText(blob));
   }
 
   // Patch image: diff the blob against an edited generation.
@@ -165,41 +146,8 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
   ASSERT_TRUE(decoded_patch.ok()) << decoded_patch.status().ToString();
   EXPECT_EQ(SaveStrategyPatch(*decoded_patch), patch_text)
       << "patch image did not round-trip to its BTRPATCH text";
-  // A patch image maps only through DecodePatchImage.
-  EXPECT_FALSE(fmt::BinaryStrategyView::Map(*patch_image).ok());
+  // A patch image decodes only through DecodePatchImage.
   EXPECT_FALSE(fmt::DecodeStrategyImage(*patch_image).ok());
-}
-
-TEST(StrategyBinary, BodyChunksResolveLazilyAndMatchTheText) {
-  const PlannerConfig config = SmallConfig(2);
-  std::deque<System> generations;
-  System* sys = MakeBaseSystem(&generations, config);
-  StrategyBuilder builder(sys->planner.get(), config.planner_threads);
-  auto strategy = builder.Build();
-  ASSERT_TRUE(strategy.ok());
-  const std::string blob = Blob(*strategy, *sys->planner);
-
-  auto image = fmt::EncodeStrategyImage(blob);
-  ASSERT_TRUE(image.ok());
-  auto view = fmt::BinaryStrategyView::Map(*image);
-  ASSERT_TRUE(view.ok());
-  EXPECT_FALSE(view->is_slice());
-  ASSERT_GT(view->body_count(), 0u);
-  EXPECT_GT(view->mode_count(), 0u);
-
-  // Every chunk the view hands out must appear verbatim in the text blob
-  // (bodies are stored by the text format as verbatim chunks), resolved in
-  // reverse id order so deep delta chains exercise the memoized walk.
-  for (uint64_t id = view->body_count(); id-- > 0;) {
-    auto chunk = view->BodyChunk(id);
-    ASSERT_TRUE(chunk.ok()) << "body " << id << ": " << chunk.status().ToString();
-    EXPECT_NE(blob.find(*chunk), std::string::npos)
-        << "body " << id << " chunk not found verbatim in the blob";
-  }
-  EXPECT_EQ(view->body_count() + 0u, view->body_count());
-  auto text = view->DecodeText();
-  ASSERT_TRUE(text.ok());
-  EXPECT_EQ(*text, blob);
 }
 
 // Fuzzed oracle: random edit streams over random systems; every blob,
@@ -390,7 +338,6 @@ void ExpectRejectedEverywhere(const ImageFixture& fx, const std::string& corrupt
                               const char* label) {
   EXPECT_FALSE(fmt::ValidateStrategyImage(corrupt).ok()) << label;
   EXPECT_FALSE(fmt::DecodeStrategyImage(corrupt).ok()) << label;
-  EXPECT_FALSE(fmt::BinaryStrategyView::Map(corrupt).ok()) << label;
 
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
@@ -520,7 +467,8 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
   //     trailer text fingerprint the moment text is materialized (a
   //     self-consistent forgery is outside the corruption model the
   //     fingerprints defend — see docs/strategy_format.md — but it must
-  //     still fail *cleanly*, never silently yield wrong text);
+  //     still fail *cleanly*, never silently yield wrong text, and the
+  //     engine, which decodes on entry, refuses it);
   //   - the byte was semantically inert and the image still decodes to the
   //     exact original text.
   size_t rejected = 0;
@@ -544,10 +492,10 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
       EXPECT_EQ(engine.StateFingerprint(), before) << "byte " << i;
     } else if (!decoded.ok()) {
       ++forged_content;
-      auto view = fmt::BinaryStrategyView::Map(forged);
-      if (view.ok()) {
-        EXPECT_FALSE(view->DecodeText().ok()) << "byte " << i;
-      }
+      InstallEngine engine = fx.EngineFor0();
+      const uint64_t before = engine.StateFingerprint();
+      EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok()) << "byte " << i;
+      EXPECT_EQ(engine.StateFingerprint(), before) << "byte " << i;
     } else {
       ++benign;
       EXPECT_EQ(*decoded, fx.slice0) << "byte " << i << " forged text undetected";
@@ -569,27 +517,13 @@ TEST(StrategyBinaryCorruption, MismatchedTrailerFingerprint) {
   WriteFixed64At(&forged, text_fp_at, ReadFixed64At(forged, text_fp_at) ^ 1);
   Reseal(&forged);
   EXPECT_FALSE(fmt::DecodeStrategyImage(forged).ok());
-  auto view = fmt::BinaryStrategyView::Map(forged);
-  if (view.ok()) {
-    EXPECT_FALSE(view->DecodeText().ok());
-  }
-  // The engine may map it (the chain fingerprint in META is intact — this
-  // is forgery, not corruption, and the fingerprint chain's contract is
-  // corruption), but a later patch against it must fail cleanly without
-  // mutating state.
+  // The chain fingerprint in META is intact (this is forgery, not
+  // corruption), but the engine decodes on entry, so the text hash check
+  // refuses the install and the state stays unchanged.
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  if (engine.InstallFull(forged, fx.blob_fp).ok()) {
-    const uint64_t installed = engine.StateFingerprint();
-    auto patch = MakeStrategyPatch(fx.blob, fx.blob);
-    ASSERT_TRUE(patch.ok());
-    auto sliced = SaveStrategyPatchSlice(*patch, 0);
-    ASSERT_TRUE(sliced.ok());
-    EXPECT_FALSE(engine.ApplyPatch(*sliced).ok());
-    EXPECT_EQ(engine.StateFingerprint(), installed);
-  } else {
-    EXPECT_EQ(engine.StateFingerprint(), before);
-  }
+  EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok());
+  EXPECT_EQ(engine.StateFingerprint(), before);
 }
 
 TEST(StrategyBinaryCorruption, WrongNodeAndWrongChainReject) {
@@ -758,14 +692,66 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
     ASSERT_TRUE(patched.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(patched.strategy_fingerprint(), v4->target_fp);
     EXPECT_EQ(patched.slice(), v2->fallback_slice(n)->bytes) << "node " << n;
-    EXPECT_GT(patched.stats().image_installs, 0u);
 
-    InstallEngine mapped{NodeId(n)};
-    const std::string& image = v4->fallback_slice(n)->bytes;
-    ASSERT_TRUE(mapped.InstallFull(image, v4->target_fp).ok()) << "node " << n;
-    EXPECT_EQ(mapped.strategy_fingerprint(), v4->target_fp);
-    EXPECT_TRUE(mapped.slice().empty());  // zero-parse: stored as the image
-    EXPECT_EQ(mapped.image(), image);
+    InstallEngine full{NodeId(n)};
+    ASSERT_TRUE(full.InstallFull(v4->fallback_slice(n)->bytes, v4->target_fp).ok())
+        << "node " << n;
+    EXPECT_EQ(full.strategy_fingerprint(), v4->target_fp);
+    EXPECT_EQ(full.slice(), v2->fallback_slice(n)->bytes) << "node " << n;
+  }
+}
+
+// The engine has one installed form: a fallback slice installed from its
+// v4 image leaves exactly the state the text slice leaves, and the next
+// patch takes both engines to the same state.
+TEST(StrategyBinary, ImageAndTextInstallsLeaveIdenticalState) {
+  const PlannerConfig config = SmallConfig(1);
+  std::deque<System> generations;
+  System* sys = MakeBaseSystem(&generations, config);
+  std::vector<std::string> blobs;
+  // Remove the cross link, then put it back.
+  for (const DeltaEdit& edit :
+       {DeltaEdit::LinkRemove("xlink"),
+        DeltaEdit::LinkAdd("xlink", {NodeId(2), NodeId(3)}, 25'000'000, Microseconds(2))}) {
+    StrategyBuilder builder(sys->planner.get(), config.planner_threads);
+    auto strategy = builder.Build();
+    ASSERT_TRUE(strategy.ok());
+    blobs.push_back(Blob(*strategy, *sys->planner));
+    StrategyDelta delta;
+    delta.edits.push_back(edit);
+    System& next = generations.emplace_back();
+    ASSERT_TRUE(ApplyDelta(sys->topo, sys->workload, delta, &next.topo, &next.workload).ok());
+    next.MakePlanner(config);
+    sys = &next;
+  }
+  StrategyBuilder builder(sys->planner.get(), config.planner_threads);
+  auto last = builder.Build();
+  ASSERT_TRUE(last.ok());
+  blobs.push_back(Blob(*last, *sys->planner));
+
+  auto text = BuildStrategyUpdate(blobs[0], blobs[1], StrategyWireFormat::kV2Text);
+  auto image = BuildStrategyUpdate(blobs[0], blobs[1], StrategyWireFormat::kV4Binary);
+  auto next = BuildStrategyUpdate(blobs[1], blobs[2], StrategyWireFormat::kV2Text);
+  ASSERT_TRUE(text.ok() && image.ok() && next.ok());
+  ASSERT_NE(next->base_fp, next->target_fp);
+  for (uint32_t n = 0; n < text->base_slices.size(); ++n) {
+    const FallbackSlice* as_text = text->fallback_slice(n);
+    const FallbackSlice* as_image = image->fallback_slice(n);
+    ASSERT_TRUE(as_text != nullptr && as_image != nullptr) << "node " << n;
+    ASSERT_TRUE(fmt::IsV4Image(as_image->bytes)) << "node " << n;
+
+    InstallEngine from_text{NodeId(n)};
+    InstallEngine from_image{NodeId(n)};
+    ASSERT_TRUE(from_text.InstallFull(as_text->bytes, text->target_fp).ok()) << "node " << n;
+    ASSERT_TRUE(from_image.InstallFull(as_image->bytes, image->target_fp).ok()) << "node " << n;
+    EXPECT_EQ(from_image.slice(), from_text.slice()) << "node " << n;
+    EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
+
+    ASSERT_TRUE(from_text.ApplyPatch(next->patch_slices[n]).ok()) << "node " << n;
+    ASSERT_TRUE(from_image.ApplyPatch(next->patch_slices[n]).ok()) << "node " << n;
+    EXPECT_EQ(from_image.strategy_fingerprint(), next->target_fp) << "node " << n;
+    EXPECT_EQ(from_image.slice(), from_text.slice()) << "node " << n;
+    EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
   }
 }
 
