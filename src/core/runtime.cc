@@ -41,6 +41,10 @@ const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& 
   return ctx.strategy->LookupNearestCovered(faults);
 }
 
+}  // namespace
+
+namespace {
+
 // A shipped blob or slice in either wire form, as the canonical text it
 // encodes.
 StatusOr<std::string> ArtifactText(const std::string& artifact) {
@@ -191,7 +195,7 @@ void BtrRuntime::Start(uint64_t periods) {
         // A healed node rejoins the dissemination conversation: its stale
         // beacon makes neighbors reset their Trickle intervals and re-offer,
         // and its resume request picks the transfer up where it stopped.
-        nodes_[inj.node.value()]->WakeDissem();
+        nodes_[inj.node.value()]->WakeInstall();
       }
     });
   }
@@ -213,45 +217,38 @@ Status BtrRuntime::ScheduleStrategyInstall(SimTime at,
     return Status::InvalidArgument("strategy install: distributor outside the node universe");
   }
   update_ = std::move(update);
-  installed_at_.assign(nodes_.size(), kSimTimeNever);
   ctx_.sim->At(at, [this, distributor]() {
-    install_report_.started_at = ctx_.sim->Now();
-    // The base strategy was installed out of band before deployment (the
-    // paper's nodes boot with it on flash); seed the engines, no traffic.
+    install_started_at_ = ctx_.sim->Now();
+    // No shipments yet: every node's agent installs its base slice, the
+    // distributor applies its own patch locally, and every agent starts
+    // Trickle gossip; the distributor's beacons announce the target and
+    // neighbors pull, hop by hop.
     for (auto& node : nodes_) {
-      node->EnsureBaseInstalled(*update_);
-    }
-    nodes_[distributor.value()]->ApplyLocalInstall(*update_);
-    // No shipments yet: every node starts a Trickle agent; the
-    // distributor's beacons announce the target and neighbors pull, hop by
-    // hop.
-    for (auto& node : nodes_) {
-      node->StartGossip(distributor);
+      node->StartInstall(update_, distributor);
     }
   });
   return Status::Ok();
 }
 
-void BtrRuntime::NotifyInstalled(NodeId node) {
-  SimTime& at = installed_at_[node.value()];
-  at = std::min(at, ctx_.sim->Now());
-}
-
 const InstallRunReport& BtrRuntime::install_report() const {
-  install_report_final_ = install_report_;
+  InstallRunReport& report = install_report_;
+  report = InstallRunReport();
   if (update_ == nullptr) {
-    return install_report_final_;
+    return report;
   }
-  // Gossip counters: sums over the per-node agents, in node order — shard-
-  // layout invariant by construction.
+  report.started_at = install_started_at_;
+  // Sums over the per-node agents, in node order — shard-layout invariant
+  // by construction.
   for (const auto& node : nodes_) {
-    if (const DissemAgentStats* stats = node->gossip_stats()) {
-      install_report_final_.dissem.MergeFrom(*stats);
+    const InstallAgent& agent = node->install_agent();
+    if (const DissemAgentStats* stats = agent.gossip_stats()) {
+      report.dissem.MergeFrom(*stats);
     }
+    report.fallbacks += agent.local_fallbacks();
   }
-  install_report_final_.fallbacks += install_report_final_.dissem.fallbacks;
-  install_report_final_.patch_bytes_sent += install_report_final_.dissem.patch_payload_bytes;
-  install_report_final_.full_bytes_sent += install_report_final_.dissem.full_payload_bytes;
+  report.fallbacks += report.dissem.fallbacks;
+  report.patch_bytes_sent += report.dissem.patch_payload_bytes;
+  report.full_bytes_sent += report.dissem.full_payload_bytes;
   // Completion waits only for nodes no honest node convicted: the rest are
   // isolated, so no neighbor serves them. The set comes from the canonical
   // conviction list, so it is layout-invariant like the install times.
@@ -265,16 +262,17 @@ const InstallRunReport& BtrRuntime::install_report() const {
   SimTime last = -1;
   bool complete = true;
   for (size_t n = 0; n < nodes_.size(); ++n) {
-    const bool done = installed_at_[n] != kSimTimeNever;
+    const SimTime at = nodes_[n]->install_agent().installed_at();
+    const bool done = at != kSimTimeNever;
     installed += done ? 1 : 0;
     if (!isolated[n]) {
       complete = complete && done;
-      last = done ? std::max(last, installed_at_[n]) : last;
+      last = done ? std::max(last, at) : last;
     }
   }
-  install_report_final_.nodes_installed = installed;
-  install_report_final_.completed_at = complete && last >= 0 ? last : kSimTimeNever;
-  return install_report_final_;
+  report.nodes_installed = installed;
+  report.completed_at = complete && last >= 0 ? last : kSimTimeNever;
+  return report;
 }
 
 const NodeStats& BtrRuntime::node_stats(NodeId node) const {
@@ -383,7 +381,7 @@ NodeRuntime::NodeRuntime(BtrRuntime* owner, const RuntimeContext& ctx, NodeId id
       signer_(signer),
       validator_(ctx.keys, ctx.workload, ctx.config.validation),
       arena_(std::move(arena)),
-      install_(id),
+      install_(ctx, id, fault_set_, arena_),
       blame_(ctx.config.blame_threshold, ctx.config.blame_window_periods) {
   plan_ = LookupPlan(ctx_, FaultSet());
   // Each node reads time through its own (periodically resynchronized)
@@ -1069,73 +1067,46 @@ void NodeRuntime::OnPacket(const Packet& packet) {
       awaiting_state_.Erase(transfer.task.value());
       return;
     }
-    case PayloadKind::kDissemBeacon: {
-      HandleDissemBeacon(packet, static_cast<const DissemBeaconMessage&>(*packet.payload));
+    case PayloadKind::kDissemBeacon:
+      install_.HandleDissemBeacon(static_cast<const DissemBeaconMessage&>(*packet.payload));
       return;
-    }
-    case PayloadKind::kDissemRequest: {
-      HandleDissemRequest(packet, static_cast<const DissemRequestMessage&>(*packet.payload));
+    case PayloadKind::kDissemRequest:
+      install_.HandleDissemRequest(static_cast<const DissemRequestMessage&>(*packet.payload));
       return;
-    }
-    case PayloadKind::kDissemChunk: {
-      HandleDissemChunk(packet, static_cast<const DissemChunkMessage&>(*packet.payload));
+    case PayloadKind::kDissemChunk:
+      install_.HandleDissemChunk(packet, static_cast<const DissemChunkMessage&>(*packet.payload));
       return;
-    }
     case PayloadKind::kOther:
       return;  // foreign payload (baseline protocols, tests): not ours
   }
 }
 
-void NodeRuntime::EnsureBaseInstalled(const StrategyUpdate& update) {
-  if (install_.installed()) {
-    return;
-  }
-  const Status st = install_.InstallFull(update.base_slices[id_.value()], update.base_fp);
-  if (!st.ok()) {
-    BTR_LOG(kWarning, "install") << "node " << id_.value()
-                              << ": base slice install failed: " << st.ToString();
-  }
+void NodeRuntime::StartInstall(std::shared_ptr<const StrategyUpdate> update,
+                               NodeId distributor) {
+  install_.Start(std::move(update), distributor);
 }
 
-void NodeRuntime::ApplyLocalInstall(const StrategyUpdate& update) {
-  if (install_.strategy_fingerprint() == update.target_fp) {
-    return;
-  }
-  if (install_.ApplyPatch(update.patch_slices[id_.value()]).ok()) {
-    owner_->NotifyInstalled(id_);
-    return;
-  }
-  // Local fallback: the distributor carves its own full slice.
-  ++owner_->install_report_.fallbacks;
-  const FallbackSlice* slice = update.fallback_slice(id_.value());
-  if (slice != nullptr && install_.InstallFull(slice->bytes, update.target_fp).ok()) {
-    owner_->NotifyInstalled(id_);
-  }
-}
+void NodeRuntime::WakeInstall() { install_.Wake(); }
 
 // ---------------------------------------------------------------------------
-// Gossip dissemination (Trickle agents; see src/net/dissemination.h)
+// InstallAgent: Trickle gossip (see src/net/dissemination.h)
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::StartGossip(NodeId distributor) {
-  DissemConfig config = ctx_.config.dissem;
-  if (config.beacon_period <= 0) {
-    // Default beat: one workload period — beacons ride the same cadence the
-    // omission detector already tolerates.
-    config.beacon_period = ctx_.workload->period();
+InstallAgent::InstallAgent(const RuntimeContext& ctx, NodeId id, const FaultSet& convicted,
+                           std::shared_ptr<BlockPool> arena)
+    : ctx_(ctx), id_(id), convicted_(convicted), arena_(std::move(arena)), engine_(id) {}
+
+void InstallAgent::Start(std::shared_ptr<const StrategyUpdate> update, NodeId distributor) {
+  update_ = std::move(update);
+  installed_at_ = kSimTimeNever;
+  EnsureBaseInstalled();
+  if (id_ == distributor) {
+    ApplyLocalInstall();
   }
-  gossip_ = std::make_unique<GossipSession>(config, id_.value(), owner_->update_->target_fp);
-  gossip_->relay = id_ == distributor;
-  gossip_->busy_links.assign(ctx_.topo->link_count(), 0);
-  gossip_->serving_to.assign(ctx_.topo->node_count(), 0);
-  if (Crashed()) {
-    return;  // the agent starts dormant; the heal event wakes it
-  }
-  gossip_->timer.Start(ctx_.sim->Now());
-  ScheduleTrickle();
+  StartGossip(distributor);
 }
 
-void NodeRuntime::WakeDissem() {
+void InstallAgent::Wake() {
   if (gossip_ == nullptr || gossip_->gave_up || Crashed()) {
     return;
   }
@@ -1146,23 +1117,79 @@ void NodeRuntime::WakeDissem() {
   ResetTrickle();
 }
 
-const DissemAgentStats* NodeRuntime::gossip_stats() const {
+const DissemAgentStats* InstallAgent::gossip_stats() const {
   return gossip_ != nullptr ? &gossip_->stats : nullptr;
 }
 
-bool NodeRuntime::DissemSilenced() const {
-  const FaultInjection* fault = ActiveFault();
+// The base strategy was installed out of band before deployment (the
+// paper's nodes boot with it on flash): seed the engine, no traffic.
+void InstallAgent::EnsureBaseInstalled() {
+  if (engine_.installed()) {
+    return;
+  }
+  const Status st = engine_.InstallFull(update_->base_slices[id_.value()], update_->base_fp);
+  if (!st.ok()) {
+    BTR_LOG(kWarning, "install") << "node " << id_.value()
+                              << ": base slice install failed: " << st.ToString();
+  }
+}
+
+void InstallAgent::ApplyLocalInstall() {
+  if (engine_.strategy_fingerprint() == update_->target_fp) {
+    return;
+  }
+  if (engine_.ApplyPatch(update_->patch_slices[id_.value()]).ok()) {
+    NoteInstalled();
+    return;
+  }
+  // Local fallback: the distributor carves its own full slice.
+  ++local_fallbacks_;
+  const FallbackSlice* slice = update_->fallback_slice(id_.value());
+  if (slice != nullptr && engine_.InstallFull(slice->bytes, update_->target_fp).ok()) {
+    NoteInstalled();
+  }
+}
+
+void InstallAgent::NoteInstalled() { installed_at_ = std::min(installed_at_, ctx_.sim->Now()); }
+
+void InstallAgent::StartGossip(NodeId distributor) {
+  DissemConfig config = ctx_.config.dissem;
+  if (config.beacon_period <= 0) {
+    // Default beat: one workload period — beacons ride the same cadence the
+    // omission detector already tolerates.
+    config.beacon_period = ctx_.workload->period();
+  }
+  gossip_ = std::make_unique<GossipSession>(config, id_.value(), update_->target_fp);
+  gossip_->relay = id_ == distributor;
+  gossip_->busy_links.assign(ctx_.topo->link_count(), 0);
+  gossip_->serving_to.assign(ctx_.topo->node_count(), 0);
+  if (Crashed()) {
+    return;  // the agent starts dormant; the heal event wakes it
+  }
+  gossip_->timer.Start(ctx_.sim->Now());
+  ScheduleTrickle();
+}
+
+bool InstallAgent::Crashed() const {
+  const FaultInjection* fault = ctx_.adversary->ActiveOn(id_, ctx_.sim->Now());
+  return fault != nullptr && fault->behavior == FaultBehavior::kCrash;
+}
+
+// An active fault (other than delay / value corruption) silences this
+// node's dissemination sends, mirroring the heartbeat discipline.
+bool InstallAgent::DissemSilenced() const {
+  const FaultInjection* fault = ctx_.adversary->ActiveOn(id_, ctx_.sim->Now());
   return fault != nullptr && fault->behavior != FaultBehavior::kDelay &&
          fault->behavior != FaultBehavior::kValueCorruption;
 }
 
-uint64_t NodeRuntime::DissemAnnounceFp() const { return install_.strategy_fingerprint(); }
+uint64_t InstallAgent::DissemAnnounceFp() const { return engine_.strategy_fingerprint(); }
 
-bool NodeRuntime::DissemInstalled() const {
-  return gossip_ != nullptr && install_.strategy_fingerprint() == gossip_->target_fp;
+bool InstallAgent::DissemInstalled() const {
+  return gossip_ != nullptr && engine_.strategy_fingerprint() == gossip_->target_fp;
 }
 
-void NodeRuntime::ScheduleTrickle() {
+void InstallAgent::ScheduleTrickle() {
   const uint32_t gen = ++gossip_->timer_generation;
   ctx_.sim->AtActor(id_.value(), gossip_->timer.fire_at(),
                     [this, gen]() { OnTrickleFire(gen); });
@@ -1170,7 +1197,7 @@ void NodeRuntime::ScheduleTrickle() {
                     [this, gen]() { OnTrickleEnd(gen); });
 }
 
-void NodeRuntime::OnTrickleFire(uint32_t generation) {
+void InstallAgent::OnTrickleFire(uint32_t generation) {
   if (gossip_ == nullptr || generation != gossip_->timer_generation ||
       !gossip_->timer.running()) {
     return;
@@ -1195,7 +1222,7 @@ void NodeRuntime::OnTrickleFire(uint32_t generation) {
   }
 }
 
-void NodeRuntime::OnTrickleEnd(uint32_t generation) {
+void InstallAgent::OnTrickleEnd(uint32_t generation) {
   if (gossip_ == nullptr || generation != gossip_->timer_generation ||
       !gossip_->timer.running()) {
     return;
@@ -1211,7 +1238,7 @@ void NodeRuntime::OnTrickleEnd(uint32_t generation) {
   // what lets the simulation drain after convergence.
 }
 
-void NodeRuntime::ResetTrickle() {
+void InstallAgent::ResetTrickle() {
   if (gossip_ == nullptr || gossip_->gave_up) {
     return;
   }
@@ -1224,10 +1251,10 @@ void NodeRuntime::ResetTrickle() {
   }
 }
 
-void NodeRuntime::SendDissemBeacon() {
+void InstallAgent::SendDissemBeacon() {
   std::shared_ptr<const DissemBeaconMessage> beacon;
   for (NodeId n : ctx_.topo->Neighbors(id_)) {
-    if (fault_set_.Contains(n)) {
+    if (convicted_.Contains(n)) {
       continue;
     }
     if (beacon == nullptr) {
@@ -1243,8 +1270,7 @@ void NodeRuntime::SendDissemBeacon() {
   }
 }
 
-void NodeRuntime::HandleDissemBeacon(const Packet& packet, const DissemBeaconMessage& msg) {
-  (void)packet;
+void InstallAgent::HandleDissemBeacon(const DissemBeaconMessage& msg) {
   if (gossip_ == nullptr || msg.target_fp != gossip_->target_fp) {
     return;
   }
@@ -1262,7 +1288,7 @@ void NodeRuntime::HandleDissemBeacon(const Packet& packet, const DissemBeaconMes
   }
 }
 
-void NodeRuntime::SendDissemRequest(NodeId to) {
+void InstallAgent::SendDissemRequest(NodeId to) {
   GossipSession& g = *gossip_;
   // Resume only when the partial transfer matches the artifact family we
   // would request now; otherwise restart from chunk 0.
@@ -1284,7 +1310,7 @@ void NodeRuntime::SendDissemRequest(NodeId to) {
                     [this, attempt]() { CheckDissemProgress(attempt); });
 }
 
-void NodeRuntime::CheckDissemProgress(uint32_t attempt) {
+void InstallAgent::CheckDissemProgress(uint32_t attempt) {
   if (gossip_ == nullptr || attempt != gossip_->request_attempt) {
     return;  // superseded by a newer request
   }
@@ -1305,8 +1331,7 @@ void NodeRuntime::CheckDissemProgress(uint32_t attempt) {
   ResetTrickle();
 }
 
-void NodeRuntime::HandleDissemRequest(const Packet& packet, const DissemRequestMessage& msg) {
-  (void)packet;
+void InstallAgent::HandleDissemRequest(const DissemRequestMessage& msg) {
   if (gossip_ == nullptr || msg.target_fp != gossip_->target_fp) {
     return;
   }
@@ -1335,7 +1360,7 @@ void NodeRuntime::HandleDissemRequest(const Packet& packet, const DissemRequestM
   MaybeServeNext();
 }
 
-LinkId NodeRuntime::LinkToNeighbor(NodeId peer) const {
+LinkId InstallAgent::LinkToNeighbor(NodeId peer) const {
   for (LinkId link : ctx_.topo->LinksAt(id_)) {
     if (ctx_.topo->Attaches(link, peer)) {
       return link;
@@ -1350,8 +1375,8 @@ LinkId NodeRuntime::LinkToNeighbor(NodeId peer) const {
 // the shared StrategyUpdate models exactly that without holding N copies of
 // identical bytes per node; a fallback slice is carved there on its first
 // request.
-const std::string* NodeRuntime::DissemArtifact(DissemContent content, NodeId to) const {
-  const StrategyUpdate* update = owner_->update_.get();
+const std::string* InstallAgent::DissemArtifact(DissemContent content, NodeId to) const {
+  const StrategyUpdate* update = update_.get();
   if (update == nullptr) {
     return nullptr;
   }
@@ -1371,7 +1396,7 @@ const std::string* NodeRuntime::DissemArtifact(DissemContent content, NodeId to)
   return nullptr;
 }
 
-void NodeRuntime::MaybeServeNext() {
+void InstallAgent::MaybeServeNext() {
   if (gossip_ == nullptr) {
     return;
   }
@@ -1400,13 +1425,13 @@ void NodeRuntime::MaybeServeNext() {
       }
       switch (serve.content) {
         case DissemContent::kPatchFull:
-          serve.content_fp = owner_->update_->patch_full_fp;
+          serve.content_fp = update_->patch_full_fp;
           break;
         case DissemContent::kBlobFull:
-          serve.content_fp = owner_->update_->target_blob_fp;
+          serve.content_fp = update_->target_blob_fp;
           break;
         case DissemContent::kBlobSlice:
-          serve.content_fp = owner_->update_->fallback_slice(serve.to.value())->fp;
+          serve.content_fp = update_->fallback_slice(serve.to.value())->fp;
           break;
         case DissemContent::kPatchSlice:
           serve.content_fp = FingerprintStrategyText(*artifact);
@@ -1433,14 +1458,14 @@ void NodeRuntime::MaybeServeNext() {
   }
 }
 
-void NodeRuntime::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan) {
+void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan) {
   if (gossip_ == nullptr) {
     return;
   }
   GossipSession& g = *gossip_;
   const std::string* artifact = DissemArtifact(serve.content, serve.to);
   const bool done = artifact == nullptr || seq >= plan.total;
-  const bool aborted = Crashed() || DissemSilenced() || fault_set_.Contains(serve.to);
+  const bool aborted = Crashed() || DissemSilenced() || convicted_.Contains(serve.to);
   if (done || aborted) {
     g.busy_links[serve.link.value()] = 0;
     g.serving_to[serve.to.value()] = 0;
@@ -1481,13 +1506,13 @@ void NodeRuntime::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan pl
                     [this, serve, seq, plan]() { SendDissemChunk(serve, seq + 1, plan); });
 }
 
-void NodeRuntime::HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg) {
+void InstallAgent::HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg) {
   if (gossip_ == nullptr || msg.target_fp != gossip_->target_fp) {
     return;
   }
   GossipSession& g = *gossip_;
   g.timer.NoteActivity();
-  install_.CountReceivedBytes(packet.size_bytes);
+  engine_.CountReceivedBytes(packet.size_bytes);
   if (DissemInstalled() || g.gave_up) {
     return;  // late duplicates
   }
@@ -1518,17 +1543,17 @@ void NodeRuntime::HandleDissemChunk(const Packet& packet, const DissemChunkMessa
   ApplyDissemArtifact(msg);
 }
 
-Status NodeRuntime::InstallDissemArtifact(DissemContent content, const std::string& text) {
+Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::string& text) {
   switch (content) {
     case DissemContent::kPatchSlice:
-      return install_.ApplyPatch(text);
+      return engine_.ApplyPatch(text);
     case DissemContent::kPatchFull: {
       StatusOr<StrategyPatch> patch = ParsePatchArtifact(text);
       if (!patch.ok()) {
         return patch.status();
       }
       StatusOr<std::string> sliced = SaveStrategyPatchSlice(*patch, id_.value());
-      return sliced.ok() ? install_.ApplyPatch(*sliced) : sliced.status();
+      return sliced.ok() ? engine_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {
       StatusOr<std::string> blob = ArtifactText(text);
@@ -1536,15 +1561,15 @@ Status NodeRuntime::InstallDissemArtifact(DissemContent content, const std::stri
         return blob.status();
       }
       StatusOr<std::string> carved = ExtractSlice(*blob, id_.value());
-      return carved.ok() ? install_.InstallFull(*carved, gossip_->target_fp) : carved.status();
+      return carved.ok() ? engine_.InstallFull(*carved, gossip_->target_fp) : carved.status();
     }
     case DissemContent::kBlobSlice:
-      return install_.InstallFull(text, gossip_->target_fp);
+      return engine_.InstallFull(text, gossip_->target_fp);
   }
   return Status::InvalidArgument("unknown artifact kind");
 }
 
-void NodeRuntime::ApplyDissemArtifact(const DissemChunkMessage& msg) {
+void InstallAgent::ApplyDissemArtifact(const DissemChunkMessage& msg) {
   GossipSession& g = *gossip_;
   // Content-verify before touching the engine (the fingerprint chain alone
   // cannot catch a flipped byte). The network never alters payloads, so a
@@ -1559,7 +1584,7 @@ void NodeRuntime::ApplyDissemArtifact(const DissemChunkMessage& msg) {
       g.relay = true;  // we hold a verified full artifact and can re-carve it
     }
     g.announce_install = true;
-    owner_->NotifyInstalled(id_);
+    NoteInstalled();
     // Fresh version on board: reset so the next hop hears about it quickly.
     ResetTrickle();
     return;

@@ -188,6 +188,91 @@ inline constexpr uint32_t kInstallNackBytes = 24;
 static_assert(kInstallNackBytes == kDissemRequestBytes,
               "the frame floor is the smallest protocol message");
 
+struct RuntimeContext;
+
+// A node's install plane: its InstallEngine and, during a rollout, its
+// Trickle gossip agent (src/net/dissemination.h). The agent derives its
+// node's crash and silence from the AdversarySpec and sees the node's
+// convictions through a read-only fault set. BtrRuntime reads install
+// times, local fallbacks and gossip stats back from the agents, so the
+// agent holds no pointer back to it.
+class InstallAgent {
+ public:
+  // `convicted` is the owning node's fault set; it must outlive the agent.
+  InstallAgent(const RuntimeContext& ctx, NodeId id, const FaultSet& convicted,
+               std::shared_ptr<BlockPool> arena);
+
+  const InstallEngine& engine() const { return engine_; }
+  // When the engine reached the active rollout's target; kSimTimeNever
+  // until then. Written only by this node's shard, so reports built from
+  // it are layout-invariant.
+  SimTime installed_at() const { return installed_at_; }
+  // Full-slice installs after the distributor's own patch failed.
+  size_t local_fallbacks() const { return local_fallbacks_; }
+  // Agent stats for report aggregation; null when no gossip session ran.
+  const DissemAgentStats* gossip_stats() const;
+
+  // Rollout start: seeds the engine with this node's base slice (the
+  // pre-deployment install, no traffic), runs the distributor's own install
+  // locally (no network hop for itself), and starts the Trickle agent.
+  void Start(std::shared_ptr<const StrategyUpdate> update, NodeId distributor);
+  // Revives a dormant agent — the runtime's heal events poke a healed node
+  // back into the conversation, which is what makes catch-up resumable.
+  void Wake();
+
+  // The three dissemination payloads, forwarded by NodeRuntime::OnPacket.
+  void HandleDissemBeacon(const DissemBeaconMessage& msg);
+  void HandleDissemRequest(const DissemRequestMessage& msg);
+  void HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg);
+
+ private:
+  // Pooled payload construction (freelist arena shared across nodes).
+  template <typename T, typename... Args>
+  std::shared_ptr<T> NewPayload(Args&&... args) {
+    return MakePooled<T>(arena_, std::forward<Args>(args)...);
+  }
+
+  void EnsureBaseInstalled();
+  void ApplyLocalInstall();
+  void NoteInstalled();
+  void StartGossip(NodeId distributor);
+  bool Crashed() const;
+  // An active fault (other than delay / value corruption) silences this
+  // node's dissemination sends, mirroring the heartbeat discipline.
+  bool DissemSilenced() const;
+  uint64_t DissemAnnounceFp() const;  // what our beacon would announce
+  bool DissemInstalled() const;
+  void ScheduleTrickle();
+  void OnTrickleFire(uint32_t generation);
+  void OnTrickleEnd(uint32_t generation);
+  // Inconsistency observed (or a wake-up): restart the Trickle interval.
+  void ResetTrickle();
+  void SendDissemBeacon();
+  void SendDissemRequest(NodeId to);
+  void CheckDissemProgress(uint32_t attempt);
+  // Serving: one active transfer per link; a completed serve re-scans the
+  // queue.
+  void MaybeServeNext();
+  void SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan);
+  // Resolves the artifact a serve ships. Returns null if unavailable.
+  const std::string* DissemArtifact(DissemContent content, NodeId to) const;
+  // Content-verifies and installs a completed transfer, falling back from a
+  // bad patch to the blob artifact and giving up on a bad blob.
+  void ApplyDissemArtifact(const DissemChunkMessage& msg);
+  Status InstallDissemArtifact(DissemContent content, const std::string& text);
+  LinkId LinkToNeighbor(NodeId peer) const;
+
+  const RuntimeContext& ctx_;
+  NodeId id_;
+  const FaultSet& convicted_;
+  std::shared_ptr<BlockPool> arena_;  // payload freelist (the node's)
+  InstallEngine engine_;              // installed-strategy state
+  std::shared_ptr<const StrategyUpdate> update_;  // active rollout
+  std::unique_ptr<GossipSession> gossip_;         // per-rollout Trickle agent
+  SimTime installed_at_ = kSimTimeNever;
+  size_t local_fallbacks_ = 0;
+};
+
 // Shared, immutable-during-run context.
 struct RuntimeContext {
   Simulator* sim = nullptr;
@@ -248,8 +333,6 @@ class BtrRuntime {
  private:
   friend class NodeRuntime;
   void RecordConviction(const ConvictionEvent& event);
-  // Install plane: completion tracking.
-  void NotifyInstalled(NodeId node);
 
   RuntimeContext ctx_;
   // Freelist arenas for message payloads, one per shard: a node's payloads
@@ -266,15 +349,11 @@ class BtrRuntime {
   };
   std::vector<ConvictionShard> conviction_shards_;
   mutable std::vector<ConvictionEvent> convictions_merged_;
-  // Per-node install time (kSimTimeNever until the node reaches the
-  // target). NotifyInstalled runs on the installing node's shard and writes
-  // only that node's slot, so the report built from it is layout-invariant.
-  std::vector<SimTime> installed_at_;
-  mutable InstallRunReport install_report_final_;
   uint64_t periods_ = 0;
   // Active strategy rollout (install plane), if any.
   std::shared_ptr<const StrategyUpdate> update_;
-  InstallRunReport install_report_;
+  SimTime install_started_at_ = kSimTimeNever;
+  mutable InstallRunReport install_report_;  // rebuilt on every read
 };
 
 class NodeRuntime {
@@ -286,7 +365,7 @@ class NodeRuntime {
   const NodeStats& stats() const { return stats_; }
   const FaultSet& fault_set() const { return fault_set_; }
   const Plan* current_plan() const { return plan_; }
-  const InstallEngine& install_engine() const { return install_; }
+  const InstallAgent& install_agent() const { return install_; }
 
   // Graceful-degradation tallies: what happened when this node's observed
   // fault set exceeded the planned-for f (see Convict). Node-local and
@@ -305,19 +384,10 @@ class NodeRuntime {
   // Network delivery callback.
   void OnPacket(const Packet& packet);
 
-  // Install plane, called by BtrRuntime when a rollout starts: seeds the
-  // engine with this node's base slice (pre-deployment install), and runs
-  // the distributor's own install locally (no network hop for itself).
-  void EnsureBaseInstalled(const StrategyUpdate& update);
-  void ApplyLocalInstall(const StrategyUpdate& update);
-
-  // Starts this node's Trickle agent for the active rollout. WakeDissem
-  // revives a dormant agent — the runtime's heal events poke a healed node
-  // back into the conversation, which is what makes catch-up resumable.
-  void StartGossip(NodeId distributor);
-  void WakeDissem();
-  // Agent stats for report aggregation; null when no gossip session ran.
-  const DissemAgentStats* gossip_stats() const;
+  // Install plane, forwarded to the node's InstallAgent: rollout start and
+  // the heal-time wake-up.
+  void StartInstall(std::shared_ptr<const StrategyUpdate> update, NodeId distributor);
+  void WakeInstall();
 
  private:
   struct ReceivedInput {
@@ -368,35 +438,6 @@ class NodeRuntime {
   void AdoptPlan(const Plan* plan, uint64_t at_period);
   void RequestMigrationState(const Plan* old_plan, const Plan* new_plan);
 
-  // --- gossip dissemination (the install plane) ---
-  // An active fault (other than delay / value corruption) silences this
-  // node's dissemination sends, mirroring the heartbeat discipline.
-  bool DissemSilenced() const;
-  uint64_t DissemAnnounceFp() const;  // what our beacon would announce
-  bool DissemInstalled() const;
-  void ScheduleTrickle();
-  void OnTrickleFire(uint32_t generation);
-  void OnTrickleEnd(uint32_t generation);
-  // Inconsistency observed (or a wake-up): restart the Trickle interval.
-  void ResetTrickle();
-  void SendDissemBeacon();
-  void HandleDissemBeacon(const Packet& packet, const DissemBeaconMessage& msg);
-  void HandleDissemRequest(const Packet& packet, const DissemRequestMessage& msg);
-  void HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg);
-  void SendDissemRequest(NodeId to);
-  void CheckDissemProgress(uint32_t attempt);
-  // Serving: one active transfer per link; a completed serve re-scans the
-  // queue.
-  void MaybeServeNext();
-  void SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan);
-  // Resolves the artifact a serve ships. Returns null if unavailable.
-  const std::string* DissemArtifact(DissemContent content, NodeId to) const;
-  // Content-verifies and installs a completed transfer, falling back from a
-  // bad patch to the blob artifact and giving up on a bad blob.
-  void ApplyDissemArtifact(const DissemChunkMessage& msg);
-  Status InstallDissemArtifact(DissemContent content, const std::string& text);
-  LinkId LinkToNeighbor(NodeId peer) const;
-
   bool StateReady(TaskId task) const;
 
   BtrRuntime* owner_;
@@ -407,8 +448,7 @@ class NodeRuntime {
   LocalClock clock_;
   std::shared_ptr<BlockPool> arena_;  // payload freelist (shared, see owner)
 
-  InstallEngine install_;               // installed-strategy state (install plane)
-  std::unique_ptr<GossipSession> gossip_;  // per-rollout Trickle agent
+  InstallAgent install_;                // install plane
   const Plan* plan_ = nullptr;          // active plan
   const Plan* pending_plan_ = nullptr;  // adopted at next period boundary
   FaultSet fault_set_;
