@@ -54,7 +54,7 @@ struct Options {
   uint32_t f = 1;
   int64_t recovery_ms = 500;
   uint64_t periods = 200;
-  std::optional<uint32_t> shards;  // overrides the spec; default = auto
+  std::optional<uint32_t> shards;  // overrides the spec; default = one shard
   std::optional<int64_t> beacon_us;
   std::optional<uint32_t> suppress_k;
   std::optional<std::string> pace_fraction;

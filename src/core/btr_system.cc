@@ -117,7 +117,6 @@ Status BtrSystem::Plan() {
     return strategy.status();
   }
   strategy_ = std::make_shared<const Strategy>(std::move(strategy).value());
-  strategy_index_ = StrategyIndex(*strategy_);
   planned_ = true;
   return Status::Ok();
 }
@@ -147,7 +146,6 @@ Status BtrSystem::AdoptStrategy(std::shared_ptr<const Strategy> strategy) {
     return Status::InvalidArgument("AdoptStrategy: scenario fingerprint mismatch");
   }
   strategy_ = std::move(strategy);
-  strategy_index_ = StrategyIndex(*strategy_);
   planned_ = true;
   return Status::Ok();
 }
@@ -215,7 +213,6 @@ void BtrSystem::CommitStaged() {
   scenario_ = std::move(staged_->scenario);
   planner_ = std::move(staged_->planner);
   strategy_ = std::make_shared<const Strategy>(std::move(staged_->strategy));
-  strategy_index_ = StrategyIndex(*strategy_);
   staged_.reset();
 }
 
@@ -252,10 +249,8 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   // be too.
   NetworkConfig netcfg = config_.planner.network;
   netcfg.min_frame_bytes = std::max(netcfg.min_frame_bytes, kInstallNackBytes);
-  const uint32_t shards =
-      config_.shards != 0 ? config_.shards
-                          : (scenario_->topology.node_count() < 16 ? 1 : 8);
-  const ShardLayout layout = PartitionTopology(scenario_->topology, shards, netcfg);
+  const ShardLayout layout =
+      PartitionTopology(scenario_->topology, std::max(config_.shards, 1u), netcfg);
 
   Simulator sim(config_.seed, layout);
   Network network(&sim, &scenario_->topology, netcfg);
@@ -278,7 +273,6 @@ StatusOr<RunReport> BtrSystem::Run(uint64_t periods) {
   ctx.workload = &scenario_->workload;
   ctx.graph = &planner_->graph();
   ctx.strategy = strategy_.get();
-  ctx.strategy_index = &strategy_index_;
   ctx.planner = planner_.get();
   ctx.keys = &keys;
   ctx.adversary = &adversary_;

@@ -49,9 +49,11 @@ struct BtrConfig {
   PlannerConfig planner;
   RuntimeConfig runtime;
   uint64_t seed = 1;
-  // Simulation shards (parallel data plane). 0 = auto (1 for small
-  // scenarios, 8 for >= 16 nodes). Reports are byte-identical for every
-  // value — sharding is a speed knob, never a semantics knob.
+  // Simulation shards (parallel data plane); 0 means one. More shards pay
+  // a threaded window handshake per lookahead, which costs more than it
+  // saves on the scenarios measured so far, so the default is one shard.
+  // Reports are byte-identical for every value — sharding is a speed
+  // knob, never a semantics knob.
   uint32_t shards = 0;
   // Serialization strategy shipments travel in (see strategy_patch.h).
   // The fingerprint chain stays in the text domain either way, so which
@@ -177,8 +179,6 @@ class BtrSystem {
   // service inserts this into its cache after Plan(). Empty strategy (not
   // null) before planning.
   std::shared_ptr<const Strategy> shared_strategy() const { return strategy_; }
-  // O(1) fault-set -> plan index over the strategy (valid after Plan()).
-  const StrategyIndex& strategy_index() const { return strategy_index_; }
   const Planner& planner() const { return *planner_; }
   const AdversarySpec& adversary() const { return adversary_; }
   const BtrConfig& config() const { return config_; }
@@ -212,7 +212,6 @@ class BtrSystem {
   // Edits never do — ApplyDelta rebuilds into a *new* strategy (sharing
   // unchanged immutable bodies) and swaps the pointer at commit.
   std::shared_ptr<const Strategy> strategy_ = std::make_shared<Strategy>();
-  StrategyIndex strategy_index_;
   AdversarySpec adversary_;
   bool planned_ = false;
   std::unique_ptr<StagedDelta> staged_;

@@ -410,13 +410,6 @@ void InstallAgent::MaybeServeNext() {
       g.serve_queue.erase(g.serve_queue.begin() + static_cast<ptrdiff_t>(i));
       progress = true;
       const std::string* artifact = DissemArtifact(serve.content, serve.to);
-      if ((artifact == nullptr || artifact->empty()) &&
-          serve.content == DissemContent::kPatchFull) {
-        // A hand-built update without the unsliced patch text: downgrade to
-        // the per-node slice (the requester installs but cannot relay).
-        serve.content = DissemContent::kPatchSlice;
-        artifact = DissemArtifact(serve.content, serve.to);
-      }
       if (artifact == nullptr || artifact->empty()) {
         g.serving_to[serve.to.value()] = 0;
         break;  // rollout torn down; drop the serve

@@ -258,20 +258,15 @@ const Plan* Strategy::Lookup(const FaultSet& faults) const {
   return it->second;
 }
 
-namespace {
-
-// Shared nearest-covered walk (Strategy::LookupNearestCovered and
-// StrategyIndex::FindNearestCovered). Subset sizes are tried largest
-// first; within a size, subsets of the sorted node list are enumerated in
-// lexicographic order, so the first planned subset found is a pure
-// function of the fault set — every honest node converges on the same
-// fallback mode with no agreement round. The walk is exponential in the
-// fault-set size in the worst case, but it only runs on beyond-f sets,
-// which exceed f by however many extra faults actually manifested — a
-// handful of nodes, not the fleet.
-template <typename LookupFn>
-const Plan* NearestCovered(const FaultSet& faults, const LookupFn& lookup) {
-  if (const Plan* exact = lookup(faults)) {
+// Subset sizes are tried largest first; within a size, subsets of the
+// sorted node list are enumerated in lexicographic order, so the first
+// planned subset found is a pure function of the fault set — every honest
+// node converges on the same fallback mode with no agreement round. The
+// walk is exponential in the fault-set size in the worst case, but it only
+// runs on beyond-f sets, which exceed f by however many extra faults
+// actually manifested — a handful of nodes, not the fleet.
+const Plan* Strategy::LookupNearestCovered(const FaultSet& faults) const {
+  if (const Plan* exact = Lookup(faults)) {
     return exact;
   }
   const std::vector<NodeId>& nodes = faults.nodes();
@@ -279,7 +274,7 @@ const Plan* NearestCovered(const FaultSet& faults, const LookupFn& lookup) {
   std::vector<NodeId> subset;
   for (size_t size = nodes.size(); size-- > 0;) {
     if (size == 0) {
-      return lookup(FaultSet());
+      return Lookup(FaultSet());
     }
     pick.resize(size);
     for (size_t i = 0; i < size; ++i) {
@@ -290,7 +285,7 @@ const Plan* NearestCovered(const FaultSet& faults, const LookupFn& lookup) {
       for (uint32_t i : pick) {
         subset.push_back(nodes[i]);
       }
-      if (const Plan* p = lookup(FaultSet(subset))) {
+      if (const Plan* p = Lookup(FaultSet(subset))) {
         return p;
       }
       // Next combination in lexicographic order.
@@ -311,12 +306,6 @@ const Plan* NearestCovered(const FaultSet& faults, const LookupFn& lookup) {
   next_size:;
   }
   return nullptr;
-}
-
-}  // namespace
-
-const Plan* Strategy::LookupNearestCovered(const FaultSet& faults) const {
-  return NearestCovered(faults, [this](const FaultSet& fs) { return Lookup(fs); });
 }
 
 double Strategy::DedupRatio() const {
@@ -379,45 +368,6 @@ std::vector<FaultSet> Strategy::PlannedSets() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-StrategyIndex::StrategyIndex(const Strategy& strategy) {
-  count_ = strategy.mode_count();
-  size_t capacity = 16;
-  while (capacity < count_ * 2) {
-    capacity *= 2;
-  }
-  slots_.assign(capacity, Slot());
-  const size_t mask = capacity - 1;
-  for (const FaultSet& faults : strategy.PlannedSets()) {
-    const Plan* plan = strategy.Lookup(faults);
-    const uint64_t hash = faults.Hash();
-    size_t i = static_cast<size_t>(hash) & mask;
-    while (slots_[i].plan != nullptr) {
-      i = (i + 1) & mask;
-    }
-    slots_[i] = Slot{hash, plan};
-  }
-}
-
-const Plan* StrategyIndex::Find(const FaultSet& faults) const {
-  if (slots_.empty()) {
-    return nullptr;
-  }
-  const size_t mask = slots_.size() - 1;
-  const uint64_t hash = faults.Hash();
-  size_t i = static_cast<size_t>(hash) & mask;
-  while (slots_[i].plan != nullptr) {
-    if (slots_[i].hash == hash && slots_[i].plan->faults == faults) {
-      return slots_[i].plan;
-    }
-    i = (i + 1) & mask;
-  }
-  return nullptr;
-}
-
-const Plan* StrategyIndex::FindNearestCovered(const FaultSet& faults) const {
-  return NearestCovered(faults, [this](const FaultSet& fs) { return Find(fs); });
 }
 
 }  // namespace btr

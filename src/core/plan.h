@@ -280,33 +280,6 @@ class Strategy {
   StrategyProvenance provenance_;
 };
 
-// Immutable O(1) fault-set -> plan index for the runtime's recovery hot
-// path: a flat, open-addressed probe table with no per-lookup allocation.
-// Built once from a finished Strategy, which must outlive the index.
-class StrategyIndex {
- public:
-  StrategyIndex() = default;
-  explicit StrategyIndex(const Strategy& strategy);
-
-  // O(1) expected; nullptr if the fault set was not planned for.
-  const Plan* Find(const FaultSet& faults) const;
-
-  // Nearest covered mode (same contract as Strategy::LookupNearestCovered):
-  // largest planned subset, lexicographic-first tie-break.
-  const Plan* FindNearestCovered(const FaultSet& faults) const;
-
-  size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
- private:
-  struct Slot {
-    uint64_t hash = 0;
-    const Plan* plan = nullptr;
-  };
-  std::vector<Slot> slots_;  // power-of-two capacity, linear probing
-  size_t count_ = 0;
-};
-
 }  // namespace btr
 
 #endif  // BTR_SRC_CORE_PLAN_H_

@@ -21,24 +21,6 @@ constexpr uint64_t kBufferHorizon = 4;
 // for a chunk go through the KeyStore in one pass).
 constexpr size_t kVerifyChunk = 8;
 
-// Plan lookup on the recovery path: the flat O(1) index when the caller
-// provided one, the strategy's own (hashed) lookup otherwise.
-const Plan* LookupPlan(const RuntimeContext& ctx, const FaultSet& faults) {
-  if (ctx.strategy_index != nullptr) {
-    return ctx.strategy_index->Find(faults);
-  }
-  return ctx.strategy->Lookup(faults);
-}
-
-// Beyond-f fallback: the nearest covered mode (largest planned subset of
-// `faults`, lexicographic-first tie-break — see plan.h).
-const Plan* LookupNearestCoveredPlan(const RuntimeContext& ctx, const FaultSet& faults) {
-  if (ctx.strategy_index != nullptr) {
-    return ctx.strategy_index->FindNearestCovered(faults);
-  }
-  return ctx.strategy->LookupNearestCovered(faults);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -72,7 +54,7 @@ BtrRuntime::~BtrRuntime() = default;
 
 void BtrRuntime::Start(uint64_t periods) {
   periods_ = periods;
-  const Plan* root = LookupPlan(ctx_, FaultSet());
+  const Plan* root = ctx_.strategy->Lookup(FaultSet());
   assert(root != nullptr && "strategy must contain the fault-free plan");
   ctx_.network->SetRouting(root->routing);
 
@@ -305,7 +287,7 @@ NodeRuntime::NodeRuntime(BtrRuntime* owner, const RuntimeContext& ctx, NodeId id
       arena_(std::move(arena)),
       install_(ctx, id, fault_set_, arena_),
       blame_(ctx.config.blame_threshold, ctx.config.blame_window_periods) {
-  plan_ = LookupPlan(ctx_, FaultSet());
+  plan_ = ctx_.strategy->Lookup(FaultSet());
   // Each node reads time through its own (periodically resynchronized)
   // clock: a deterministic per-node residual offset bounded by
   // max_clock_offset. The detector's epsilon must cover it.
@@ -516,17 +498,16 @@ void NodeRuntime::ExecuteWorkload(const AugTask& task, uint64_t period) {
     }
     ++index;
     if (fault != nullptr && fault->behavior == FaultBehavior::kDelay) {
-      ctx_.sim->After(fault->delay, [this, to_send, dest, period]() {
-        SendRecord(to_send, dest.node, dest.bytes, period);
-      });
+      ctx_.sim->After(fault->delay,
+                      [this, to_send, dest]() { SendRecord(to_send, dest.node, dest.bytes); });
     } else {
-      SendRecord(to_send, dest.node, dest.bytes, period);
+      SendRecord(to_send, dest.node, dest.bytes);
     }
   }
 }
 
 void NodeRuntime::SendRecord(const std::shared_ptr<const OutputRecord>& record, NodeId to,
-                             uint32_t wire_bytes, uint64_t /*period*/) {
+                             uint32_t wire_bytes) {
   if (Crashed()) {
     return;
   }
@@ -1166,7 +1147,7 @@ void NodeRuntime::Convict(NodeId node, EvidenceKind kind) {
   owner_->RecordConviction(ConvictionEvent{node, id_, ctx_.sim->Now(), kind});
   BTR_LOG(kInfo, "runtime") << ToString(id_) << " convicts " << ToString(node) << " ("
                             << EvidenceKindName(kind) << ")";
-  const Plan* next = LookupPlan(ctx_, fault_set_);
+  const Plan* next = ctx_.strategy->Lookup(fault_set_);
   if (next == nullptr) {
     // Beyond f: this fault set was never planned for. Instead of freezing
     // on the stale plan, degrade to the nearest covered mode — the
@@ -1181,7 +1162,7 @@ void NodeRuntime::Convict(NodeId node, EvidenceKind kind) {
           << ToString(id_) << ": no plan for " << fault_set_.ToString()
           << " (beyond f); falling back to nearest covered mode";
     }
-    next = LookupNearestCoveredPlan(ctx_, fault_set_);
+    next = ctx_.strategy->LookupNearestCovered(fault_set_);
     if (next == nullptr || next == plan_ || next == pending_plan_) {
       return;  // already on (or adopting) the best covered mode
     }
@@ -1242,7 +1223,5 @@ void NodeRuntime::RequestMigrationState(const Plan* old_plan, const Plan* new_pl
 bool NodeRuntime::StateReady(TaskId task) const {
   return !awaiting_state_.Contains(task.value());
 }
-
-void NodeRuntime::AdoptPlan(const Plan* plan, uint64_t /*at_period*/) { pending_plan_ = plan; }
 
 }  // namespace btr

@@ -108,8 +108,6 @@ struct RuntimeContext {
   const Dataflow* workload = nullptr;
   const AugmentedGraph* graph = nullptr;
   const Strategy* strategy = nullptr;
-  // O(1) lookup over `strategy` for the recovery hot path (mode switches).
-  const StrategyIndex* strategy_index = nullptr;
   const Planner* planner = nullptr;
   const KeyStore* keys = nullptr;
   const AdversarySpec* adversary = nullptr;
@@ -245,7 +243,7 @@ class NodeRuntime {
 
   // --- output handling ---
   void SendRecord(const std::shared_ptr<const OutputRecord>& record, NodeId to,
-                  uint32_t wire_bytes, uint64_t period);
+                  uint32_t wire_bytes);
   // Broadcasts a signed "no output this period, inputs missing" notice to
   // the task's consumers and checkers (excuses this node from omission
   // blame while the real culprit upstream accumulates it).
@@ -262,7 +260,6 @@ class NodeRuntime {
   void Convict(NodeId node, EvidenceKind kind);
 
   // --- mode change ---
-  void AdoptPlan(const Plan* plan, uint64_t at_period);
   void RequestMigrationState(const Plan* old_plan, const Plan* new_plan);
 
   bool StateReady(TaskId task) const;

@@ -157,8 +157,8 @@ struct ExperimentSpec {
   // rollout paces itself around the heartbeat cadence, so scripts with
   // rollouts can keep them on.
   bool heartbeats = true;
-  // Simulation shards (CONFIG shards=, parallel data plane). 0 = auto.
-  // Purely a speed knob: reports are byte-identical for every value.
+  // Simulation shards (CONFIG shards=, parallel data plane). 0 = one
+  // shard. Purely a speed knob: reports are byte-identical for every value.
   uint32_t shards = 0;
   // Trickle minimum beacon interval (CONFIG beacon-us=). 0 = one workload
   // period, resolved at rollout time.

@@ -129,8 +129,14 @@ TEST(Strategy, InsertAndLookup) {
 TEST(Strategy, LookupIsExactMatch) {
   Strategy strategy;
   strategy.Insert(Plan(FaultSet(), nullptr, PlanBody()));  // empty fault set
+  strategy.Insert(Plan(FaultSet({NodeId(0), NodeId(2)}), nullptr, PlanBody()));
   EXPECT_NE(strategy.Lookup(FaultSet()), nullptr);
+  EXPECT_NE(strategy.Lookup(FaultSet({NodeId(0), NodeId(2)})), nullptr);
+  // A subset of a planned set and an unknown set both miss.
   EXPECT_EQ(strategy.Lookup(FaultSet({NodeId(0)})), nullptr);
+  EXPECT_EQ(strategy.Lookup(FaultSet({NodeId(1)})), nullptr);
+  // An empty strategy misses everything.
+  EXPECT_EQ(Strategy().Lookup(FaultSet()), nullptr);
 }
 
 TEST(Strategy, PlannedSetsEnumerates) {
@@ -163,22 +169,6 @@ TEST(Strategy, DedupSharesIdenticalBodies) {
   const Plan* c = strategy.Insert(fx.MakePlan(FaultSet({NodeId(1)}), std::move(other)));
   EXPECT_EQ(strategy.unique_plan_count(), 2u);
   EXPECT_NE(c->body.get(), a->body.get());
-}
-
-TEST(StrategyIndex, FindsEveryModeAndRejectsUnknown) {
-  DeltaFixture fx;
-  Strategy strategy;
-  strategy.Insert(fx.MakePlan(FaultSet(), fx.EmptyBody()));
-  strategy.Insert(fx.MakePlan(FaultSet({NodeId(0)}), fx.EmptyBody()));
-  strategy.Insert(fx.MakePlan(FaultSet({NodeId(0), NodeId(2)}), fx.EmptyBody()));
-
-  StrategyIndex index(strategy);
-  EXPECT_EQ(index.size(), 3u);
-  for (const FaultSet& faults : strategy.PlannedSets()) {
-    EXPECT_EQ(index.Find(faults), strategy.Lookup(faults)) << faults.ToString();
-  }
-  EXPECT_EQ(index.Find(FaultSet({NodeId(1)})), nullptr);
-  EXPECT_EQ(StrategyIndex().Find(FaultSet()), nullptr);
 }
 
 TEST(Strategy, MemoryFootprintGrowsWithPlans) {

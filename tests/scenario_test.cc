@@ -4,9 +4,8 @@
 //     round-trip canonically and reject malformed combinations;
 //   * the convoy-mobile and lossy-mesh generators apply per-link dynamics
 //     where (and only where) the radio lives;
-//   * nearest-covered fallback: Strategy::LookupNearestCovered and
-//     StrategyIndex::FindNearestCovered pick the largest planned subset
-//     with the lexicographic-first tie-break;
+//   * nearest-covered fallback: Strategy::LookupNearestCovered picks the
+//     largest planned subset with the lexicographic-first tie-break;
 //   * a beyond-f run completes on the nearest covered mode and the report's
 //     degradation block (coverage < 1) distinguishes it from an
 //     exactly-covered run;
@@ -198,27 +197,23 @@ TEST(NearestCovered, LargestSubsetWithLexicographicTieBreak) {
   }
   strategy.Insert(Plan(FaultSet({NodeId(0), NodeId(2)}), nullptr, PlanBody()));
   strategy.Insert(Plan(FaultSet({NodeId(1), NodeId(2)}), nullptr, PlanBody()));
-  const StrategyIndex index(strategy);
 
   // Exact hit degrades to nothing: identical to the O(1) lookup.
   const FaultSet planned({NodeId(0), NodeId(2)});
   EXPECT_EQ(strategy.LookupNearestCovered(planned), strategy.Lookup(planned));
-  EXPECT_EQ(index.FindNearestCovered(planned), index.Find(planned));
 
   // Beyond f: {0,1,2} has two planned 2-subsets, {0,2} and {1,2}; the
-  // lexicographically first of the same size wins, on both lookup paths.
+  // lexicographically first of the same size wins.
   const FaultSet beyond({NodeId(0), NodeId(1), NodeId(2)});
   const Plan* nearest = strategy.LookupNearestCovered(beyond);
   ASSERT_NE(nearest, nullptr);
   EXPECT_EQ(nearest->faults, planned);
-  EXPECT_EQ(index.FindNearestCovered(beyond), nearest);
 
   // Nothing planned overlaps: fall all the way back to the root mode.
   const FaultSet strangers({NodeId(7), NodeId(9)});
   const Plan* root = strategy.LookupNearestCovered(strangers);
   ASSERT_NE(root, nullptr);
   EXPECT_TRUE(root->faults.empty());
-  EXPECT_EQ(index.FindNearestCovered(strangers), root);
 
   // An empty strategy has no mode to degrade to.
   Strategy empty;
