@@ -6,7 +6,9 @@
 #   ci/run_tests.sh --full   # tier1 + tier2 (randomized / equivalence /
 #                            # determinism sweeps; scheduled CI and local runs)
 #
-# Tiers are ctest LABELS assigned in CMakeLists.txt (BTR_TIER2_TESTS).
+# Tiers are ctest LABELS assigned in CMakeLists.txt (BTR_TIER2_TESTS). After
+# the tests, the shipped specs' experiment fingerprints are checked against
+# their pins (ci/check_spec_fingerprints.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,5 +19,5 @@ fi
 
 cmake -B build -S .
 cmake --build build -j
-cd build
-ctest --output-on-failure --no-tests=error "${LABEL_ARGS[@]}" -j
+ctest --test-dir build --output-on-failure --no-tests=error "${LABEL_ARGS[@]}" -j
+ci/check_spec_fingerprints.sh build/example_btrsim
