@@ -8,8 +8,9 @@
 //            patches (link_flap: pure re-reference; bus_remeasure: every
 //            mode dirtied) as BTRPATCH text vs v4 patch images.
 //   time   — node install cost for a full slice: parse-and-verify the
-//            text slice vs verify-fingerprint-and-map the v4 image
-//            (InstallEngine::InstallFull both ways, wall clock).
+//            text slice vs decode the v4 image, then parse-and-verify
+//            the text it decodes to (InstallEngine::InstallFull both
+//            ways, wall clock; the engine installs only canonical text).
 //   safety — the formats must be semantically invisible: a run on the
 //            planned strategy, on the strategy loaded back from the v2
 //            text, and on the strategy loaded from the v4 image must
@@ -148,7 +149,7 @@ bool ReportsMatchAcrossSources(const std::string& v2_blob, const std::string& v4
 
 int Run(int reps) {
   PrintHeader("Strategy format v4: image vs text",
-              "same strategies, same fingerprint chain — fewer bytes, no parse");
+              "same strategies, same fingerprint chain — fewer bytes on the wire");
 
   const Scenario base = MakeE7Scenario();
   BtrSystem system(base, E7Config());
@@ -180,7 +181,7 @@ int Run(int reps) {
     return 1;
   }
 
-  // Node-0 install: parse the text slice vs map the image.
+  // Node-0 install: the text slice vs the image, which decodes first.
   auto slice_text = ExtractSlice(v2_blob, 0);
   if (!slice_text.ok()) {
     return 1;
@@ -190,8 +191,8 @@ int Run(int reps) {
     return 1;
   }
   const double parse_us = TimeInstall(*slice_text, blob_fp, reps);
-  const double map_us = TimeInstall(*slice_image, blob_fp, reps);
-  if (parse_us < 0 || map_us < 0) {
+  const double decode_us = TimeInstall(*slice_image, blob_fp, reps);
+  if (parse_us < 0 || decode_us < 0) {
     std::fprintf(stderr, "format bench: install timing failed\n");
     return 1;
   }
@@ -218,12 +219,12 @@ int Run(int reps) {
                            1) +
                     " %"});
   table.AddRow({"slice install (node 0)", CellDouble(parse_us, 1) + " us",
-                CellDouble(map_us, 1) + " us",
-                CellDouble(100.0 * map_us / parse_us, 1) + " %"});
+                CellDouble(decode_us, 1) + " us",
+                CellDouble(100.0 * decode_us / parse_us, 1) + " %"});
   std::printf("%s\n", table.Render().c_str());
   std::printf("(install = InstallEngine::InstallFull wall clock over %d reps: full\n"
-              " parse + canonical re-check for text vs fingerprint-verify + map for\n"
-              " the image; reports_match pins planned / v2-loaded / v4-mapped runs\n"
+              " parse + canonical re-check for text vs image decode, then the same\n"
+              " text check; reports_match pins planned / v2-loaded / v4-loaded runs\n"
               " to byte-identical reports)\n\n", reps);
 
   std::printf(
@@ -232,11 +233,11 @@ int Run(int reps) {
       "\"link_flap_patch_text_bytes\":%zu,\"link_flap_patch_image_bytes\":%zu,"
       "\"bus_remeasure_patch_text_bytes\":%zu,\"bus_remeasure_patch_image_bytes\":%zu,"
       "\"bus_remeasure_patch_vs_v2_blob\":%.4f,"
-      "\"parse_install_us\":%.1f,\"map_install_us\":%.1f,"
+      "\"parse_install_us\":%.1f,\"decode_install_us\":%.1f,"
       "\"reports_match\":%s,\"report_fingerprint\":\"%016llx\"}\n",
       v2_blob.size(), v4_blob->size(), v4_bytes / v2_bytes, link_flap->text_bytes,
       link_flap->image_bytes, bus_remeasure->text_bytes, bus_remeasure->image_bytes,
-      static_cast<double>(bus_remeasure->image_bytes) / v2_bytes, parse_us, map_us,
+      static_cast<double>(bus_remeasure->image_bytes) / v2_bytes, parse_us, decode_us,
       reports_match ? "true" : "false", static_cast<unsigned long long>(report_fp));
 
   if (!reports_match) {

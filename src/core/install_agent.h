@@ -21,8 +21,6 @@
 
 namespace btr {
 
-// --- strategy install plane ------------------------------------------------
-
 struct InstallEngineStats {
   uint64_t full_installs = 0;
   uint64_t patches_applied = 0;

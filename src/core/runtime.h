@@ -17,6 +17,11 @@
 //
 // Compromised nodes run the same code but consult the AdversarySpec before
 // every externally visible action.
+//
+// The install plane (strategy rollouts by Trickle gossip, and each node's
+// installed-strategy state) is a separate per-node agent, in
+// src/core/install_agent.h; NodeRuntime only forwards its three payload
+// kinds and the rollout start and heal-time wake calls to it.
 
 #ifndef BTR_SRC_CORE_RUNTIME_H_
 #define BTR_SRC_CORE_RUNTIME_H_

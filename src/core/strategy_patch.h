@@ -28,7 +28,7 @@
 // patch whose BASE is not the installed slice's SFP, and refuses its own
 // output unless it hashes to the expected NSLICE value — so truncation,
 // forged counts, out-of-range references, and bit flips are all rejected
-// without mutating the installed state (see InstallEngine in runtime.h).
+// without mutating the installed state (see InstallEngine in install_agent.h).
 // Fingerprints are 64-bit content hashes, not signatures: they defend
 // against corruption and version skew, not against an adversary who can
 // forge a self-consistent patch (key-based authentication is the

@@ -28,7 +28,7 @@
 //    serve queue.
 //
 // The actual wiring — payload structs, Network::Send, simulator timers —
-// lives in src/core/runtime.cc; this header deliberately has no core/
+// lives in src/core/install_agent.cc; this header deliberately has no core/
 // dependencies so the protocol can be unit-tested in isolation.
 
 #ifndef BTR_SRC_NET_DISSEMINATION_H_
@@ -192,8 +192,9 @@ struct PendingServe {
   uint64_t content_fp = 0;  // fingerprint of the artifact text, every chunk
 };
 
-// Per-node gossip protocol state for one rollout. Owned by NodeRuntime;
-// created when the rollout is announced, torn down with the node.
+// Per-node gossip protocol state for one rollout. Owned by the node's
+// InstallAgent; created when the rollout is announced, torn down with the
+// node.
 struct GossipSession {
   GossipSession(const DissemConfig& config, uint32_t self, uint64_t target_fp);
 
@@ -214,7 +215,7 @@ struct GossipSession {
 
   bool relay = false;  // holds the full artifact; may serve others
   // Installed since the last beacon: the next fire announces it even if
-  // suppression would silence it (see NodeRuntime::OnTrickleFire).
+  // suppression would silence it (see InstallAgent::OnTrickleFire).
   bool announce_install = false;
   // A blob artifact failed its content check or refused to install: every
   // server ships the same bytes, so re-pulling cannot help, and the agent

@@ -1,5 +1,5 @@
 // Gossip install-plane dissemination (src/net/dissemination.h + the
-// NodeRuntime wiring in src/core/runtime.cc).
+// InstallAgent wiring in src/core/install_agent.cc).
 //
 // Three layers of coverage:
 //   1. TrickleTimer / chunk-planning protocol units (no simulator).

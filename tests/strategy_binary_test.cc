@@ -14,8 +14,9 @@
 //      installed state bit-identical (StateFingerprint).
 //   3. End-to-end — BuildStrategyUpdate's bulk slice renderers are
 //      byte-equal to the per-node primitives, wire=v4 runs report the
-//      same installed fingerprints as v2 text, and a run on a
-//      v4-mapped strategy reports byte-identically to the planned and
+//      same installed fingerprints as v2 text, an image install leaves the
+//      engine in the same state as the text it encodes, and a run on a
+//      v4-loaded strategy reports byte-identically to the planned and
 //      v2-loaded runs.
 
 #include <gtest/gtest.h>
