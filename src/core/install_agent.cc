@@ -173,8 +173,6 @@ bool InstallAgent::Crashed() const {
   return fault != nullptr && fault->behavior == FaultBehavior::kCrash;
 }
 
-// An active fault (other than delay / value corruption) silences this
-// node's dissemination sends, mirroring the heartbeat discipline.
 bool InstallAgent::DissemSilenced() const {
   const FaultInjection* fault = ctx_.adversary->ActiveOn(id_, ctx_.sim->Now());
   return fault != nullptr && fault->behavior != FaultBehavior::kDelay &&

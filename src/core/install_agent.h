@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/block_pool.h"
 #include "src/common/status.h"
@@ -121,6 +122,9 @@ class InstallAgent {
   // `convicted` is the owning node's fault set; it must outlive the agent.
   InstallAgent(const RuntimeContext& ctx, NodeId id, const FaultSet& convicted,
                std::shared_ptr<BlockPool> arena);
+  // Scheduled Trickle and chunk events capture the agent's address.
+  InstallAgent(const InstallAgent&) = delete;
+  InstallAgent& operator=(const InstallAgent&) = delete;
 
   const InstallEngine& engine() const { return engine_; }
   // When the engine reached the active rollout's target; kSimTimeNever
