@@ -74,8 +74,11 @@ StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const std::string&
   if (!staged.ok()) {
     return staged;
   }
-  const std::string& target_blob = system.staged_update()->target_blob;
-  auto patch = MakeStrategyPatch(base_blob, target_blob);
+  const WireArtifact* target_blob = system.staged_update()->blob_artifact();
+  if (target_blob == nullptr) {
+    return Status::Internal("staged update has no blob artifact");
+  }
+  auto patch = MakeStrategyPatch(base_blob, target_blob->bytes);
   if (!patch.ok()) {
     return patch.status();
   }

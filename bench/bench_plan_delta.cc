@@ -130,7 +130,11 @@ StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEd
   InstallMeasurement m;
   const StrategyUpdate* update = system.staged_update();
   m.nodes = update->patch_slices.size();
-  m.target_blob_bytes = update->target_blob.size();
+  const WireArtifact* target_blob = update->blob_artifact();
+  if (target_blob == nullptr) {
+    return Status::Internal("staged update has no blob artifact");
+  }
+  m.target_blob_bytes = target_blob->bytes.size();
   size_t sum_patch = 0;
   for (const std::string& slice : update->patch_slices) {
     m.max_patch = std::max(m.max_patch, slice.size());

@@ -11,7 +11,7 @@
 namespace btr {
 namespace {
 
-void Run() {
+Status Run() {
   PrintHeader("E3 / Figure 2: recovery interval by fault type (R = 500 ms)",
               "claim C2: incorrect outputs last at most R; self-stabilization "
               "is only eventual");
@@ -25,15 +25,19 @@ void Run() {
 
   Table table({"fault type", "scheme", "detection", "recovery (worst of 5 seeds)",
                "bound", "within bound"});
+  std::string unbounded;  // BTR rows that read NO
   for (FaultBehavior behavior : behaviors) {
     SimDuration worst_recovery = 0;
     SimDuration worst_detect = 0;
     bool all_bounded = true;
     for (uint64_t seed = 1; seed <= 5; ++seed) {
+      const std::string step =
+          std::string(FaultBehaviorName(behavior)) + " seed " + std::to_string(seed) + " BTR ";
       Scenario scenario = MakeAvionicsScenario(6);
       BtrSystem system(scenario, DefaultBtrConfig(1, kBound, seed));
-      if (!system.Plan().ok()) {
-        continue;
+      const Status planned = system.Plan();
+      if (!planned.ok()) {
+        return StepFailed(step + "Plan", planned);
       }
       FaultInjection injection;
       injection.node = MostCriticalPrimaryHost(system);
@@ -43,7 +47,7 @@ void Run() {
       system.AddFault(injection);
       auto report = system.Run(kPeriods);
       if (!report.ok()) {
-        continue;
+        return StepFailed(step + "Run", report.status());
       }
       worst_recovery = std::max(worst_recovery, report->correctness.max_recovery);
       if (report->faults[0].detection_latency >= 0) {
@@ -55,6 +59,9 @@ void Run() {
                   CellDuration(static_cast<double>(worst_detect)),
                   CellDuration(static_cast<double>(worst_recovery)),
                   CellDuration(static_cast<double>(kBound)), all_bounded ? "yes" : "NO"});
+    if (!all_bounded) {
+      unbounded += std::string(unbounded.empty() ? "" : ", ") + FaultBehaviorName(behavior);
+    }
   }
 
   // Self-stabilization baseline: crash and corruption, tail over seeds.
@@ -69,7 +76,9 @@ void Run() {
       adversary.Add({NodeId(5), Milliseconds(100), behavior, 0, NodeId::Invalid(), 0});
       auto report = SelfStabBaseline(&scenario, config).Run(1200, adversary);
       if (!report.ok()) {
-        continue;
+        return StepFailed(std::string(FaultBehaviorName(behavior)) + " seed " +
+                              std::to_string(seed) + " self-stabilization Run",
+                          report.status());
       }
       if (!report->stabilized) {
         always = false;
@@ -82,12 +91,13 @@ void Run() {
                   "none (eventual)", always ? "n/a" : "n/a"});
   }
   std::printf("%s\n", table.Render().c_str());
+  if (!unbounded.empty()) {
+    return Status::Internal("BTR outputs stayed incorrect longer than R under: " + unbounded);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 }  // namespace btr
 
-int main() {
-  btr::Run();
-  return 0;
-}
+int main() { return btr::ExitCode(btr::Run()); }

@@ -13,7 +13,7 @@
 namespace btr {
 namespace {
 
-void Run() {
+Status Run() {
   PrintHeader("E1 / Table 1: replication cost vs fault bound f",
               "claim C1: detection (f+1) is cheaper than masking (3f+1)");
 
@@ -30,15 +30,18 @@ void Run() {
     table.AddRow({CellInt(f), "unreplicated", "1", CellDuration(base.cpu_per_period),
                   CellBytes(base.bytes_per_period), "1.00x"});
 
+    const std::string row = "f=" + std::to_string(f) + " ";
+
     // --- BTR ---
     {
       BtrSystem system(scenario, DefaultBtrConfig(f, Milliseconds(500)));
-      if (!system.Plan().ok()) {
-        continue;
+      const Status planned = system.Plan();
+      if (!planned.ok()) {
+        return StepFailed(row + "BTR Plan", planned);
       }
       auto report = system.Run(kPeriods);
       if (!report.ok()) {
-        continue;
+        return StepFailed(row + "BTR Run", report.status());
       }
       const double cpu = static_cast<double>(report->total_node_stats.busy +
                                              report->total_node_stats.crypto) /
@@ -56,12 +59,13 @@ void Run() {
       config.f = f;
       config.mode = BftMode::kZz;
       auto report = BftBaseline(&scenario, config).Run(kPeriods, AdversarySpec{});
-      if (report.ok()) {
-        table.AddRow({CellInt(f), "ZZ (reactive BFT)",
-                      std::to_string(f + 1) + "+" + std::to_string(f) + " standby",
-                      CellDuration(report->cpu_per_period), CellBytes(report->bytes_per_period),
-                      CellDouble(report->cpu_per_period / base.cpu_per_period, 2) + "x"});
+      if (!report.ok()) {
+        return StepFailed(row + "ZZ Run", report.status());
       }
+      table.AddRow({CellInt(f), "ZZ (reactive BFT)",
+                    std::to_string(f + 1) + "+" + std::to_string(f) + " standby",
+                    CellDuration(report->cpu_per_period), CellBytes(report->bytes_per_period),
+                    CellDouble(report->cpu_per_period / base.cpu_per_period, 2) + "x"});
     }
 
     // --- PBFT ---
@@ -70,20 +74,19 @@ void Run() {
       config.f = f;
       config.mode = BftMode::kPbft;
       auto report = BftBaseline(&scenario, config).Run(kPeriods, AdversarySpec{});
-      if (report.ok()) {
-        table.AddRow({CellInt(f), "PBFT (mask)", std::to_string(3 * f + 1),
-                      CellDuration(report->cpu_per_period), CellBytes(report->bytes_per_period),
-                      CellDouble(report->cpu_per_period / base.cpu_per_period, 2) + "x"});
+      if (!report.ok()) {
+        return StepFailed(row + "PBFT Run", report.status());
       }
+      table.AddRow({CellInt(f), "PBFT (mask)", std::to_string(3 * f + 1),
+                    CellDuration(report->cpu_per_period), CellBytes(report->bytes_per_period),
+                    CellDouble(report->cpu_per_period / base.cpu_per_period, 2) + "x"});
     }
   }
   std::printf("%s\n", table.Render().c_str());
+  return Status::Ok();
 }
 
 }  // namespace
 }  // namespace btr
 
-int main() {
-  btr::Run();
-  return 0;
-}
+int main() { return btr::ExitCode(btr::Run()); }

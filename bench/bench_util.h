@@ -23,6 +23,22 @@ inline void PrintHeader(const std::string& experiment, const std::string& claim)
   std::printf("=== %s ===\n%s\n\n", experiment.c_str(), claim.c_str());
 }
 
+// A failed step of a bench run, named so that the message says which row
+// and seed it would have dropped out of.
+inline Status StepFailed(const std::string& step, const Status& status) {
+  return Status(status.code(), step + ": " + status.message());
+}
+
+// A bench's exit code: a failed run prints its status and exits non-zero,
+// so a failing seed never drops silently out of a table row.
+inline int ExitCode(const Status& status) {
+  if (status.ok()) {
+    return 0;
+  }
+  std::fprintf(stderr, "FAILED: %s\n", status.ToString().c_str());
+  return 1;
+}
+
 inline BtrConfig DefaultBtrConfig(uint32_t f, SimDuration recovery_bound, uint64_t seed = 1) {
   BtrConfig config;
   config.planner.max_faults = f;

@@ -63,24 +63,28 @@ Status InstallEngine::InstallFull(const std::string& slice, uint64_t expected_sf
 }
 
 Status InstallEngine::ApplyPatch(const std::string& patch) {
-  if (!installed()) {
-    ++stats_.patches_rejected;
-    return Status::FailedPrecondition("no base slice installed; patch has nothing to apply to");
-  }
   StatusOr<StrategyPatch> parsed = ParsePatchArtifact(patch);
   if (!parsed.ok()) {
     ++stats_.patches_rejected;
     return parsed.status();
   }
+  return ApplyPatch(*parsed);
+}
+
+Status InstallEngine::ApplyPatch(const StrategyPatch& patch) {
+  if (!installed()) {
+    ++stats_.patches_rejected;
+    return Status::FailedPrecondition("no base slice installed; patch has nothing to apply to");
+  }
   // Verify-then-swap: the new slice is fully assembled and fingerprint-
   // checked before the installed state changes.
-  StatusOr<std::string> applied = ApplyPatchToSlice(slice_, *parsed);
+  StatusOr<std::string> applied = ApplyPatchToSlice(slice_, patch);
   if (!applied.ok()) {
     ++stats_.patches_rejected;
     return applied.status();
   }
   slice_ = std::move(*applied);
-  strategy_fp_ = parsed->target_fp;
+  strategy_fp_ = patch.target_fp;
   ++version_;
   ++stats_.patches_applied;
   return Status::Ok();
@@ -136,13 +140,14 @@ void InstallAgent::ApplyLocalInstall() {
   if (engine_.strategy_fingerprint() == update_->target_fp) {
     return;
   }
-  if (engine_.ApplyPatch(update_->patch_slices[id_.value()]).ok()) {
+  const WireArtifact* patch = update_->patch_slice(id_.value());
+  if (patch != nullptr && engine_.ApplyPatch(patch->bytes).ok()) {
     NoteInstalled();
     return;
   }
   // Local fallback: the distributor carves its own full slice.
   ++local_fallbacks_;
-  const FallbackSlice* slice = update_->fallback_slice(id_.value());
+  const WireArtifact* slice = update_->fallback_slice(id_.value());
   if (slice != nullptr && engine_.InstallFull(slice->bytes, update_->target_fp).ok()) {
     NoteInstalled();
   }
@@ -367,11 +372,13 @@ LinkId InstallAgent::LinkToNeighbor(NodeId peer) const {
 
 // The relay protocol ships one full artifact per hop; what a relay serves a
 // leaf is the slice it can carve deterministically from its own verified
-// copy (SaveStrategyPatchSlice / ExtractSlice). Reading the carved texts off
-// the shared StrategyUpdate models exactly that without holding N copies of
-// identical bytes per node; a fallback slice is carved there on its first
-// request.
-const std::string* InstallAgent::DissemArtifact(DissemContent content, NodeId to) const {
+// copy (MakeStrategyPatchSlice / ExtractSlice, then the wire encoding).
+// Reading the artifacts off the shared StrategyUpdate models exactly that
+// without holding N copies of identical bytes per node. Only the unsliced
+// patch is built with the update; a patch slice, a fallback slice or the
+// blob is built there on its first request, so a rollout pays for the
+// artifacts it ships.
+const WireArtifact* InstallAgent::DissemArtifact(DissemContent content, NodeId to) const {
   const StrategyUpdate* update = update_.get();
   if (update == nullptr) {
     return nullptr;
@@ -380,14 +387,11 @@ const std::string* InstallAgent::DissemArtifact(DissemContent content, NodeId to
     case DissemContent::kPatchFull:
       return &update->patch_full;
     case DissemContent::kBlobFull:
-      return &update->target_blob;
+      return update->blob_artifact();
     case DissemContent::kPatchSlice:
-      return to.value() < update->patch_slices.size() ? &update->patch_slices[to.value()]
-                                                      : nullptr;
-    case DissemContent::kBlobSlice: {
-      const FallbackSlice* slice = update->fallback_slice(to.value());
-      return slice != nullptr ? &slice->bytes : nullptr;
-    }
+      return update->patch_slice(to.value());
+    case DissemContent::kBlobSlice:
+      return update->fallback_slice(to.value());
   }
   return nullptr;
 }
@@ -407,25 +411,12 @@ void InstallAgent::MaybeServeNext() {
       PendingServe serve = g.serve_queue[i];
       g.serve_queue.erase(g.serve_queue.begin() + static_cast<ptrdiff_t>(i));
       progress = true;
-      const std::string* artifact = DissemArtifact(serve.content, serve.to);
-      if (artifact == nullptr || artifact->empty()) {
+      const WireArtifact* artifact = DissemArtifact(serve.content, serve.to);
+      if (artifact == nullptr || artifact->bytes.empty()) {
         g.serving_to[serve.to.value()] = 0;
         break;  // rollout torn down; drop the serve
       }
-      switch (serve.content) {
-        case DissemContent::kPatchFull:
-          serve.content_fp = update_->patch_full_fp;
-          break;
-        case DissemContent::kBlobFull:
-          serve.content_fp = update_->target_blob_fp;
-          break;
-        case DissemContent::kBlobSlice:
-          serve.content_fp = update_->fallback_slice(serve.to.value())->fp;
-          break;
-        case DissemContent::kPatchSlice:
-          serve.content_fp = FingerprintStrategyText(*artifact);
-          break;
-      }
+      serve.content_fp = artifact->fp;
       // Pace: one chunk's serialization time fits in pace_fraction of a
       // period, so a heartbeat queued behind the transfer waits far less
       // than the two consecutive periods an omission declaration needs.
@@ -433,7 +424,7 @@ void InstallAgent::MaybeServeNext() {
           ctx_.network->SerializationTime(serve.link, id_, TrafficClass::kControl, 4096);
       const SimDuration per_byte = std::max<SimDuration>(tx4k / 4096, 1);
       const ChunkPlan plan =
-          PlanChunks(artifact->size(), per_byte, ctx_.workload->period(), g.config);
+          PlanChunks(artifact->bytes.size(), per_byte, ctx_.workload->period(), g.config);
       if (serve.start_chunk >= plan.total) {
         serve.start_chunk = 0;  // the requester's resume claim predates this plan
       }
@@ -452,7 +443,7 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
     return;
   }
   GossipSession& g = *gossip_;
-  const std::string* artifact = DissemArtifact(serve.content, serve.to);
+  const WireArtifact* artifact = DissemArtifact(serve.content, serve.to);
   const bool done = artifact == nullptr || seq >= plan.total;
   const bool aborted = Crashed() || DissemSilenced() || convicted_.Contains(serve.to);
   if (done || aborted) {
@@ -461,9 +452,9 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
     if (done && !aborted && artifact != nullptr) {
       ++g.stats.serves;
       if (DissemContentIsPatch(serve.content)) {
-        g.stats.patch_payload_bytes += artifact->size();
+        g.stats.patch_payload_bytes += artifact->bytes.size();
       } else {
-        g.stats.full_payload_bytes += artifact->size();
+        g.stats.full_payload_bytes += artifact->bytes.size();
       }
     }
     if (!Crashed()) {
@@ -471,7 +462,7 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
     }
     return;
   }
-  const uint64_t total_bytes = artifact->size();
+  const uint64_t total_bytes = artifact->bytes.size();
   const uint64_t offset = static_cast<uint64_t>(seq) * plan.chunk_bytes;
   const uint32_t payload =
       static_cast<uint32_t>(std::min<uint64_t>(plan.chunk_bytes, total_bytes - offset));
@@ -484,7 +475,7 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
   msg->total = plan.total;
   msg->content_fp = serve.content_fp;
   if (seq + 1 == plan.total) {
-    msg->text = *artifact;  // only the final chunk carries the text
+    msg->text = artifact->bytes;  // only the final chunk carries the text
   }
   ctx_.network->Send(id_, serve.to, wire, TrafficClass::kControl, std::move(msg));
   ++g.stats.chunks_sent;
@@ -537,11 +528,13 @@ Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::str
     case DissemContent::kPatchSlice:
       return engine_.ApplyPatch(text);
     case DissemContent::kPatchFull: {
+      // The relay keeps the full artifact to re-serve and installs its own
+      // slice of the patch it just parsed, in memory.
       StatusOr<StrategyPatch> patch = ParsePatchArtifact(text);
       if (!patch.ok()) {
         return patch.status();
       }
-      StatusOr<std::string> sliced = SaveStrategyPatchSlice(*patch, id_.value());
+      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(*patch, id_.value());
       return sliced.ok() ? engine_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {

@@ -76,6 +76,9 @@ class InstallEngine {
   // chains to the installed fingerprint, and its applied result verifies
   // against the patch's NSLICE fingerprint.
   Status ApplyPatch(const std::string& patch);
+  // The same for a patch already parsed in memory (a relay's own slice of
+  // the unsliced patch it received): the chain and NSLICE checks still run.
+  Status ApplyPatch(const StrategyPatch& patch);
 
   void CountReceivedBytes(uint64_t bytes) { stats_.bytes_received += bytes; }
 
@@ -179,7 +182,7 @@ class InstallAgent {
   void MaybeServeNext();
   void SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan plan);
   // Resolves the artifact a serve ships. Returns null if unavailable.
-  const std::string* DissemArtifact(DissemContent content, NodeId to) const;
+  const WireArtifact* DissemArtifact(DissemContent content, NodeId to) const;
   // Content-verifies and installs a completed transfer, falling back from a
   // bad patch to the blob artifact and giving up on a bad blob.
   void ApplyDissemArtifact(const DissemChunkMessage& msg);

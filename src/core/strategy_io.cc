@@ -280,14 +280,15 @@ StatusOr<std::string> SaveStrategyV4(const Strategy& strategy, const AugmentedGr
 namespace {
 
 using strategy_text::BodyDims;
+using strategy_text::BodyScan;
 using strategy_text::Hex16;
 using strategy_text::HexCanonical;
 using strategy_text::LineScanner;
 using strategy_text::ParseHex16;
 using strategy_text::ParseHexCanonical;
 using strategy_text::ParseU64;
+using strategy_text::ScanBody;
 using strategy_text::SplitFields;
-using strategy_text::ValidBodyRecord;
 using strategy_text::ValidFaultNodeList;
 
 constexpr char kPatchMagic[] = "BTRPATCH v1";
@@ -513,22 +514,18 @@ StatusOr<StrategyPatch> ParseStrategyPatch(const std::string& text) {
       if (f.size() != 2) {
         return PatchError("bad BNEW header");
       }
-      bool ended = false;
-      while (!ended) {
-        st = NextPatchLine(&scan, &line, "BNEW body");
-        if (!st.ok()) {
-          return st;
-        }
-        uint64_t t_node = 0;
-        if (!ValidBodyRecord(line, dims, &t_node, &ended)) {
+      std::string_view chunk;
+      switch (ScanBody(&scan, dims, patch.sliced ? patch.slice_node : UINT64_MAX, &chunk)) {
+        case BodyScan::kOk:
+          break;
+        case BodyScan::kTruncated:
+          return PatchError("truncated at BNEW body");
+        case BodyScan::kBadRecord:
           return PatchError("bad BNEW body record");
-        }
-        if (patch.sliced && t_node != UINT64_MAX && t_node != patch.slice_node) {
+        case BodyScan::kForeignRow:
           return PatchError("sliced BNEW body carries another node's table row");
-        }
-        def.text.append(line);
-        def.text.push_back('\n');
       }
+      def.text.assign(chunk);
     } else {
       return PatchError("unknown body entry: " + std::string(f[0]));
     }

@@ -16,6 +16,7 @@
 namespace btr {
 
 using strategy_text::BodyDims;
+using strategy_text::BodyScan;
 using strategy_text::FilterBodyForNode;
 using strategy_text::Hex16;
 using strategy_text::HexCanonical;
@@ -24,8 +25,8 @@ using strategy_text::ParseHex16;
 using strategy_text::ParseHexCanonical;
 using strategy_text::ParseU64;
 using strategy_text::RenderModeLine;
+using strategy_text::ScanBody;
 using strategy_text::SplitFields;
-using strategy_text::ValidBodyRecord;
 using strategy_text::ValidFaultNodeList;
 
 uint64_t FingerprintStrategyText(const std::string& text) { return HashString(text); }
@@ -150,24 +151,18 @@ StatusOr<Parts> ParseParts(const std::string& text) {
         !ParseU64(f[1], &declared) || declared != id) {
       return Status::InvalidArgument("malformed PLAN header");
     }
-    std::string chunk;
-    bool ended = false;
-    while (!ended) {
-      st = NextLine(&scan, &line, "plan body");
-      if (!st.ok()) {
-        return st;
-      }
-      uint64_t t_node = 0;
-      if (!ValidBodyRecord(line, dims, &t_node, &ended)) {
+    std::string_view chunk;
+    switch (ScanBody(&scan, dims, parts.is_slice ? parts.node : UINT64_MAX, &chunk)) {
+      case BodyScan::kOk:
+        break;
+      case BodyScan::kTruncated:
+        return Truncated("plan body");
+      case BodyScan::kBadRecord:
         return Status::InvalidArgument("malformed plan body record");
-      }
-      if (parts.is_slice && t_node != UINT64_MAX && t_node != parts.node) {
+      case BodyScan::kForeignRow:
         return Status::InvalidArgument("slice carries another node's table row");
-      }
-      chunk.append(line);
-      chunk.push_back('\n');
     }
-    parts.bodies.push_back(std::move(chunk));
+    parts.bodies.emplace_back(chunk);
   }
 
   st = NextLine(&scan, &line, "MODES header");
@@ -426,113 +421,6 @@ void ForEachSliceOfBlob(const Parts& blob, uint64_t sfp, Sink&& sink) {
                                blob.has_prov, blob.prov_max_faults, blob.prov_planner_fp, sfp,
                                chunk_ptrs, blob.modes));
   }
-}
-
-// Renders SaveStrategyPatch(MakeStrategyPatchSlice(patch, n)) for every
-// node n without re-serializing the shared sections per slice: the header,
-// BCOPY/BDEL/MODES tail, and each BNEW body's shared records render once,
-// and only the NODE/NSLICE lines plus each node's own T rows vary.
-StatusOr<std::vector<std::string>> RenderPatchSliceTexts(const StrategyPatch& patch) {
-  if (patch.sliced) {
-    return Status::InvalidArgument("patch is already sliced");
-  }
-  std::string header = "BTRPATCH v1\n";
-  header += "DIM " + std::to_string(patch.aug_count) + " " + std::to_string(patch.node_count) +
-            " " + std::to_string(patch.edge_count) + "\n";
-  header += "BASE " + Hex16(patch.base_fp) + "\n";
-  header += "TARGET " + Hex16(patch.target_fp) + "\n";
-  if (patch.has_prov) {
-    header += "PROV " + std::to_string(patch.prov_max_faults) + " " +
-              HexCanonical(patch.prov_planner_fp) + "\n";
-  }
-  const std::string bodies_line = "BODIES " + std::to_string(patch.bodies.size()) + " " +
-                                  std::to_string(patch.old_body_count) + "\n";
-
-  // Per body: the BCOPY line / BNEW header plus the one-pass split of the
-  // new body's records.
-  const size_t body_count = patch.bodies.size();
-  std::vector<std::string> heads(body_count);
-  std::vector<std::string> posts(body_count);
-  std::vector<std::unordered_map<uint64_t, std::string>> buckets(body_count);
-  std::vector<char> bucketed(body_count, 0);
-  for (size_t id = 0; id < body_count; ++id) {
-    const StrategyPatch::BodyDef& def = patch.bodies[id];
-    if (def.copy) {
-      heads[id] =
-          "BCOPY " + std::to_string(id) + " " + std::to_string(def.old_id) + "\n";
-      bucketed[id] = 1;  // nothing node-dependent
-      continue;
-    }
-    heads[id] = "BNEW " + std::to_string(id) + "\n";
-    std::string pre;
-    if (BucketChunkByNode(def.text, &pre, &posts[id], &buckets[id])) {
-      heads[id] += pre;
-      bucketed[id] = 1;
-    }
-  }
-
-  std::string tail;
-  for (uint32_t old_id : patch.deleted_old) {
-    tail += "BDEL " + std::to_string(old_id) + "\n";
-  }
-  tail += "MODES " + std::to_string(patch.final_mode_count) + " " +
-          std::to_string(patch.sets.size()) + " " + std::to_string(patch.dels.size()) + "\n";
-  for (const StrategyPatch::ModeRef& set : patch.sets) {
-    tail += "MSET " + std::to_string(set.fault_nodes.size());
-    for (uint32_t n : set.fault_nodes) {
-      tail += ' ';
-      tail += std::to_string(n);
-    }
-    tail += " REF " + std::to_string(set.ref) + "\n";
-  }
-  for (const std::vector<uint32_t>& del : patch.dels) {
-    tail += "MDEL " + std::to_string(del.size());
-    for (uint32_t n : del) {
-      tail += ' ';
-      tail += std::to_string(n);
-    }
-    tail += "\n";
-  }
-  tail += "PATCHEND\n";
-
-  std::vector<std::string> out;
-  out.reserve(patch.node_count);
-  for (uint32_t node = 0; node < patch.node_count; ++node) {
-    uint64_t slice_fp = 0;
-    bool have_fp = false;
-    for (const auto& [n, fp] : patch.slice_fps) {
-      if (n == node) {
-        slice_fp = fp;
-        have_fp = true;
-        break;
-      }
-    }
-    if (!have_fp) {
-      return Status::InvalidArgument("patch has no slice fingerprint for the node");
-    }
-    std::string text = header;
-    text += "NODE " + std::to_string(node) + "\n";
-    text += "NSLICE " + std::to_string(node) + " " + Hex16(slice_fp) + "\n";
-    text += bodies_line;
-    for (size_t id = 0; id < body_count; ++id) {
-      if (patch.bodies[id].copy) {
-        text += heads[id];
-      } else if (bucketed[id] != 0) {
-        text += heads[id];
-        const auto it = buckets[id].find(node);
-        if (it != buckets[id].end()) {
-          text += it->second;
-        }
-        text += posts[id];
-      } else {
-        text += heads[id];
-        text += FilterBodyForNode(patch.bodies[id].text, node);
-      }
-    }
-    text += tail;
-    out.push_back(std::move(text));
-  }
-  return out;
 }
 
 // Shared core of MakeStrategyPatch and BuildStrategyUpdate: diffs two
@@ -895,58 +783,156 @@ StatusOr<std::string> ReassembleStrategy(const std::vector<std::string>& slices)
   return out;
 }
 
-// The parsed target a StrategyUpdate carves its fallback slices from, and
-// one slot per node that the first fallback_slice(node) call fills.
-struct StrategyUpdate::FallbackStore {
-  struct Slot {
-    std::once_flag once;
-    bool ok = false;
-    FallbackSlice slice;
+// The parsed target and patch a StrategyUpdate builds its on-demand
+// artifacts from, and one slot per artifact that its first request fills.
+class StrategyUpdate::ArtifactStore {
+ public:
+  ArtifactStore(Parts target, uint64_t target_fp, StrategyPatch patch, StrategyWireFormat format)
+      : target_(std::move(target)),
+        target_fp_(target_fp),
+        patch_(std::move(patch)),
+        format_(format),
+        patch_slices_("patch slice", target_.node_count),
+        fallback_slices_("fallback slice", target_.node_count) {}
+
+  uint64_t node_count() const { return target_.node_count; }
+
+  WireArtifact* PatchSlice(uint32_t node) {
+    return patch_slices_.Get(node, [this, node]() -> StatusOr<std::string> {
+      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(patch_, node);
+      if (!sliced.ok()) {
+        return sliced.status();
+      }
+      if (format_ == StrategyWireFormat::kV4Binary) {
+        return fmt::EncodePatchImage(*sliced);
+      }
+      return SaveStrategyPatch(*sliced);
+    });
+  }
+
+  WireArtifact* FallbackSlice(uint32_t node) {
+    return fallback_slices_.Get(node, [this, node]() -> StatusOr<std::string> {
+      return InWireFormat(RenderSliceOfBlob(target_, node, target_fp_));
+    });
+  }
+
+  WireArtifact* Blob() {
+    return blob_.Get(0, [this]() -> StatusOr<std::string> {
+      std::string text = strategy_text::RenderBlobText(target_);
+      if (FingerprintStrategyText(text) != target_fp_) {
+        return Status::Internal("re-rendered target blob does not match its fingerprint");
+      }
+      return InWireFormat(std::move(text));
+    });
+  }
+
+  size_t patch_slices_built() const { return patch_slices_.built(); }
+  size_t fallback_slices_built() const { return fallback_slices_.built(); }
+  bool blob_built() const { return blob_.built() != 0; }
+
+ private:
+  // A fixed family of artifacts, each built once by the first Get.
+  class Slots {
+   public:
+    Slots(const char* what, size_t count)
+        : what_(what), count_(count), slots_(std::make_unique<Slot[]>(count)) {}
+
+    template <typename Build>
+    WireArtifact* Get(size_t index, Build&& build) {
+      if (index >= count_) {
+        return nullptr;
+      }
+      Slot& slot = slots_[index];
+      std::call_once(slot.once, [&] {
+        StatusOr<std::string> bytes = build();
+        built_.fetch_add(1, std::memory_order_relaxed);
+        if (!bytes.ok()) {
+          BTR_LOG(kWarning, "install") << what_ << " " << index
+                                       << " not built: " << bytes.status().ToString();
+          return;
+        }
+        slot.artifact.fp = FingerprintStrategyText(*bytes);
+        slot.artifact.bytes = std::move(*bytes);
+        slot.ok = true;
+      });
+      return slot.ok ? &slot.artifact : nullptr;
+    }
+
+    size_t built() const { return built_.load(std::memory_order_relaxed); }
+
+   private:
+    struct Slot {
+      std::once_flag once;
+      bool ok = false;
+      WireArtifact artifact;
+    };
+    const char* const what_;
+    const size_t count_;
+    const std::unique_ptr<Slot[]> slots_;
+    std::atomic<size_t> built_{0};
   };
 
-  FallbackStore(Parts parsed_target, uint64_t sfp, StrategyWireFormat wire)
-      : target(std::move(parsed_target)),
-        target_fp(sfp),
-        format(wire),
-        slots(std::make_unique<Slot[]>(target.node_count)) {}
-
-  void Build(uint32_t node, Slot* slot) {
-    std::string bytes = RenderSliceOfBlob(target, node, target_fp);
-    if (format == StrategyWireFormat::kV4Binary) {
-      StatusOr<std::string> image = fmt::EncodeStrategyImage(bytes);
-      if (!image.ok()) {
-        BTR_LOG(kWarning, "install") << "node " << node << ": fallback slice not built: "
-                                     << image.status().ToString();
-        return;
-      }
-      bytes = std::move(*image);
+  // A canonical text in the update's wire format (a v4 image encodes and
+  // self-checks it).
+  StatusOr<std::string> InWireFormat(std::string text) const {
+    if (format_ == StrategyWireFormat::kV4Binary) {
+      return fmt::EncodeStrategyImage(text);
     }
-    slot->slice.fp = FingerprintStrategyText(bytes);
-    slot->slice.bytes = std::move(bytes);
-    slot->ok = true;
+    return text;
   }
 
-  const Parts target;
-  const uint64_t target_fp;
-  const StrategyWireFormat format;
-  const std::unique_ptr<Slot[]> slots;
-  std::atomic<size_t> built{0};
+  const Parts target_;
+  const uint64_t target_fp_;
+  const StrategyPatch patch_;
+  const StrategyWireFormat format_;
+  Slots patch_slices_;
+  Slots fallback_slices_;
+  Slots blob_{"blob artifact", 1};
 };
 
-const FallbackSlice* StrategyUpdate::fallback_slice(uint32_t node) const {
-  if (fallback_ == nullptr || node >= fallback_->target.node_count) {
-    return nullptr;
-  }
-  FallbackStore::Slot& slot = fallback_->slots[node];
-  std::call_once(slot.once, [this, node, &slot] {
-    fallback_->Build(node, &slot);
-    fallback_->built.fetch_add(1, std::memory_order_relaxed);
-  });
-  return slot.ok ? &slot.slice : nullptr;
+size_t StrategyUpdate::PatchSlices::size() const {
+  return store_ != nullptr ? store_->node_count() : 0;
+}
+
+const std::string& StrategyUpdate::PatchSlices::operator[](size_t node) const {
+  static const std::string kUnbuilt;
+  const WireArtifact* slice =
+      store_ != nullptr && node < store_->node_count()
+          ? store_->PatchSlice(static_cast<uint32_t>(node))
+          : nullptr;
+  return slice != nullptr ? slice->bytes : kUnbuilt;
+}
+
+const WireArtifact* StrategyUpdate::patch_slice(uint32_t node) const {
+  return store() != nullptr ? store()->PatchSlice(node) : nullptr;
+}
+
+const WireArtifact* StrategyUpdate::fallback_slice(uint32_t node) const {
+  return store() != nullptr ? store()->FallbackSlice(node) : nullptr;
+}
+
+const WireArtifact* StrategyUpdate::blob_artifact() const {
+  return store() != nullptr ? store()->Blob() : nullptr;
+}
+
+size_t StrategyUpdate::patch_slices_built() const {
+  return store() != nullptr ? store()->patch_slices_built() : 0;
 }
 
 size_t StrategyUpdate::fallback_slices_built() const {
-  return fallback_ != nullptr ? fallback_->built.load(std::memory_order_relaxed) : 0;
+  return store() != nullptr ? store()->fallback_slices_built() : 0;
+}
+
+bool StrategyUpdate::blob_artifact_built() const {
+  return store() != nullptr && store()->blob_built();
+}
+
+WireArtifact* StrategyUpdate::mutable_patch_slice(uint32_t node) {
+  return store() != nullptr ? store()->PatchSlice(node) : nullptr;
+}
+
+WireArtifact* StrategyUpdate::mutable_blob_artifact() {
+  return store() != nullptr ? store()->Blob() : nullptr;
 }
 
 StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
@@ -961,7 +947,6 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
     return target.status();
   }
   StrategyUpdate update;
-  update.target_blob = target_blob;
   update.base_fp = FingerprintStrategyText(base_blob);
   update.target_fp = FingerprintStrategyText(target_blob);
   StatusOr<StrategyPatch> patch =
@@ -969,47 +954,24 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   if (!patch.ok()) {
     return patch.status();
   }
-  update.patch_full = SaveStrategyPatch(*patch);
-  const uint32_t n = static_cast<uint32_t>(patch->node_count);
-  // Base slices describe the already-installed state, so they are always
-  // rendered in the text domain regardless of the wire format.
-  update.base_slices.reserve(n);
-  ForEachSliceOfBlob(*base, update.base_fp, [&update](uint64_t, std::string slice) {
-    update.base_slices.push_back(std::move(slice));
-  });
-  StatusOr<std::vector<std::string>> patch_slices = RenderPatchSliceTexts(*patch);
-  if (!patch_slices.ok()) {
-    return patch_slices.status();
-  }
-  update.patch_slices = std::move(*patch_slices);
   if (format == StrategyWireFormat::kV4Binary) {
-    StatusOr<std::string> blob_img = fmt::EncodeStrategyImage(update.target_blob);
-    if (!blob_img.ok()) {
-      return blob_img.status();
-    }
-    update.target_blob = std::move(*blob_img);
     StatusOr<std::string> patch_img = fmt::EncodePatchImage(*patch);
     if (!patch_img.ok()) {
       return patch_img.status();
     }
-    update.patch_full = std::move(*patch_img);
-    for (uint32_t node = 0; node < n; ++node) {
-      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(*patch, node);
-      if (!sliced.ok()) {
-        return sliced.status();
-      }
-      StatusOr<std::string> ps_img = fmt::EncodePatchImage(*sliced);
-      if (!ps_img.ok()) {
-        return ps_img.status();
-      }
-      update.patch_slices[node] = std::move(*ps_img);
-    }
+    update.patch_full.bytes = std::move(*patch_img);
+  } else {
+    update.patch_full.bytes = SaveStrategyPatch(*patch);
   }
-  update.target_blob_fp = FingerprintStrategyText(update.target_blob);
-  update.patch_full_fp = FingerprintStrategyText(update.patch_full);
-  update.fallback_ =
-      std::make_shared<StrategyUpdate::FallbackStore>(std::move(*target), update.target_fp,
-                                                      format);
+  update.patch_full.fp = FingerprintStrategyText(update.patch_full.bytes);
+  // Base slices describe the already-installed state, so they are always
+  // rendered in the text domain regardless of the wire format.
+  update.base_slices.reserve(patch->node_count);
+  ForEachSliceOfBlob(*base, update.base_fp, [&update](uint64_t, std::string slice) {
+    update.base_slices.push_back(std::move(slice));
+  });
+  update.patch_slices.store_ = std::make_shared<StrategyUpdate::ArtifactStore>(
+      std::move(*target), update.target_fp, std::move(*patch), format);
   return update;
 }
 

@@ -37,6 +37,7 @@
 #ifndef BTR_SRC_CORE_STRATEGY_PATCH_H_
 #define BTR_SRC_CORE_STRATEGY_PATCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -147,58 +148,108 @@ enum class StrategyWireFormat {
   kV4Binary = 4, // v4 binary images (see src/fmt/strategy_binary.h)
 };
 
-// A node's full target slice in the wire format: the fallback it installs
-// when its patch fails to apply.
-struct FallbackSlice {
+// One shipped install artifact: its wire bytes and their content
+// fingerprint. The fingerprint travels with a shipment so the receiver can
+// content-verify the bytes: the SFP / BASE / TARGET / NSLICE chain links
+// canonical texts, not shipped bytes, so it cannot detect in-transit
+// corruption of a table row.
+struct WireArtifact {
   std::string bytes;
-  // Fingerprint of `bytes`. Travels with a fallback shipment so the
-  // receiver can content-verify the artifact — the slice's own SFP record
-  // chains to the parent blob, not to its own bytes, so it cannot detect
-  // in-transit corruption of a table row.
   uint64_t fp = 0;
 };
 
 // Everything a distributor needs to roll a strategy edit out to the nodes
-// (see BtrRuntime::ScheduleStrategyInstall): per-node base slices (the
-// pre-deployed install), per-node patch slices (the delta shipment), and,
-// on request, per-node full target slices (the fallback a node requests
-// when a patch fails to apply). A clean rollout ships no fallback, so
-// those are built only when asked for.
+// (see BtrRuntime::ScheduleStrategyInstall). Every rollout installs each
+// node's base slice (the pre-deployed install) and ships the unsliced patch
+// to the relays, so BuildStrategyUpdate builds those two. Every other
+// artifact is built in the wire format on its first request, once, from the
+// parsed target and patch the update keeps:
+//   - node n's patch slice, which the distributor applies and a
+//     single-neighbor leaf is served (a clean rollout builds only these);
+//   - node n's full target slice, the fallback after a failed patch;
+//   - the blob artifact, the fallback a relay pulls after its patch failed.
+// Requests are safe from concurrent shard workers, and a built artifact
+// stays at the same address for the update's lifetime, so a serve may
+// re-read it per chunk. Copies of an update share its built artifacts.
 struct StrategyUpdate {
+ private:
+  class ArtifactStore;
+
+ public:
+  // Every node's patch slice as a read-only sequence of wire bytes: element
+  // n is built on its first access, so iterating builds every node's. An
+  // element whose encoder self-check failed reads as empty bytes. The view
+  // keeps the update's artifact store alive.
+  class PatchSlices {
+   public:
+    // Walks the nodes in order, for range-for.
+    class const_iterator {
+     public:
+      const_iterator(const PatchSlices* slices, size_t node) : slices_(slices), node_(node) {}
+      const std::string& operator*() const { return (*slices_)[node_]; }
+      const_iterator& operator++() {
+        ++node_;
+        return *this;
+      }
+      bool operator==(const const_iterator& other) const { return node_ == other.node_; }
+      bool operator!=(const const_iterator& other) const { return node_ != other.node_; }
+
+     private:
+      const PatchSlices* slices_;
+      size_t node_;
+    };
+
+    size_t size() const;
+    const std::string& operator[](size_t node) const;
+    const_iterator begin() const { return const_iterator(this, 0); }
+    const_iterator end() const { return const_iterator(this, size()); }
+
+   private:
+    friend struct StrategyUpdate;
+    friend StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
+                                                        const std::string& target_blob,
+                                                        StrategyWireFormat format);
+    std::shared_ptr<ArtifactStore> store_;
+  };
+
   uint64_t base_fp = 0;
   uint64_t target_fp = 0;
-  std::string target_blob;               // blob artifact a failed relay patch falls back to
-  // Fingerprint of target_blob's shipped bytes (== target_fp under v2 text;
-  // the image hash under v4). Shipments content-verify against this; the
-  // text-domain target_fp stays the install chain's identity.
-  uint64_t target_blob_fp = 0;
   std::vector<std::string> base_slices;  // per node: installed-before state (always text)
-  std::vector<std::string> patch_slices; // per node: sliced patch, wire format
   // Unsliced patch in the wire format. Gossip relays receive this (instead
-  // of N per-node slices), carve their own slice locally, and re-serve it
+  // of N per-node slices), carve their own slice in memory, and re-serve it
   // to the next hop.
-  std::string patch_full;
-  uint64_t patch_full_fp = 0;
+  WireArtifact patch_full;
+  PatchSlices patch_slices;  // per node: sliced patch, wire format
 
-  // Node `node`'s full target slice in the wire format, carved (and under
-  // v4 encoded) from the target BuildStrategyUpdate parsed, once per node,
-  // on the first call. Safe to call concurrently (shard workers serve
-  // fallbacks); the result stays at the same address for the update's
-  // lifetime, so a serve may re-read it per chunk. Null for a node outside
-  // the universe, on an update BuildStrategyUpdate did not make, or if the
-  // slice's encoder self-check fails. The bytes equal ExtractSlice of the
-  // target (its v4 image under v4), whatever target_blob holds now.
-  const FallbackSlice* fallback_slice(uint32_t node) const;
-  // How many nodes' fallback slices have been built (diagnostics). Copies
-  // of an update share one set of built slices, and so this count.
+  // The on-demand artifacts. Each is null for a node outside the universe,
+  // on an update BuildStrategyUpdate did not make, or if its encoder
+  // self-check failed. The bytes equal, in the wire format:
+  //   patch_slice(n)    SaveStrategyPatchSlice of the patch for node n;
+  //   fallback_slice(n) ExtractSlice of the target for node n;
+  //   blob_artifact()   the target blob.
+  // Fingerprints are taken over the bytes; under v2 text the blob's equals
+  // target_fp.
+  const WireArtifact* patch_slice(uint32_t node) const;
+  const WireArtifact* fallback_slice(uint32_t node) const;
+  const WireArtifact* blob_artifact() const;
+
+  // How many of each have been built (diagnostics). Copies of an update
+  // share the counts with its artifacts.
+  size_t patch_slices_built() const;
   size_t fallback_slices_built() const;
+  bool blob_artifact_built() const;
+
+  // Fault-injection seam: builds the artifact if need be and returns it for
+  // editing in place. Every copy of the update sees the edit, so edit only an
+  // update no rollout is reading yet.
+  WireArtifact* mutable_patch_slice(uint32_t node);
+  WireArtifact* mutable_blob_artifact();
 
  private:
   friend StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
                                                       const std::string& target_blob,
                                                       StrategyWireFormat format);
-  struct FallbackStore;
-  std::shared_ptr<FallbackStore> fallback_;
+  ArtifactStore* store() const { return patch_slices.store_.get(); }
 };
 
 StatusOr<StrategyUpdate> BuildStrategyUpdate(

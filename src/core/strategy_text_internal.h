@@ -12,7 +12,6 @@
 #define BTR_SRC_CORE_STRATEGY_TEXT_INTERNAL_H_
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cstdint>
 #include <string>
@@ -48,6 +47,9 @@ class LineScanner {
   }
 
   bool AtEnd() const { return pos_ >= text_.size(); }
+  // Offset of the next unread byte.
+  size_t offset() const { return pos_; }
+  const std::string& text() const { return text_; }
 
  private:
   const std::string& text_;
@@ -195,40 +197,46 @@ inline bool PlausibleFloatField(std::string_view s) {
   return true;
 }
 
-// SplitFields into at most `N` caller-owned slots, without allocating:
-// false on an empty field (as SplitFields) and on an (N+1)-th field.
-template <size_t N>
-inline bool SplitFieldsFixed(std::string_view line, std::array<std::string_view, N>* fields,
-                             size_t* count) {
-  *count = 0;
-  if (line.empty()) {
-    return false;
+// Scans `count` single-space-separated canonical decimal fields that make
+// up all of `s` into `values`, in one pass: each field is non-empty, digits
+// only, without a leading zero, and fits in uint64 (ParseU64's grammar).
+inline bool ScanDecimalFields(std::string_view s, size_t count, uint64_t* values) {
+  size_t pos = 0;
+  for (size_t k = 0; k < count; ++k) {
+    if (k > 0) {
+      if (pos == s.size()) {
+        return false;  // too few fields
+      }
+      ++pos;  // the separating space
+    }
+    const size_t start = pos;
+    uint64_t v = 0;
+    for (; pos < s.size() && s[pos] != ' '; ++pos) {
+      const char c = s[pos];
+      if (c < '0' || c > '9') {
+        return false;
+      }
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      if (v > (UINT64_MAX - digit) / 10) {
+        return false;
+      }
+      v = v * 10 + digit;
+    }
+    if (pos == start || (s[start] == '0' && pos - start > 1)) {
+      return false;  // empty field or a leading zero
+    }
+    values[k] = v;
   }
-  size_t start = 0;
-  while (true) {
-    if (*count == N) {
-      return false;
-    }
-    const size_t sp = line.find(' ', start);
-    const std::string_view field =
-        sp == std::string_view::npos ? line.substr(start) : line.substr(start, sp - start);
-    if (field.empty()) {
-      return false;
-    }
-    (*fields)[(*count)++] = field;
-    if (sp == std::string_view::npos) {
-      return true;
-    }
-    start = sp + 1;
-  }
+  return pos == s.size();  // no further field, no trailing space
 }
 
 // Validates one line of a plan-body chunk (U/P/S/T/B/END). On success,
 // `*is_end` marks the END line and `*t_node` is the node of a T record
 // (UINT64_MAX otherwise). All id fields must be canonical decimal and
-// in range for `dims`. Runs once per body line of every parse, so it
-// splits into fixed slots: no record has more than five fields, and a
-// sixth rejects the line exactly as the per-tag field counts would.
+// in range for `dims`. Runs once per body line of every parse, so it scans
+// the line in place: every record is a one-character tag, a space and its
+// fields, which is exactly what splitting on single spaces and checking
+// each tag's field count accepts.
 inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_t* t_node,
                             bool* is_end) {
   *t_node = UINT64_MAX;
@@ -237,37 +245,64 @@ inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_
     *is_end = true;
     return true;
   }
-  std::array<std::string_view, 5> f;
-  size_t n = 0;
-  if (!SplitFieldsFixed(line, &f, &n)) {
+  if (line.size() < 2 || line[1] != ' ') {
     return false;
   }
-  uint64_t v0 = 0;
-  uint64_t v1 = 0;
-  uint64_t v2 = 0;
-  uint64_t v3 = 0;
-  if (f[0] == "U") {
-    return n == 2 && PlausibleFloatField(f[1]);
-  }
-  if (f[0] == "P") {
-    return n == 4 && ParseU64(f[1], &v0) && v0 < dims.aug_count && ParseU64(f[2], &v1) &&
-           v1 < dims.node_count && ParseU64(f[3], &v2);
-  }
-  if (f[0] == "S") {
-    return n == 2 && ParseU64(f[1], &v0);
-  }
-  if (f[0] == "T") {
-    if (n != 5 || !ParseU64(f[1], &v0) || v0 >= dims.node_count || !ParseU64(f[2], &v1) ||
-        v1 >= dims.aug_count || !ParseU64(f[3], &v2) || !ParseU64(f[4], &v3)) {
+  const std::string_view fields = line.substr(2);
+  uint64_t v[4] = {0, 0, 0, 0};
+  switch (line[0]) {
+    case 'U':
+      return PlausibleFloatField(fields);  // which also rejects a space
+    case 'P':
+      return ScanDecimalFields(fields, 3, v) && v[0] < dims.aug_count &&
+             v[1] < dims.node_count;
+    case 'S':
+      return ScanDecimalFields(fields, 1, v);
+    case 'T':
+      if (!ScanDecimalFields(fields, 4, v) || v[0] >= dims.node_count ||
+          v[1] >= dims.aug_count) {
+        return false;
+      }
+      *t_node = v[0];
+      return true;
+    case 'B':
+      return ScanDecimalFields(fields, 2, v) && v[0] < dims.edge_count;
+    default:
       return false;
+  }
+}
+
+// Why ScanBody stopped short of a body's END line.
+enum class BodyScan {
+  kOk,
+  kTruncated,   // the text ended inside the body
+  kBadRecord,   // a line failed ValidBodyRecord
+  kForeignRow,  // a T row of a node other than `own_node`
+};
+
+// Validates one plan body's record lines, from the scanner's position
+// through its END line, and on success points `*chunk` at them in the
+// scanned text (END line included), so callers copy the chunk once. With
+// `own_node` other than UINT64_MAX, a T row of any other node is refused.
+inline BodyScan ScanBody(LineScanner* scan, const BodyDims& dims, uint64_t own_node,
+                         std::string_view* chunk) {
+  const size_t start = scan->offset();
+  std::string_view line;
+  bool ended = false;
+  while (!ended) {
+    if (!NextTerminatedLine(scan, &line)) {
+      return BodyScan::kTruncated;
     }
-    *t_node = v0;
-    return true;
+    uint64_t t_node = 0;
+    if (!ValidBodyRecord(line, dims, &t_node, &ended)) {
+      return BodyScan::kBadRecord;
+    }
+    if (own_node != UINT64_MAX && t_node != UINT64_MAX && t_node != own_node) {
+      return BodyScan::kForeignRow;
+    }
   }
-  if (f[0] == "B") {
-    return n == 3 && ParseU64(f[1], &v0) && v0 < dims.edge_count && ParseU64(f[2], &v1);
-  }
-  return false;
+  *chunk = std::string_view(scan->text()).substr(start, scan->offset() - start);
+  return BodyScan::kOk;
 }
 
 // Appends `value` in canonical decimal (what std::to_string prints),

@@ -622,21 +622,24 @@ TEST(StrategyBinary, BulkSliceRenderersMatchPerNodePrimitives) {
   auto patch = MakeStrategyPatch(base, target);
   ASSERT_TRUE(patch.ok());
 
-  // The bulk renderers inside BuildStrategyUpdate must be byte-equal to
-  // the per-node primitives they replaced.
+  // What BuildStrategyUpdate renders in bulk (base slices) or on demand
+  // (fallback slices, patch slices, the blob) must be byte-equal to the
+  // per-node primitives.
   for (uint32_t n = 0; n < next.topo.node_count(); ++n) {
     auto base_slice = ExtractSlice(base, n);
     auto full_slice = ExtractSlice(target, n);
     auto patch_slice_text = SaveStrategyPatchSlice(*patch, n);
     ASSERT_TRUE(base_slice.ok() && full_slice.ok() && patch_slice_text.ok());
-    const FallbackSlice* fallback = update->fallback_slice(n);
+    const WireArtifact* fallback = update->fallback_slice(n);
     ASSERT_NE(fallback, nullptr) << "node " << n;
     EXPECT_EQ(update->base_slices[n], *base_slice) << "node " << n;
     EXPECT_EQ(fallback->bytes, *full_slice) << "node " << n;
     EXPECT_EQ(update->patch_slices[n], *patch_slice_text) << "node " << n;
     EXPECT_EQ(fallback->fp, FingerprintStrategyText(*full_slice)) << "node " << n;
   }
-  EXPECT_EQ(update->target_blob_fp, update->target_fp);  // v2: same bytes
+  ASSERT_NE(update->blob_artifact(), nullptr);
+  EXPECT_EQ(update->blob_artifact()->bytes, target);  // v2: same bytes
+  EXPECT_EQ(update->blob_artifact()->fp, update->target_fp);
 }
 
 TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
@@ -666,14 +669,16 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
   EXPECT_EQ(v4->base_fp, v2->base_fp);
   EXPECT_EQ(v4->target_fp, v2->target_fp);
   // Shipped artifacts are images, content-fingerprinted as shipped bytes.
-  EXPECT_TRUE(fmt::IsV4Image(v4->target_blob));
-  EXPECT_TRUE(fmt::IsV4Image(v4->patch_full));
-  EXPECT_EQ(v4->target_blob_fp, FingerprintStrategyText(v4->target_blob));
-  EXPECT_EQ(v4->patch_full_fp, FingerprintStrategyText(v4->patch_full));
+  const WireArtifact* blob = v4->blob_artifact();
+  ASSERT_NE(blob, nullptr);
+  EXPECT_TRUE(fmt::IsV4Image(blob->bytes));
+  EXPECT_TRUE(fmt::IsV4Image(v4->patch_full.bytes));
+  EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
+  EXPECT_EQ(v4->patch_full.fp, FingerprintStrategyText(v4->patch_full.bytes));
   const uint32_t nodes = static_cast<uint32_t>(v4->base_slices.size());
   for (uint32_t n = 0; n < nodes; ++n) {
-    const FallbackSlice* full4 = v4->fallback_slice(n);
-    const FallbackSlice* full2 = v2->fallback_slice(n);
+    const WireArtifact* full4 = v4->fallback_slice(n);
+    const WireArtifact* full2 = v2->fallback_slice(n);
     ASSERT_TRUE(full4 != nullptr && full2 != nullptr) << n;
     EXPECT_TRUE(fmt::IsV4Image(full4->bytes)) << n;
     EXPECT_TRUE(fmt::IsV4Image(v4->patch_slices[n])) << n;
@@ -736,8 +741,8 @@ TEST(StrategyBinary, ImageAndTextInstallsLeaveIdenticalState) {
   ASSERT_TRUE(text.ok() && image.ok() && next.ok());
   ASSERT_NE(next->base_fp, next->target_fp);
   for (uint32_t n = 0; n < text->base_slices.size(); ++n) {
-    const FallbackSlice* as_text = text->fallback_slice(n);
-    const FallbackSlice* as_image = image->fallback_slice(n);
+    const WireArtifact* as_text = text->fallback_slice(n);
+    const WireArtifact* as_image = image->fallback_slice(n);
     ASSERT_TRUE(as_text != nullptr && as_image != nullptr) << "node " << n;
     ASSERT_TRUE(fmt::IsV4Image(as_image->bytes)) << "node " << n;
 

@@ -277,20 +277,40 @@ bool ReferenceValidBodyRecord(std::string_view line, const strategy_text::BodyDi
   return false;
 }
 
+// Decimal values that probe the canonical uint64 grammar: the largest
+// uint64, its overflowing and 21-character neighbours, leading zeros,
+// signs and fractions.
+const std::vector<std::string>& NumericProbes() {
+  static const std::vector<std::string> kProbes = {
+      "123456789012345678901", "18446744073709551615", "18446744073709551614",
+      "18446744073709551616",  "18446744073709551619", "18446744073709551620",
+      "99999999999999999999",  "184467440737095516150", "018446744073709551615",
+      "00000000000000000001",  "00",                    "01",
+      "-1",                    "+1",                    "1.5"};
+  return kProbes;
+}
+
 // Mutations of one canonical body line that probe every rejection rule:
-// extra fields, stray spaces, non-canonical and oversized numbers, ids at
-// and past each dimension, and unknown tags.
+// extra fields, stray spaces, tabs and carriage returns, non-canonical and
+// oversized numbers, ids at and past each dimension, and unknown tags.
 std::vector<std::string> MutateBodyLine(const std::string& line,
                                         const strategy_text::BodyDims& dims) {
   std::vector<std::string> out = {line, line + " 7", line + " 7 7", " " + line, line + " ",
-                                  "", "END ", " END", "END 0", "ENDX"};
+                                  "", "END ", " END", "END 0", "ENDX",
+                                  line + "\r", line + "\t", "\t" + line};
   const size_t first_space = line.find(' ');
   if (first_space == std::string::npos) {
     return out;
   }
   out.push_back(line.substr(0, first_space) + "  " + line.substr(first_space + 1));
   out.push_back(line.substr(0, first_space) + " 0" + line.substr(first_space + 1));
-  for (const char* tag : {"X", "t", "TT", "PS", "END", "U"}) {
+  out.push_back(line.substr(0, first_space) + line.substr(first_space + 1));
+  out.push_back(line.substr(0, first_space) + "\t" + line.substr(first_space + 1));
+  const size_t last_space = line.rfind(' ');
+  out.push_back(line.substr(0, last_space) + "\t" + line.substr(last_space + 1));
+  out.push_back(line.substr(0, last_space) + "\r " + line.substr(last_space + 1));
+  out.push_back(line.substr(0, last_space + 1) + "\r" + line.substr(last_space + 1));
+  for (const char* tag : {"X", "t", "TT", "PS", "END", "U", "T", "P", "S", "B", "UU", "T1"}) {
     out.push_back(tag + line.substr(first_space));
   }
   // Replace each field in turn.
@@ -304,17 +324,73 @@ std::vector<std::string> MutateBodyLine(const std::string& line,
     const size_t end = k + 1 < starts.size() ? starts[k + 1] - 1 : line.size();
     const std::string head = line.substr(0, starts[k]);
     const std::string rest = line.substr(end);
-    for (const std::string& value :
-         {std::string("123456789012345678901"), std::string("18446744073709551615"),
-          std::string("18446744073709551616"), std::string("00"), std::string("-1"),
-          std::string("1.5"), std::to_string(dims.aug_count),
-          std::to_string(dims.aug_count - 1), std::to_string(dims.node_count),
-          std::to_string(dims.node_count - 1), std::to_string(dims.edge_count),
-          std::to_string(dims.edge_count - 1)}) {
+    std::vector<std::string> values = NumericProbes();
+    for (uint64_t dim : {dims.aug_count, dims.node_count, dims.edge_count}) {
+      values.push_back(std::to_string(dim));
+      values.push_back(std::to_string(dim - 1));
+      values.push_back(std::to_string(dim + 1));
+    }
+    for (const std::string& value : values) {
       out.push_back(head + value + rest);
     }
   }
   return out;
+}
+
+// Hand-written lines a one-pass scanner can get wrong: one-character tags
+// without fields, tags glued to their first field, END variants, each id
+// exactly at (and just below) its dimension, and every numeric probe in
+// every field position of every record.
+std::vector<std::string> EdgeCaseBodyLines(const strategy_text::BodyDims& dims) {
+  std::vector<std::string> out = {
+      "TT 1 2 3 4", "T1 2 3 4", "T", "U", "U ", "P", "S", "B", "T ", "P ", "S ", "B ",
+      "END", "END\r", "END\t", "\tEND", "END END", "ENDEND", "EN", "E", "end", "End",
+      "U 1.5", "U\t1.5", "U 1.5\r", "U 1\r5", "U  1.5", "U 1.5 ", "U 1.5 2", "U -1e+5",
+      "S 0", "S\t0", "S 0\r", "S 0\t", "S 0 ", "S  0", "B 0\t1", "T 0 0 0\r0",
+      "T 0\r 0 0 0"};
+  const std::string aug = std::to_string(dims.aug_count);
+  const std::string node = std::to_string(dims.node_count);
+  const std::string edge = std::to_string(dims.edge_count);
+  const std::string aug1 = std::to_string(dims.aug_count - 1);
+  const std::string node1 = std::to_string(dims.node_count - 1);
+  const std::string edge1 = std::to_string(dims.edge_count - 1);
+  for (const std::string& line :
+       {"P " + aug + " 0 0", "P " + aug1 + " 0 0", "P 0 " + node + " 0", "P 0 " + node1 + " 0",
+        "T " + node + " 0 0 0", "T " + node1 + " 0 0 0", "T 0 " + aug + " 0 0",
+        "T 0 " + aug1 + " 0 0", "B " + edge + " 0", "B " + edge1 + " 0"}) {
+    out.push_back(line);
+  }
+  // Every numeric probe at every field position of every record.
+  const std::vector<std::vector<std::string>> records = {
+      {"U", "1"}, {"P", "0", "0", "0"}, {"S", "0"}, {"T", "0", "0", "0", "0"}, {"B", "0", "0"}};
+  for (const std::vector<std::string>& record : records) {
+    for (size_t field = 1; field < record.size(); ++field) {
+      for (const std::string& value : NumericProbes()) {
+        std::string line = record[0];
+        for (size_t k = 1; k < record.size(); ++k) {
+          line += ' ';
+          line += k == field ? value : record[k];
+        }
+        out.push_back(line);
+      }
+    }
+  }
+  return out;
+}
+
+// Expects ValidBodyRecord's verdict and outputs on `probe` to equal the
+// reference's.
+void ExpectSameVerdict(const std::string& probe, const strategy_text::BodyDims& dims,
+                       const char* label) {
+  uint64_t ref_node = 0;
+  bool ref_end = false;
+  uint64_t node = 0;
+  bool end = false;
+  const bool ref_ok = ReferenceValidBodyRecord(probe, dims, &ref_node, &ref_end);
+  const bool ok = strategy_text::ValidBodyRecord(probe, dims, &node, &end);
+  EXPECT_EQ(ok, ref_ok) << label << ": \"" << probe << "\"";
+  EXPECT_EQ(node, ref_node) << label << ": \"" << probe << "\"";
+  EXPECT_EQ(end, ref_end) << label << ": \"" << probe << "\"";
 }
 
 // Probes every body line of `blob` and its mutations; returns the probe
@@ -334,18 +410,14 @@ size_t CheckValidatorAgainstReference(const std::string& blob, const char* label
       const std::string line = chunk.substr(pos, nl - pos);
       pos = nl + 1;
       for (const std::string& probe : MutateBodyLine(line, dims)) {
-        uint64_t ref_node = 0;
-        bool ref_end = false;
-        uint64_t node = 0;
-        bool end = false;
-        const bool ref_ok = ReferenceValidBodyRecord(probe, dims, &ref_node, &ref_end);
-        const bool ok = strategy_text::ValidBodyRecord(probe, dims, &node, &end);
-        EXPECT_EQ(ok, ref_ok) << label << ": \"" << probe << "\"";
-        EXPECT_EQ(node, ref_node) << label << ": \"" << probe << "\"";
-        EXPECT_EQ(end, ref_end) << label << ": \"" << probe << "\"";
+        ExpectSameVerdict(probe, dims, label);
         ++probes;
       }
     }
+  }
+  for (const std::string& probe : EdgeCaseBodyLines(dims)) {
+    ExpectSameVerdict(probe, dims, label);
+    ++probes;
   }
   return probes;
 }

@@ -681,7 +681,7 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
   // Corrupt the shipped patch: every receiver's content check catches the
   // flipped byte, and it converges through the blob artifact instead.
   StrategyUpdate corrupted = *update_or;
-  corrupted.patch_full[corrupted.patch_full.size() / 2] ^= 0x20;
+  corrupted.patch_full.bytes[corrupted.patch_full.bytes.size() / 2] ^= 0x20;
   InstallRunReport fallback;
   run_install(std::make_shared<const StrategyUpdate>(corrupted), &fallback);
   EXPECT_EQ(fallback.nodes_installed, topo.node_count());
@@ -693,9 +693,14 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
   // still parses and carves into slices. The artifact's content fingerprint
   // catches it; no receiver may install it, and since every server ships
   // the same bytes, each gives up and goes silent instead of re-pulling
-  // forever.
-  StrategyUpdate poisoned = corrupted;
-  std::string& blob = poisoned.target_blob;
+  // forever. The blob is edited on a freshly built update, whose artifacts
+  // no other update shares, and keeps its clean content fingerprint.
+  auto poisoned_or = BuildStrategyUpdate(base_blob, target_blob);
+  ASSERT_TRUE(poisoned_or.ok());
+  StrategyUpdate poisoned = std::move(*poisoned_or);
+  poisoned.patch_full = corrupted.patch_full;
+  ASSERT_NE(poisoned.mutable_blob_artifact(), nullptr);
+  std::string& blob = poisoned.mutable_blob_artifact()->bytes;
   const size_t t_row = blob.find("\nT ");
   ASSERT_NE(t_row, std::string::npos);
   const size_t line_end = blob.find('\n', t_row + 1);
@@ -757,10 +762,16 @@ struct ConvoyRollout {
     target_blob = SaveStrategy(*rebuilt, planner.graph(), topo);
   }
 
-  std::shared_ptr<const StrategyUpdate> Update() const {
+  // A freshly built update: its on-demand artifacts are shared with no
+  // other update, so a test may edit them.
+  StrategyUpdate BuildUpdate() const {
     auto update = BuildStrategyUpdate(base_blob, target_blob, StrategyWireFormat::kV4Binary);
     EXPECT_TRUE(update.ok());
-    return std::make_shared<const StrategyUpdate>(std::move(update).value());
+    return std::move(update).value();
+  }
+
+  std::shared_ptr<const StrategyUpdate> Update() const {
+    return std::make_shared<const StrategyUpdate>(BuildUpdate());
   }
 
   // Runs the rollout of `update` from `distributor` on `shards` shards, or
@@ -880,11 +891,11 @@ std::vector<StrategyDelta> FallbackEditStream(const Scenario& s, uint64_t seed) 
   return stream;
 }
 
-// Builds the stream's update at every step in `format` and digests every
-// node's fallback slice bytes and content fingerprint, in step and node
-// order.
-uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
-                              StrategyWireFormat format) {
+// Plans `scenario`, then replays its seeded edit stream, handing the update
+// of every step, built in `format`, to `visit(step, update)`.
+template <typename Visit>
+void ForEachStreamUpdate(Scenario scenario, uint32_t f, uint64_t seed, StrategyWireFormat format,
+                         Visit&& visit) {
   const PlannerConfig config = SmallConfig(f);
   const std::vector<StrategyDelta> stream = FallbackEditStream(scenario, seed);
   std::deque<System> generations;
@@ -896,7 +907,6 @@ uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
   auto strategy = builder.Build();
   EXPECT_TRUE(strategy.ok());
   std::string blob = Blob(*strategy, *base.planner);
-  Hasher digest;
   for (size_t i = 0; i < stream.size(); ++i) {
     const System& old_sys = generations.back();
     System& next = generations.emplace_back();
@@ -910,25 +920,38 @@ uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
     const std::string next_blob = Blob(*next_strategy, *next.planner);
     auto update = BuildStrategyUpdate(blob, next_blob, format);
     EXPECT_TRUE(update.ok()) << stream[i].ToString();
-    // Building the update carves no fallback slice.
+    if (!update.ok()) {
+      return;
+    }
+    // Building the update builds none of its on-demand artifacts.
+    EXPECT_EQ(update->patch_slices_built(), 0u);
     EXPECT_EQ(update->fallback_slices_built(), 0u);
-    const uint32_t nodes = static_cast<uint32_t>(update->base_slices.size());
+    EXPECT_FALSE(update->blob_artifact_built());
+    visit(i, *update);
+    blob = next_blob;
+  }
+}
+
+// Digests every node's fallback slice bytes and content fingerprint at
+// every step of the stream, in step and node order.
+uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
+                              StrategyWireFormat format) {
+  Hasher digest;
+  ForEachStreamUpdate(std::move(scenario), f, seed, format,
+                      [&digest](size_t i, const StrategyUpdate& update) {
+    const uint32_t nodes = static_cast<uint32_t>(update.base_slices.size());
     for (uint32_t n = 0; n < nodes; ++n) {
-      const FallbackSlice* slice = update->fallback_slice(n);
-      EXPECT_NE(slice, nullptr) << "step " << i << " node " << n;
-      if (slice == nullptr) {
-        return 0;
-      }
+      const WireArtifact* slice = update.fallback_slice(n);
+      ASSERT_NE(slice, nullptr) << "step " << i << " node " << n;
       EXPECT_EQ(slice->fp, FingerprintStrategyText(slice->bytes));
       // A second request returns the same storage.
-      EXPECT_EQ(update->fallback_slice(n), slice);
+      EXPECT_EQ(update.fallback_slice(n), slice);
       digest.AddString(slice->bytes);
       digest.Add(slice->fp);
     }
-    EXPECT_EQ(update->fallback_slices_built(), nodes);
-    EXPECT_EQ(update->fallback_slice(nodes), nullptr);
-    blob = next_blob;
-  }
+    EXPECT_EQ(update.fallback_slices_built(), nodes);
+    EXPECT_EQ(update.fallback_slice(nodes), nullptr);
+  });
   return digest.Digest();
 }
 
@@ -958,11 +981,19 @@ TEST(FallbackSlices, MatchEagerSlicesPinnedAtReference) {
 
 // Flips a byte in the middle of every node's patch slice: the distributor
 // (node 0) falls back locally, and every leaf falls back to its slice,
-// while the relays ride the intact unsliced patch.
-std::shared_ptr<const StrategyUpdate> CorruptPatchSlices(const StrategyUpdate& clean) {
-  StrategyUpdate update = clean;
-  for (std::string& slice : update.patch_slices) {
-    slice[slice.size() / 2] = static_cast<char>(slice[slice.size() / 2] ^ 0x20);
+// while the relays ride the intact unsliced patch. Each slice is served with
+// the fingerprint of its flipped bytes, so the content check passes and the
+// apply refuses it. `update` must share its artifacts with no other update.
+std::shared_ptr<const StrategyUpdate> CorruptPatchSlices(StrategyUpdate update) {
+  for (uint32_t n = 0; n < update.patch_slices.size(); ++n) {
+    WireArtifact* slice = update.mutable_patch_slice(n);
+    EXPECT_NE(slice, nullptr) << "node " << n;
+    if (slice == nullptr) {
+      continue;
+    }
+    std::string& bytes = slice->bytes;
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x20);
+    slice->fp = FingerprintStrategyText(bytes);
   }
   return std::make_shared<const StrategyUpdate>(std::move(update));
 }
@@ -979,7 +1010,7 @@ TEST(FallbackSlices, BuiltOnlyForNodesThatFallBack) {
   EXPECT_EQ(clean_run->install.fallbacks, 0u);
   EXPECT_EQ(clean->fallback_slices_built(), 0u);
 
-  const auto corrupted = CorruptPatchSlices(*rollout.Update());
+  const auto corrupted = CorruptPatchSlices(rollout.BuildUpdate());
   const auto fallback_run = rollout.Run(corrupted);
   ASSERT_TRUE(fallback_run.ok()) << fallback_run.status().ToString();
   EXPECT_EQ(fallback_run->install.nodes_installed, nodes);
@@ -993,7 +1024,7 @@ TEST(FallbackSlices, FallbackRolloutIsByteIdenticalAcrossShardCounts) {
   const ConvoyRollout rollout;
   std::string baseline;
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const auto update = CorruptPatchSlices(*rollout.Update());
+    const auto update = CorruptPatchSlices(rollout.BuildUpdate());
     const auto run = rollout.Run(update, shards);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(update->fallback_slices_built(), run->install.fallbacks) << "shards=" << shards;
@@ -1003,6 +1034,118 @@ TEST(FallbackSlices, FallbackRolloutIsByteIdenticalAcrossShardCounts) {
       continue;
     }
     // Fallen-back leaves on different shards build their slices there.
+    EXPECT_NE(run->layout.ShardOf(2), run->layout.ShardOf(8)) << "shards=" << shards;
+    EXPECT_EQ(run->report, baseline) << "report diverged at shards=" << shards;
+  }
+  unsetenv("BTR_SHARD_EXEC");
+}
+
+// --- on-demand shipped artifacts ------------------------------------------
+
+// Digests every node's patch slice and the blob artifact, bytes and content
+// fingerprint, at every step of the stream, in step and node order.
+uint64_t ShippedStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
+                             StrategyWireFormat format) {
+  Hasher digest;
+  ForEachStreamUpdate(std::move(scenario), f, seed, format,
+                      [&digest](size_t i, const StrategyUpdate& update) {
+    const uint32_t nodes = static_cast<uint32_t>(update.base_slices.size());
+    ASSERT_EQ(update.patch_slices.size(), nodes);
+    for (uint32_t n = 0; n < nodes; ++n) {
+      const WireArtifact* slice = update.patch_slice(n);
+      ASSERT_NE(slice, nullptr) << "step " << i << " node " << n;
+      EXPECT_EQ(slice->fp, FingerprintStrategyText(slice->bytes));
+      EXPECT_EQ(update.patch_slice(n), slice);  // built once
+      EXPECT_EQ(&update.patch_slices[n], &slice->bytes);
+      digest.AddString(slice->bytes);
+      digest.Add(slice->fp);
+    }
+    EXPECT_EQ(update.patch_slices_built(), nodes);
+    EXPECT_EQ(update.patch_slice(nodes), nullptr);
+    const WireArtifact* blob = update.blob_artifact();
+    ASSERT_NE(blob, nullptr) << "step " << i;
+    EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
+    EXPECT_EQ(update.blob_artifact(), blob);
+    EXPECT_TRUE(update.blob_artifact_built());
+    digest.AddString(blob->bytes);
+    digest.Add(blob->fp);
+  });
+  return digest.Digest();
+}
+
+// The digests were recorded at the reference build, where BuildStrategyUpdate
+// rendered every node's patch slice and the blob artifact eagerly, and
+// encoded them under v4: the artifacts built on demand carry the same bytes
+// and content fingerprints.
+TEST(ShippedArtifacts, MatchEagerArtifactsPinnedAtReference) {
+  const struct {
+    const char* name;
+    Scenario scenario;
+    uint32_t f;
+    uint64_t seed;
+    uint64_t v2_digest;
+    uint64_t v4_digest;
+  } cases[] = {
+      {"convoy6", MakeConvoyScenario(6), 1, 71, 0x5aac1b1cb466ec76, 0xb1d3010e4e2fa0d0},
+      {"avionics6", MakeAvionicsScenario(6), 1, 72, 0x34347b6bd06858bc, 0x104e9df2ae95a34a},
+  };
+  for (const auto& c : cases) {
+    const uint64_t v2 = ShippedStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV2Text);
+    const uint64_t v4 =
+        ShippedStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV4Binary);
+    EXPECT_EQ(v2, c.v2_digest) << c.name << " v2: got 0x" << std::hex << v2;
+    EXPECT_EQ(v4, c.v4_digest) << c.name << " v4: got 0x" << std::hex << v4;
+  }
+}
+
+// Nodes with a single neighbor: gossip serves them their own patch slice.
+size_t LeafCount(const Topology& topo) {
+  size_t leaves = 0;
+  for (uint32_t n = 0; n < topo.node_count(); ++n) {
+    leaves += topo.Neighbors(NodeId(n)).size() <= 1 ? 1 : 0;
+  }
+  return leaves;
+}
+
+TEST(ShippedArtifacts, CleanRolloutBuildsOnlyTheDistributorAndLeafPatchSlices) {
+  const ConvoyRollout rollout;
+  const Topology& topo = rollout.system.scenario().topology;
+  const size_t nodes = topo.node_count();
+  // The distributor, node 0, is one of the vehicles' I/O leaves.
+  ASSERT_LE(topo.Neighbors(NodeId(0)).size(), 1u);
+  const size_t leaves = LeafCount(topo);
+  ASSERT_EQ(leaves, nodes / 2);
+
+  const auto update = rollout.Update();
+  const auto run = rollout.Run(update);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->install.nodes_installed, nodes);
+  EXPECT_NE(run->install.completed_at, kSimTimeNever);
+  EXPECT_EQ(run->install.fallbacks, 0u);
+  // The compute nodes relay the unsliced patch and carve their slices in
+  // memory; only the distributor's and the leaves' images are encoded.
+  EXPECT_EQ(update->patch_slices_built(), leaves);
+  EXPECT_FALSE(update->blob_artifact_built());
+  EXPECT_EQ(update->fallback_slices_built(), 0u);
+}
+
+TEST(ShippedArtifacts, CleanRolloutIsByteIdenticalAcrossShardCounts) {
+  setenv("BTR_SHARD_EXEC", "threads", 1);
+  const ConvoyRollout rollout;
+  const size_t leaves = LeafCount(rollout.system.scenario().topology);
+  std::string baseline;
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    const auto update = rollout.Update();
+    const auto run = rollout.Run(update, shards);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->install.fallbacks, 0u) << "shards=" << shards;
+    EXPECT_EQ(update->patch_slices_built(), leaves) << "shards=" << shards;
+    EXPECT_FALSE(update->blob_artifact_built()) << "shards=" << shards;
+    if (shards == 1) {
+      baseline = run->report;
+      continue;
+    }
+    // Leaves on different shards build their patch slices there.
     EXPECT_NE(run->layout.ShardOf(2), run->layout.ShardOf(8)) << "shards=" << shards;
     EXPECT_EQ(run->report, baseline) << "report diverged at shards=" << shards;
   }
