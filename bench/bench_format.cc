@@ -9,8 +9,8 @@
 //            mode dirtied) as BTRPATCH text vs v4 patch images.
 //   time   — node install cost for a full slice: parse-and-verify the
 //            text slice vs decode the v4 image, then parse-and-verify
-//            the text it decodes to (InstallEngine::InstallFull both
-//            ways, wall clock; the engine installs only canonical text).
+//            the text it decodes to (wall clock; the engine installs
+//            only canonical text, so an install agent decodes first).
 //   safety — the formats must be semantically invisible: a run on the
 //            planned strategy, on the strategy loaded back from the v2
 //            text, and on the strategy loaded from the v4 image must
@@ -57,9 +57,9 @@ struct PatchMeasurement {
 };
 
 // Stages `edit` through the real incremental-replan path (ApplyDelta →
-// Rebuild → diff) and measures the full patch in both serializations.
-StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const std::string& base_blob,
-                                        const DeltaEdit& edit) {
+// Rebuild → diff) and measures the shipped full patch image against the
+// BTRPATCH text it decodes to.
+StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const DeltaEdit& edit) {
   BtrConfig config = E7Config();
   config.runtime.heartbeats = false;
   BtrSystem system(base, config);
@@ -74,37 +74,36 @@ StatusOr<PatchMeasurement> MeasurePatch(const Scenario& base, const std::string&
   if (!staged.ok()) {
     return staged;
   }
-  const WireArtifact* target_blob = system.staged_update()->blob_artifact();
-  if (target_blob == nullptr) {
-    return Status::Internal("staged update has no blob artifact");
-  }
-  auto patch = MakeStrategyPatch(base_blob, target_blob->bytes);
+  const std::string& image = system.staged_update()->patch_full.bytes;
+  auto patch = fmt::DecodePatchImage(image);
   if (!patch.ok()) {
     return patch.status();
   }
   PatchMeasurement m;
   m.text_bytes = SaveStrategyPatch(*patch).size();
-  auto image = fmt::EncodePatchImage(*patch);
-  if (!image.ok()) {
-    return image.status();
-  }
-  m.image_bytes = image->size();
+  m.image_bytes = image.size();
   return m;
 }
 
-// Wall-clock microseconds per InstallFull of `artifact` on a fresh engine.
-double TimeInstall(const std::string& artifact, uint64_t sfp, int reps) {
-  // Warm up allocator and caches with one untimed pass.
-  {
+// Wall-clock microseconds per install of `slice` on a fresh engine: text
+// goes straight to InstallFull, an image (`decode`) is decoded first, as an
+// install agent decodes it.
+double TimeInstall(const std::string& slice, bool decode, uint64_t sfp, int reps) {
+  const auto install = [&]() -> Status {
     InstallEngine engine{NodeId(0)};
-    if (!engine.InstallFull(artifact, sfp).ok()) {
-      return -1.0;
+    if (!decode) {
+      return engine.InstallFull(slice, sfp);
     }
+    StatusOr<std::string> text = fmt::DecodeStrategyImage(slice);
+    return text.ok() ? engine.InstallFull(std::move(*text), sfp) : text.status();
+  };
+  // Warm up allocator and caches with one untimed pass.
+  if (!install().ok()) {
+    return -1.0;
   }
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
-    InstallEngine engine{NodeId(0)};
-    if (!engine.InstallFull(artifact, sfp).ok()) {
+    if (!install().ok()) {
       return -1.0;
     }
   }
@@ -173,9 +172,8 @@ int Run(int reps) {
   const uint64_t blob_fp = FingerprintStrategyText(v2_blob);
 
   // E7 edit patches, both serializations.
-  auto link_flap = MeasurePatch(base, v2_blob, DeltaEdit::LinkRemove("flaplink"));
-  auto bus_remeasure =
-      MeasurePatch(base, v2_blob, DeltaEdit::LinkLatencyChange("bus", 60'000'000, -1));
+  auto link_flap = MeasurePatch(base, DeltaEdit::LinkRemove("flaplink"));
+  auto bus_remeasure = MeasurePatch(base, DeltaEdit::LinkLatencyChange("bus", 60'000'000, -1));
   if (!link_flap.ok() || !bus_remeasure.ok()) {
     std::fprintf(stderr, "format bench: patch failed: %s\n",
                  (!link_flap.ok() ? link_flap.status() : bus_remeasure.status())
@@ -193,8 +191,8 @@ int Run(int reps) {
   if (!slice_image.ok()) {
     return 1;
   }
-  const double parse_us = TimeInstall(*slice_text, blob_fp, reps);
-  const double decode_us = TimeInstall(*slice_image, blob_fp, reps);
+  const double parse_us = TimeInstall(*slice_text, false, blob_fp, reps);
+  const double decode_us = TimeInstall(*slice_image, true, blob_fp, reps);
   if (parse_us < 0 || decode_us < 0) {
     std::fprintf(stderr, "format bench: install timing failed\n");
     return 1;
@@ -225,8 +223,8 @@ int Run(int reps) {
                 CellDouble(decode_us, 1) + " us",
                 CellDouble(100.0 * decode_us / parse_us, 1) + " %"});
   std::printf("%s\n", table.Render().c_str());
-  std::printf("(install = InstallEngine::InstallFull wall clock over %d reps: full\n"
-              " parse + canonical re-check for text vs image decode, then the same\n"
+  std::printf("(install = wall clock over %d reps: InstallEngine::InstallFull's\n"
+              " parse + canonical re-check of the text vs image decode, then the same\n"
               " text check; reports_match pins planned / v2-loaded / v4-loaded runs\n"
               " to byte-identical reports)\n\n", reps);
 

@@ -13,8 +13,13 @@
 // every node (blob bytes x receivers, computed, not simulated). Emits
 // `BENCH_JSON {...}` rows that ci/run_benches.sh folds into
 // BENCH_runtime.json.
+//
+// Exits non-zero when a Plan() or Run() fails, when stickiness-on recovery
+// is not below stickiness-off recovery, or when an install variant leaves a
+// node uninstalled or falls back to the blob.
 
 #include <cstring>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/core/strategy_delta.h"
@@ -31,7 +36,8 @@ struct Aggregate {
   int runs = 0;
 };
 
-Aggregate Measure(bool stickiness) {
+StatusOr<Aggregate> Measure(bool stickiness) {
+  const std::string step = stickiness ? "stickiness on " : "stickiness off ";
   Aggregate agg;
   Scenario scenario = MakeAvionicsScenario(6);
   BtrConfig config = DefaultBtrConfig(1, Milliseconds(500));
@@ -39,8 +45,9 @@ Aggregate Measure(bool stickiness) {
   // Give the fickle planner a reason to move: strong load weight.
   config.planner.weight_load = 4.0;
   BtrSystem system(scenario, config);
-  if (!system.Plan().ok()) {
-    return agg;
+  const Status planned = system.Plan();
+  if (!planned.ok()) {
+    return StepFailed(step + "Plan", planned);
   }
   const Plan* root = system.strategy().Lookup(FaultSet());
   for (uint32_t n = 4; n < scenario.topology.node_count(); ++n) {
@@ -54,7 +61,7 @@ Aggregate Measure(bool stickiness) {
     system.AddFault({victim, Milliseconds(100), FaultBehavior::kCrash, 0, NodeId::Invalid(), 0});
     auto report = system.Run(150);
     if (!report.ok()) {
-      continue;
+      return StepFailed(step + "crash n" + std::to_string(n) + " Run", report.status());
     }
     agg.moved += static_cast<double>(delta.tasks_moved + delta.tasks_started);
     agg.state += static_cast<double>(delta.state_bytes_moved);
@@ -63,28 +70,41 @@ Aggregate Measure(bool stickiness) {
     agg.worst_recovery_ms = std::max(agg.worst_recovery_ms, rec);
     ++agg.runs;
   }
+  if (agg.runs == 0) {
+    return Status::Internal(step + "measured no single-fault mode");
+  }
   return agg;
 }
 
-void Run() {
+Status Run() {
   PrintHeader("E8 / Figure 6: plan delta vs recovery time",
               "claim C5: minimal-reassignment planning shortens recovery");
 
   Table table({"planner", "avg tasks moved/started", "avg state moved", "avg recovery",
                "worst recovery"});
+  double sticky_ms = 0.0;  // average recovery, stickiness on
+  double fresh_ms = 0.0;   // and off
   for (bool stickiness : {true, false}) {
-    const Aggregate agg = Measure(stickiness);
-    if (agg.runs == 0) {
-      continue;
+    const StatusOr<Aggregate> agg = Measure(stickiness);
+    if (!agg.ok()) {
+      return agg.status();
     }
+    const double avg_ms = agg->recovery_ms / agg->runs;
+    (stickiness ? sticky_ms : fresh_ms) = avg_ms;
     table.AddRow({stickiness ? "minimal-delta (stickiness on)" : "fresh replan (stickiness off)",
-                  CellDouble(agg.moved / agg.runs, 1),
-                  CellBytes(agg.state / agg.runs),
-                  CellDouble(agg.recovery_ms / agg.runs, 1) + " ms",
-                  CellDouble(agg.worst_recovery_ms, 1) + " ms"});
+                  CellDouble(agg->moved / agg->runs, 1),
+                  CellBytes(agg->state / agg->runs),
+                  CellDouble(avg_ms, 1) + " ms",
+                  CellDouble(agg->worst_recovery_ms, 1) + " ms"});
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("(averaged over crashing each flight computer once)\n\n");
+  if (!(sticky_ms < fresh_ms)) {
+    return Status::Internal("claim C5: stickiness-on recovery " + CellDouble(sticky_ms, 1) +
+                            " ms is not below stickiness-off recovery " +
+                            CellDouble(fresh_ms, 1) + " ms");
+  }
+  return Status::Ok();
 }
 
 // --- E7 install traffic: gossiped patches vs full blob ---------------------
@@ -159,7 +179,7 @@ StatusOr<InstallMeasurement> SimulateInstall(const Scenario& base, const DeltaEd
   return m;
 }
 
-void RunInstall() {
+Status RunInstall() {
   PrintHeader("E7 addendum: strategy install traffic",
               "ship only what an edit changed, and only each node's own table rows");
 
@@ -195,11 +215,16 @@ void RunInstall() {
 
   Table table({"edit", "shipment", "blob bytes", "bytes/node", "vs full blob", "install time",
                "installed", "fallbacks"});
+  std::string incomplete;  // variants that left a node behind or fell back
   for (const Variant& variant : variants) {
     auto m = SimulateInstall(base, variant.edit);
     if (!m.ok()) {
-      std::printf("install bench %s: %s\n", variant.name, m.status().ToString().c_str());
-      continue;
+      return StepFailed(std::string("install ") + variant.name, m.status());
+    }
+    if (m->installed != m->nodes || m->fallbacks != 0) {
+      incomplete += std::string(incomplete.empty() ? "" : ", ") + variant.name + " (" +
+                    std::to_string(m->installed) + "/" + std::to_string(m->nodes) +
+                    " installed, " + std::to_string(m->fallbacks) + " fallbacks)";
     }
 
     // Per receiving node: the distributor installs its own patch locally.
@@ -232,6 +257,10 @@ void RunInstall() {
               " patch and carve their own slice, a failed patch falls back to the blob\n"
               " artifact — see README \"Strategy distribution\"; the full-blob row is the\n"
               " blob shipped to every receiver, computed rather than simulated)\n\n");
+  if (!incomplete.empty()) {
+    return Status::Internal("install did not reach every node by patch: " + incomplete);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -244,9 +273,9 @@ int main(int argc, char** argv) {
       install_only = true;
     }
   }
-  if (!install_only) {
-    btr::Run();
+  btr::Status status = install_only ? btr::Status::Ok() : btr::Run();
+  if (status.ok()) {
+    status = btr::RunInstall();
   }
-  btr::RunInstall();
-  return 0;
+  return btr::ExitCode(status);
 }

@@ -58,7 +58,6 @@ struct Options {
   std::optional<int64_t> beacon_us;
   std::optional<uint32_t> suppress_k;
   std::optional<std::string> pace_fraction;
-  std::optional<std::string> wire;
   std::optional<std::string> fault;
   std::optional<uint32_t> fault_node;
   int64_t fault_at_ms = 200;
@@ -80,7 +79,7 @@ int Usage(const char* argv0) {
       "usage: %s [--spec FILE.btrx]\n"
       "          [--scenario avionics|scada|convoy|convoy-mobile|lossy-mesh|random] [--nodes N]\n"
       "          [--seed S] [--f F] [--recovery-ms R] [--periods P] [--shards N]\n"
-      "          [--beacon-us T] [--suppress-k K] [--pace-fraction F] [--wire v2|v4]\n"
+      "          [--beacon-us T] [--suppress-k K] [--pace-fraction F]\n"
       "          [--fault crash|value-corruption|omission|selective-omission|\n"
       "                   delay|equivocate|evidence-flood]\n"
       "          [--fault-node N] [--fault-at-ms T] [--fault-until-ms T]\n"
@@ -391,8 +390,6 @@ int main(int argc, char** argv) {
       opts.suppress_k = static_cast<uint32_t>(std::atoi(next("--suppress-k")));
     } else if (arg == "--pace-fraction") {
       opts.pace_fraction = next("--pace-fraction");
-    } else if (arg == "--wire") {
-      opts.wire = next("--wire");
     } else if (arg == "--fault") {
       opts.fault = next("--fault");
     } else if (arg == "--fault-node") {
@@ -464,16 +461,6 @@ int main(int argc, char** argv) {
   if (opts.pace_fraction.has_value()) {
     if (!ParsePaceFraction(*opts.pace_fraction, &spec.pace_mille)) {
       std::printf("--pace-fraction must be a canonical fraction in (0, 1], e.g. 0.25\n");
-      return Usage(argv[0]);
-    }
-  }
-  if (opts.wire.has_value()) {
-    if (*opts.wire == "v2") {
-      spec.wire_version = 0;
-    } else if (*opts.wire == "v4") {
-      spec.wire_version = 4;
-    } else {
-      std::printf("--wire must be v2 or v4\n");
       return Usage(argv[0]);
     }
   }

@@ -188,8 +188,7 @@ Status BtrSystem::ApplyDelta(const StrategyDelta& delta, SimTime rollout_at) {
                                                scenario_->topology);
     const std::string target_blob =
         SaveStrategy(*rebuilt, next_planner->graph(), next->topology);
-    StatusOr<StrategyUpdate> update =
-        BuildStrategyUpdate(base_blob, target_blob, config_.wire_format);
+    StatusOr<StrategyUpdate> update = BuildStrategyUpdate(base_blob, target_blob);
     if (!update.ok()) {
       return update.status();
     }

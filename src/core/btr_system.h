@@ -55,11 +55,9 @@ struct BtrConfig {
   // Reports are byte-identical for every value — sharding is a speed
   // knob, never a semantics knob.
   uint32_t shards = 0;
-  // Serialization strategy shipments travel in (see strategy_patch.h).
-  // The fingerprint chain stays in the text domain either way, so which
-  // strategy every node ends up on is format-invariant; only the wire
-  // byte counters (and therefore transfer timing) change.
-  StrategyWireFormat wire_format = StrategyWireFormat::kV2Text;
+  // Unread: every rollout ships v4 images. Kept so callers that set it
+  // keep compiling (see StrategyWireFormat).
+  StrategyWireFormat wire_format = StrategyWireFormat::kUnspecified;
 };
 
 // Everything a run produced, for experiments and examples.
@@ -153,8 +151,8 @@ class BtrSystem {
 
   // Edits the deployed system: applies `delta` to the scenario, rebuilds
   // the strategy incrementally (StrategyBuilder::Rebuild — only modes the
-  // edit can reach are replanned), and diffs old vs new into per-node
-  // patches (BuildStrategyUpdate).
+  // edit can reach are replanned), and diffs old vs new into a patch that
+  // ships as v4 images (BuildStrategyUpdate).
   //
   // rollout_at >= 0 stages the edit: the next Run() replays dissemination
   // at that sim time and commits at its end (see Run). kNoRollout commits

@@ -5,29 +5,9 @@
 #include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/core/runtime.h"
-#include "src/core/strategy_io.h"
 #include "src/fmt/strategy_binary.h"
 
 namespace btr {
-
-namespace {
-
-// A shipped blob or slice in either wire form, as the canonical text it
-// encodes.
-StatusOr<std::string> ArtifactText(const std::string& artifact) {
-  if (fmt::IsV4Image(artifact)) {
-    return fmt::DecodeStrategyImage(artifact);
-  }
-  return artifact;
-}
-
-// A shipped patch in either wire form.
-StatusOr<StrategyPatch> ParsePatchArtifact(const std::string& artifact) {
-  return fmt::IsV4Image(artifact) ? fmt::DecodePatchImage(artifact)
-                                  : ParseStrategyPatch(artifact);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // InstallEngine
@@ -42,10 +22,8 @@ uint64_t InstallEngine::StateFingerprint() const {
   return hasher.Digest();
 }
 
-Status InstallEngine::InstallFull(const std::string& slice, uint64_t expected_sfp) {
-  StatusOr<std::string> text = ArtifactText(slice);
-  const StatusOr<uint64_t> sfp =
-      text.ok() ? ValidateSliceText(*text, node_.value()) : text.status();
+Status InstallEngine::InstallFull(std::string slice, uint64_t expected_sfp) {
+  const StatusOr<uint64_t> sfp = ValidateSliceText(slice, node_.value());
   if (!sfp.ok()) {
     ++stats_.patches_rejected;
     return sfp.status();
@@ -55,20 +33,11 @@ Status InstallEngine::InstallFull(const std::string& slice, uint64_t expected_sf
     return Status::FailedPrecondition(
         "slice does not chain to the expected strategy fingerprint; refusing to install");
   }
-  slice_ = std::move(*text);
+  slice_ = std::move(slice);
   strategy_fp_ = *sfp;
   ++version_;
   ++stats_.full_installs;
   return Status::Ok();
-}
-
-Status InstallEngine::ApplyPatch(const std::string& patch) {
-  StatusOr<StrategyPatch> parsed = ParsePatchArtifact(patch);
-  if (!parsed.ok()) {
-    ++stats_.patches_rejected;
-    return parsed.status();
-  }
-  return ApplyPatch(*parsed);
 }
 
 Status InstallEngine::ApplyPatch(const StrategyPatch& patch) {
@@ -141,14 +110,14 @@ void InstallAgent::ApplyLocalInstall() {
     return;
   }
   const WireArtifact* patch = update_->patch_slice(id_.value());
-  if (patch != nullptr && engine_.ApplyPatch(patch->bytes).ok()) {
+  if (patch != nullptr && InstallDissemArtifact(DissemContent::kPatchSlice, patch->bytes).ok()) {
     NoteInstalled();
     return;
   }
   // Local fallback: the distributor carves its own full slice.
   ++local_fallbacks_;
   const WireArtifact* slice = update_->fallback_slice(id_.value());
-  if (slice != nullptr && engine_.InstallFull(slice->bytes, update_->target_fp).ok()) {
+  if (slice != nullptr && InstallDissemArtifact(DissemContent::kBlobSlice, slice->bytes).ok()) {
     NoteInstalled();
   }
 }
@@ -372,7 +341,7 @@ LinkId InstallAgent::LinkToNeighbor(NodeId peer) const {
 
 // The relay protocol ships one full artifact per hop; what a relay serves a
 // leaf is the slice it can carve deterministically from its own verified
-// copy (MakeStrategyPatchSlice / ExtractSlice, then the wire encoding).
+// copy (MakeStrategyPatchSlice / ExtractSlice, then the v4 encoding).
 // Reading the artifacts off the shared StrategyUpdate models exactly that
 // without holding N copies of identical bytes per node. Only the unsliced
 // patch is built with the update; a patch slice, a fallback slice or the
@@ -523,14 +492,16 @@ void InstallAgent::HandleDissemChunk(const Packet& packet, const DissemChunkMess
   ApplyDissemArtifact(msg);
 }
 
-Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::string& text) {
+Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::string& image) {
   switch (content) {
-    case DissemContent::kPatchSlice:
-      return engine_.ApplyPatch(text);
+    case DissemContent::kPatchSlice: {
+      StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
+      return patch.ok() ? engine_.ApplyPatch(*patch) : patch.status();
+    }
     case DissemContent::kPatchFull: {
       // The relay keeps the full artifact to re-serve and installs its own
-      // slice of the patch it just parsed, in memory.
-      StatusOr<StrategyPatch> patch = ParsePatchArtifact(text);
+      // slice of the patch it just decoded, in memory.
+      StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
       if (!patch.ok()) {
         return patch.status();
       }
@@ -538,15 +509,19 @@ Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::str
       return sliced.ok() ? engine_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {
-      StatusOr<std::string> blob = ArtifactText(text);
+      StatusOr<std::string> blob = fmt::DecodeStrategyImage(image);
       if (!blob.ok()) {
         return blob.status();
       }
       StatusOr<std::string> carved = ExtractSlice(*blob, id_.value());
-      return carved.ok() ? engine_.InstallFull(*carved, gossip_->target_fp) : carved.status();
+      return carved.ok() ? engine_.InstallFull(std::move(*carved), update_->target_fp)
+                         : carved.status();
     }
-    case DissemContent::kBlobSlice:
-      return engine_.InstallFull(text, gossip_->target_fp);
+    case DissemContent::kBlobSlice: {
+      StatusOr<std::string> slice = fmt::DecodeStrategyImage(image);
+      return slice.ok() ? engine_.InstallFull(std::move(*slice), update_->target_fp)
+                        : slice.status();
+    }
   }
   return Status::InvalidArgument("unknown artifact kind");
 }

@@ -37,10 +37,9 @@ struct InstallEngineStats {
 // engine bit-identical (see StateFingerprint), so a corrupted or
 // wrong-base shipment can never strand a node on a half-applied strategy.
 //
-// Shipments arrive in either wire format (auto-detected by magic). The
-// installed form is always the canonical slice text: a v4 image is decoded
-// on entry (src/fmt/strategy_binary.h) and then verified like text, so the
-// installed state does not depend on the wire format it arrived in.
+// The engine takes only the canonical forms, slice text and parsed patches;
+// the installed form is the canonical slice text. Shipped v4 images are
+// decoded by the InstallAgent where they arrive (src/fmt/strategy_binary.h).
 class InstallEngine {
  public:
   InstallEngine() = default;
@@ -65,19 +64,15 @@ class InstallEngine {
   // Verify-then-swap: the slice must validate structurally AND chain to
   // `expected_sfp` (the fingerprint of the blob it claims to come from)
   // before any state changes; a mismatch rejects with the engine
-  // bit-identical. Accepts the canonical text slice or a v4 slice image
-  // (auto-detected). Callers shipping the slice over the wire must
-  // content-verify the bytes first (see DissemChunkMessage::content_fp) —
-  // the SFP chain alone cannot detect a flipped table-row byte.
-  Status InstallFull(const std::string& slice, uint64_t expected_sfp);
+  // bit-identical. `slice` is canonical slice text. Callers shipping the
+  // slice over the wire must content-verify the bytes first (see
+  // DissemChunkMessage::content_fp) — the SFP chain alone cannot detect a
+  // flipped table-row byte.
+  Status InstallFull(std::string slice, uint64_t expected_sfp);
 
-  // Applies a sliced patch (BTRPATCH text or v4 patch image) against the
-  // installed slice. Fails without side effects unless the patch parses,
-  // chains to the installed fingerprint, and its applied result verifies
-  // against the patch's NSLICE fingerprint.
-  Status ApplyPatch(const std::string& patch);
-  // The same for a patch already parsed in memory (a relay's own slice of
-  // the unsliced patch it received): the chain and NSLICE checks still run.
+  // Applies a sliced patch against the installed slice. Fails without side
+  // effects unless the patch chains to the installed fingerprint and its
+  // applied result verifies against the patch's NSLICE fingerprint.
   Status ApplyPatch(const StrategyPatch& patch);
 
   void CountReceivedBytes(uint64_t bytes) { stats_.bytes_received += bytes; }
@@ -186,7 +181,9 @@ class InstallAgent {
   // Content-verifies and installs a completed transfer, falling back from a
   // bad patch to the blob artifact and giving up on a bad blob.
   void ApplyDissemArtifact(const DissemChunkMessage& msg);
-  Status InstallDissemArtifact(DissemContent content, const std::string& text);
+  // Decodes an artifact's v4 image and installs it into the engine: the one
+  // place shipped bytes become canonical text or a parsed patch.
+  Status InstallDissemArtifact(DissemContent content, const std::string& image);
   LinkId LinkToNeighbor(NodeId peer) const;
 
   const RuntimeContext& ctx_;

@@ -8,7 +8,6 @@
 
 #include "src/common/hash.h"
 #include "src/common/log.h"
-#include "src/core/strategy_io.h"
 #include "src/fmt/strategy_binary.h"
 #include "src/core/strategy_parts_internal.h"
 #include "src/core/strategy_text_internal.h"
@@ -787,11 +786,10 @@ StatusOr<std::string> ReassembleStrategy(const std::vector<std::string>& slices)
 // artifacts from, and one slot per artifact that its first request fills.
 class StrategyUpdate::ArtifactStore {
  public:
-  ArtifactStore(Parts target, uint64_t target_fp, StrategyPatch patch, StrategyWireFormat format)
+  ArtifactStore(Parts target, uint64_t target_fp, StrategyPatch patch)
       : target_(std::move(target)),
         target_fp_(target_fp),
         patch_(std::move(patch)),
-        format_(format),
         patch_slices_("patch slice", target_.node_count),
         fallback_slices_("fallback slice", target_.node_count) {}
 
@@ -803,16 +801,13 @@ class StrategyUpdate::ArtifactStore {
       if (!sliced.ok()) {
         return sliced.status();
       }
-      if (format_ == StrategyWireFormat::kV4Binary) {
-        return fmt::EncodePatchImage(*sliced);
-      }
-      return SaveStrategyPatch(*sliced);
+      return fmt::EncodePatchImage(*sliced);
     });
   }
 
   WireArtifact* FallbackSlice(uint32_t node) {
     return fallback_slices_.Get(node, [this, node]() -> StatusOr<std::string> {
-      return InWireFormat(RenderSliceOfBlob(target_, node, target_fp_));
+      return fmt::EncodeStrategyImage(RenderSliceOfBlob(target_, node, target_fp_));
     });
   }
 
@@ -822,7 +817,7 @@ class StrategyUpdate::ArtifactStore {
       if (FingerprintStrategyText(text) != target_fp_) {
         return Status::Internal("re-rendered target blob does not match its fingerprint");
       }
-      return InWireFormat(std::move(text));
+      return fmt::EncodeStrategyImage(text);
     });
   }
 
@@ -872,19 +867,9 @@ class StrategyUpdate::ArtifactStore {
     std::atomic<size_t> built_{0};
   };
 
-  // A canonical text in the update's wire format (a v4 image encodes and
-  // self-checks it).
-  StatusOr<std::string> InWireFormat(std::string text) const {
-    if (format_ == StrategyWireFormat::kV4Binary) {
-      return fmt::EncodeStrategyImage(text);
-    }
-    return text;
-  }
-
   const Parts target_;
   const uint64_t target_fp_;
   const StrategyPatch patch_;
-  const StrategyWireFormat format_;
   Slots patch_slices_;
   Slots fallback_slices_;
   Slots blob_{"blob artifact", 1};
@@ -937,7 +922,7 @@ WireArtifact* StrategyUpdate::mutable_blob_artifact() {
 
 StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
                                              const std::string& target_blob,
-                                             StrategyWireFormat format) {
+                                             StrategyWireFormat /*format*/) {
   StatusOr<Parts> base = ParseParts(base_blob);
   if (!base.ok()) {
     return base.status();
@@ -954,24 +939,20 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   if (!patch.ok()) {
     return patch.status();
   }
-  if (format == StrategyWireFormat::kV4Binary) {
-    StatusOr<std::string> patch_img = fmt::EncodePatchImage(*patch);
-    if (!patch_img.ok()) {
-      return patch_img.status();
-    }
-    update.patch_full.bytes = std::move(*patch_img);
-  } else {
-    update.patch_full.bytes = SaveStrategyPatch(*patch);
+  StatusOr<std::string> patch_img = fmt::EncodePatchImage(*patch);
+  if (!patch_img.ok()) {
+    return patch_img.status();
   }
+  update.patch_full.bytes = std::move(*patch_img);
   update.patch_full.fp = FingerprintStrategyText(update.patch_full.bytes);
-  // Base slices describe the already-installed state, so they are always
-  // rendered in the text domain regardless of the wire format.
+  // Base slices describe the already-installed state (the pre-deployed
+  // install), so they stay canonical text: they never ship.
   update.base_slices.reserve(patch->node_count);
   ForEachSliceOfBlob(*base, update.base_fp, [&update](uint64_t, std::string slice) {
     update.base_slices.push_back(std::move(slice));
   });
   update.patch_slices.store_ = std::make_shared<StrategyUpdate::ArtifactStore>(
-      std::move(*target), update.target_fp, std::move(*patch), format);
+      std::move(*target), update.target_fp, std::move(*patch));
   return update;
 }
 

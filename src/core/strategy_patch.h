@@ -139,16 +139,17 @@ StatusOr<std::string> ApplyPatchToSlice(const std::string& slice_text,
 // and that the result hashes to the SFP the slices claim.
 StatusOr<std::string> ReassembleStrategy(const std::vector<std::string>& slices);
 
-// Serialization the install plane ships strategy artifacts in. The
-// fingerprint CHAIN (SFP / BASE / TARGET / NSLICE) always lives in the
-// canonical text domain, so reports and provenance are format-invariant;
-// the wire format only changes the bytes a shipment carries.
+// Every rollout ships v4 images (src/fmt/strategy_binary.h). The enum,
+// BtrConfig::wire_format and BuildStrategyUpdate's `format` parameter remain
+// so existing callers that name them keep compiling; nothing reads them. The
+// default stays kUnspecified because such callers branch on kV4Binary to
+// time image steps of their own.
 enum class StrategyWireFormat {
-  kV2Text = 0,   // canonical BTRSTRATEGY/BTRSLICE/BTRPATCH text
-  kV4Binary = 4, // v4 binary images (see src/fmt/strategy_binary.h)
+  kUnspecified = 0,
+  kV4Binary = 4,
 };
 
-// One shipped install artifact: its wire bytes and their content
+// One shipped install artifact: its v4 image bytes and their content
 // fingerprint. The fingerprint travels with a shipment so the receiver can
 // content-verify the bytes: the SFP / BASE / TARGET / NSLICE chain links
 // canonical texts, not shipped bytes, so it cannot detect in-transit
@@ -162,7 +163,7 @@ struct WireArtifact {
 // (see BtrRuntime::ScheduleStrategyInstall). Every rollout installs each
 // node's base slice (the pre-deployed install) and ships the unsliced patch
 // to the relays, so BuildStrategyUpdate builds those two. Every other
-// artifact is built in the wire format on its first request, once, from the
+// artifact is built as a v4 image on its first request, once, from the
 // parsed target and patch the update keeps:
 //   - node n's patch slice, which the distributor applies and a
 //     single-neighbor leaf is served (a clean rollout builds only these);
@@ -176,7 +177,7 @@ struct StrategyUpdate {
   class ArtifactStore;
 
  public:
-  // Every node's patch slice as a read-only sequence of wire bytes: element
+  // Every node's patch slice as a read-only sequence of image bytes: element
   // n is built on its first access, so iterating builds every node's. An
   // element whose encoder self-check failed reads as empty bytes. The view
   // keeps the update's artifact store alive.
@@ -215,20 +216,19 @@ struct StrategyUpdate {
   uint64_t base_fp = 0;
   uint64_t target_fp = 0;
   std::vector<std::string> base_slices;  // per node: installed-before state (always text)
-  // Unsliced patch in the wire format. Gossip relays receive this (instead
-  // of N per-node slices), carve their own slice in memory, and re-serve it
-  // to the next hop.
+  // Unsliced patch image. Gossip relays receive this (instead of N per-node
+  // slices), carve their own slice in memory, and re-serve it to the next
+  // hop.
   WireArtifact patch_full;
-  PatchSlices patch_slices;  // per node: sliced patch, wire format
+  PatchSlices patch_slices;  // per node: sliced patch image
 
   // The on-demand artifacts. Each is null for a node outside the universe,
   // on an update BuildStrategyUpdate did not make, or if its encoder
-  // self-check failed. The bytes equal, in the wire format:
-  //   patch_slice(n)    SaveStrategyPatchSlice of the patch for node n;
+  // self-check failed. The bytes are the v4 images of:
+  //   patch_slice(n)    MakeStrategyPatchSlice of the patch for node n;
   //   fallback_slice(n) ExtractSlice of the target for node n;
   //   blob_artifact()   the target blob.
-  // Fingerprints are taken over the bytes; under v2 text the blob's equals
-  // target_fp.
+  // Fingerprints are taken over the image bytes.
   const WireArtifact* patch_slice(uint32_t node) const;
   const WireArtifact* fallback_slice(uint32_t node) const;
   const WireArtifact* blob_artifact() const;
@@ -252,9 +252,12 @@ struct StrategyUpdate {
   ArtifactStore* store() const { return patch_slices.store_.get(); }
 };
 
+// Diffs two canonical blobs into a rollout: the base slices (text) and the
+// unsliced patch image, with every other artifact built on request. `format`
+// is unread (see StrategyWireFormat).
 StatusOr<StrategyUpdate> BuildStrategyUpdate(
     const std::string& base_blob, const std::string& target_blob,
-    StrategyWireFormat format = StrategyWireFormat::kV2Text);
+    StrategyWireFormat format = StrategyWireFormat::kUnspecified);
 
 }  // namespace btr
 

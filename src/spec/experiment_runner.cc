@@ -99,9 +99,6 @@ BtrConfig MakeBtrConfig(const ExperimentSpec& spec) {
   if (spec.pace_mille != 0) {
     config.runtime.dissem.pace_fraction = static_cast<double>(spec.pace_mille) / 1000.0;
   }
-  if (spec.wire_version == 4) {
-    config.wire_format = StrategyWireFormat::kV4Binary;
-  }
   config.seed = spec.seed;
   config.shards = spec.shards;
   return config;

@@ -540,9 +540,6 @@ std::string SerializeExperimentSpec(const ExperimentSpec& spec) {
   if (spec.pace_mille != 0) {
     out += " pace-fraction=" + PaceFractionText(spec.pace_mille);
   }
-  if (spec.wire_version == 4) {
-    out += " wire=v4";
-  }
   out += '\n';
   for (const SweepAxis& axis : spec.sweeps) {
     out += "SWEEP " + axis.key;
@@ -871,15 +868,6 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
           return LineError(line_no,
                            "pace-fraction= must be a canonical fraction in (0, 1] "
                            "(\"1\" or \"0.\" plus up to three digits, e.g. 0.25)");
-        }
-      }
-      if (kv.Take("wire", &value)) {
-        if (value == "v2") {
-          spec.wire_version = 0;  // the default: serializes as an absent key
-        } else if (value == "v4") {
-          spec.wire_version = 4;
-        } else {
-          return LineError(line_no, "wire= must be v2 or v4");
         }
       }
       Status done = kv.Done(line_no);

@@ -169,9 +169,6 @@ struct ExperimentSpec {
   // workload period one chunk's serialization time may occupy, stored in
   // per-mille so the format stays integer-exact. 0 = library default.
   uint32_t pace_mille = 0;
-  // Strategy shipment wire format (CONFIG wire=v2|v4): 0 = canonical text
-  // (v2), 4 = v4 binary images (see src/fmt/strategy_binary.h).
-  uint32_t wire_version = 0;
   std::vector<SweepAxis> sweeps;
   std::vector<SpecPhase> phases;
 };

@@ -225,6 +225,10 @@ TEST(ShardInvariance, TransientHealingFaultByteIdenticalAcrossShardCounts) {
 // period p's tick and is ordered by priority alone. These report
 // fingerprints were recorded when every tick was queued up front; they pin
 // that order (avionics, 10 ms periods) at shards 1 and 4 on worker threads.
+// rollout_on_boundary ships v4 images, as every rollout does; it was
+// re-pinned from 0x79811f2986241ca8 (its text-wire value) to the value the
+// same spec printed with v4 images when the wire was still selectable, at
+// shards 1 and 4 alike.
 
 struct BoundaryCase {
   const char* name;
@@ -259,7 +263,7 @@ TEST(PeriodBoundaries, FingerprintsPinnedAcrossShardCounts) {
        "PHASE periods=90\n"
        "EDIT at-us=500000 kind=link-remove link=backboneB\n"
        "PHASE periods=30\n",
-       0x79811f2986241ca8ULL},
+       0x30173f34eb260e08ULL},
   };
   setenv("BTR_SHARD_EXEC", "threads", 1);
   for (const BoundaryCase& c : cases) {

@@ -175,6 +175,7 @@ TEST(DissemSpec, RejectsRetiredModeKeyAndZeroValues) {
       "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip\n",
       "CONFIG f=1 recovery-us=800000 seed=3 beacon-us=0\n",
       "CONFIG f=1 recovery-us=800000 seed=3 suppress-k=0\n",
+      "CONFIG f=1 recovery-us=800000 seed=3 wire=v4\n",
   };
   const auto parse = [](const char* config) {
     return ParseExperimentSpec(std::string("BTRX 1\nNAME d\nSCENARIO convoy nodes=8\n") +
@@ -185,6 +186,9 @@ TEST(DissemSpec, RejectsRetiredModeKeyAndZeroValues) {
   }
   // Gossip is the only transport, so the mode key is gone, not defaulted.
   EXPECT_NE(parse(kBad[0]).status().message().find("line 4: unknown key 'dissem'"),
+            std::string::npos);
+  // Every rollout ships v4 images, so the wire key is gone too.
+  EXPECT_NE(parse(kBad[3]).status().message().find("line 4: unknown key 'wire'"),
             std::string::npos);
 }
 
@@ -239,28 +243,27 @@ TEST(GossipRollout, ConvoyWithHeartbeatsStaysCleanAndCompletes) {
 // consistent announcements stays quiet because its neighbors heard them
 // too. Beacons here travel per link, so a convoy I/O leaf whose only
 // neighbor suppressed every beacon after installing used to go dormant on
-// the old strategy — these seeded rollouts installed 7/8 and 11/12. A
+// the old strategy — these seeded rollouts installed 11/12 and 19/20. A
 // fresh install and a stale announcement both owe the neighbor a beacon
 // that suppression cannot silence.
 TEST(GossipRollout, SuppressionNeverStrandsASingleLinkNeighbor) {
-  const std::string task_add =
+  const std::string convoy12 =
       "BTRX 1\n"
-      "NAME stranded_leaf\n"
-      "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3\n"
-      "PHASE periods=60\n"
-      "EDIT at-us=400000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
-      " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
-      "END\n";
-  const std::string link_latency =
-      "BTRX 1\n"
-      "NAME stranded_leaf_v4\n"
+      "NAME stranded_leaf_12\n"
       "SCENARIO convoy nodes=12\n"
-      "CONFIG f=1 recovery-us=800000 seed=1 wire=v4\n"
+      "CONFIG f=1 recovery-us=800000 seed=1\n"
       "PHASE periods=60\n"
       "EDIT at-us=500000 kind=link-latency link=v2v1 bw-bps=4000000 prop-us=30\n"
       "END\n";
-  for (const std::string& text : {task_add, link_latency}) {
+  const std::string convoy20 =
+      "BTRX 1\n"
+      "NAME stranded_leaf_20\n"
+      "SCENARIO convoy nodes=20\n"
+      "CONFIG f=1 recovery-us=800000 seed=1\n"
+      "PHASE periods=80\n"
+      "EDIT at-us=500000 kind=link-latency link=v2v7 bw-bps=4000000 prop-us=30\n"
+      "END\n";
+  for (const std::string& text : {convoy12, convoy20}) {
     const ExperimentReport report = RunSpecText(text);
     ASSERT_EQ(report.phases.size(), 1u);
     const RunReport& r = report.phases[0];

@@ -1,11 +1,8 @@
-// Unit tests for schedule tables, the list scheduler, and schedulability
-// analyses.
+// Unit tests for schedule tables and the list scheduler.
 
 #include <gtest/gtest.h>
 
-#include "src/rt/analysis.h"
 #include "src/rt/list_scheduler.h"
-#include "src/rt/mixed_criticality.h"
 #include "src/rt/schedule.h"
 
 namespace btr {
@@ -159,118 +156,6 @@ TEST(ListScheduler, GapFillingBackfillsShortJobs) {
   EXPECT_EQ(result->start[2], 400);  // after job 0 and after comm (100+300)
   EXPECT_EQ(result->start[3], 400 + 100);
   EXPECT_TRUE(result->tables[0].Validate(2000).ok());
-}
-
-// --- analysis ---
-
-TEST(Analysis, UtilizationSum) {
-  std::vector<PeriodicTask> tasks{
-      {250, 1000, 1000},
-      {500, 2000, 2000},
-  };
-  EXPECT_DOUBLE_EQ(TotalUtilization(tasks), 0.5);
-}
-
-TEST(Analysis, RmBoundDecreasesWithN) {
-  EXPECT_DOUBLE_EQ(RmUtilizationBound(1), 1.0);
-  EXPECT_NEAR(RmUtilizationBound(2), 0.8284, 1e-3);
-  EXPECT_GT(RmUtilizationBound(2), RmUtilizationBound(10));
-  EXPECT_GT(RmUtilizationBound(100), 0.69);  // tends to ln 2
-}
-
-TEST(Analysis, EdfAcceptsFullUtilizationImplicitDeadlines) {
-  std::vector<PeriodicTask> tasks{
-      {500, 1000, 1000},
-      {1000, 2000, 2000},
-  };
-  EXPECT_TRUE(EdfSchedulable(tasks));
-}
-
-TEST(Analysis, EdfRejectsOverload) {
-  std::vector<PeriodicTask> tasks{
-      {600, 1000, 1000},
-      {900, 2000, 2000},
-  };
-  EXPECT_FALSE(EdfSchedulable(tasks));
-}
-
-TEST(Analysis, EdfConstrainedDeadlinesCanFailBelowFullUtilization) {
-  // U = 0.75 but both deadlines are half the period and collide.
-  std::vector<PeriodicTask> tasks{
-      {300, 1000, 500},
-      {300, 1000, 500},
-  };
-  EXPECT_FALSE(EdfSchedulable(tasks));
-  std::vector<PeriodicTask> relaxed{
-      {300, 1000, 1000},
-      {300, 1000, 1000},
-  };
-  EXPECT_TRUE(EdfSchedulable(relaxed));
-}
-
-TEST(Analysis, ResponseTimesMatchHandComputation) {
-  // Classic example: two tasks, DM order.
-  std::vector<PeriodicTask> tasks{
-      {200, 1000, 600},   // lower priority (longer deadline? no: 600 < ...)
-      {100, 400, 400},
-  };
-  const auto rt = ResponseTimes(tasks);
-  ASSERT_EQ(rt.size(), 2u);
-  // Task 1 (deadline 400) has top priority: R = 100.
-  EXPECT_EQ(rt[1], 100);
-  // Task 0: R = 200 + ceil(R/400)*100 -> 300.
-  EXPECT_EQ(rt[0], 300);
-}
-
-TEST(Analysis, ResponseTimesEmptyWhenUnschedulable) {
-  std::vector<PeriodicTask> tasks{
-      {300, 400, 350},
-      {200, 400, 400},
-  };
-  EXPECT_TRUE(ResponseTimes(tasks).empty());
-}
-
-// --- mixed criticality ---
-
-TEST(MixedCriticality, LoOnlyTaskSetSchedulable) {
-  std::vector<McTask> tasks{
-      {100, 100, 1000, 1000, false},
-      {200, 200, 1000, 1000, false},
-  };
-  const auto result = AmcRtbAnalyze(tasks);
-  EXPECT_TRUE(result.schedulable);
-}
-
-TEST(MixedCriticality, HiOverrunBudgetedInHiMode) {
-  std::vector<McTask> tasks{
-      {100, 300, 1000, 900, true},   // HI task triples in HI mode
-      {200, 200, 1000, 1000, false},
-  };
-  const auto result = AmcRtbAnalyze(tasks);
-  EXPECT_TRUE(result.schedulable);
-  EXPECT_GT(result.response_hi[0], result.response_lo[0]);
-}
-
-TEST(MixedCriticality, UnschedulableWhenHiDemandTooHigh) {
-  std::vector<McTask> tasks{
-      {100, 900, 1000, 950, true},
-      {100, 800, 1000, 1000, true},
-  };
-  EXPECT_FALSE(AmcRtbAnalyze(tasks).schedulable);
-}
-
-TEST(MixedCriticality, LoTasksOnlyInterfereUpToModeSwitch) {
-  // AMC-rtb must accept this set; a naive "LO tasks keep running" analysis
-  // would reject it.
-  std::vector<McTask> tasks{
-      {100, 480, 1000, 1000, true},
-      {250, 250, 500, 500, false},
-  };
-  const auto amc = AmcRtbAnalyze(tasks);
-  EXPECT_TRUE(amc.schedulable);
-  // Naive HI-mode demand: 480 + 2*250 > 1000 would fail; AMC accounts for
-  // LO tasks stopping at the switch.
-  EXPECT_LE(amc.response_hi[0], 1000);
 }
 
 }  // namespace

@@ -10,14 +10,14 @@
 //      sweep, forged section counts/offsets (re-sealed so only the
 //      structural validators can catch them), out-of-range references,
 //      wrong magic, and a mismatched trailer fingerprint must all reject
-//      with a clean Status and, driven through InstallEngine, leave the
-//      installed state bit-identical (StateFingerprint).
-//   3. End-to-end — BuildStrategyUpdate's bulk slice renderers are
-//      byte-equal to the per-node primitives, wire=v4 runs report the
-//      same installed fingerprints as v2 text, an image install leaves the
-//      engine in the same state as the text it encodes, and a run on a
-//      v4-loaded strategy reports byte-identically to the planned and
-//      v2-loaded runs.
+//      with a clean Status and, decoded and driven into an InstallEngine
+//      the way an install agent does, leave the installed state
+//      bit-identical (StateFingerprint).
+//   3. End-to-end — the images BuildStrategyUpdate ships decode to the
+//      per-node primitives' texts, an image install leaves the engine in
+//      the same state as the text it encodes, and a run on a v4-loaded
+//      strategy reports byte-identically to the planned and v2-loaded
+//      runs.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +64,18 @@ PlannerConfig SmallConfig(uint32_t f) {
 
 std::string Blob(const Strategy& strategy, const Planner& planner) {
   return SaveStrategy(strategy, planner.graph(), planner.topology());
+}
+
+// A shipped image driven into an engine as an install agent drives it:
+// decoded once, then installed as canonical slice text or a parsed patch.
+Status InstallSliceImage(InstallEngine* engine, const std::string& image, uint64_t sfp) {
+  StatusOr<std::string> slice = fmt::DecodeStrategyImage(image);
+  return slice.ok() ? engine->InstallFull(std::move(*slice), sfp) : slice.status();
+}
+
+Status ApplyPatchImage(InstallEngine* engine, const std::string& image) {
+  StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
+  return patch.ok() ? engine->ApplyPatch(*patch) : patch.status();
 }
 
 System* MakeBaseSystem(std::deque<System>* generations, const PlannerConfig& config,
@@ -302,7 +314,7 @@ struct ImageFixture {
   // A fresh engine with node 0's slice image installed.
   InstallEngine EngineFor0() const {
     InstallEngine engine{NodeId(0)};
-    EXPECT_TRUE(engine.InstallFull(slice0_image, blob_fp).ok());
+    EXPECT_TRUE(InstallSliceImage(&engine, slice0_image, blob_fp).ok());
     return engine;
   }
 };
@@ -342,7 +354,7 @@ void ExpectRejectedEverywhere(const ImageFixture& fx, const std::string& corrupt
 
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  EXPECT_FALSE(engine.InstallFull(corrupt, fx.blob_fp).ok()) << label;
+  EXPECT_FALSE(InstallSliceImage(&engine, corrupt, fx.blob_fp).ok()) << label;
   EXPECT_EQ(engine.StateFingerprint(), before)
       << label << ": rejected install mutated engine state";
 }
@@ -384,7 +396,7 @@ TEST(StrategyBinaryCorruption, BitFlipSweepNeverInstalls) {
     corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << (i % 8)));
     InstallEngine engine = fx.EngineFor0();
     const uint64_t before = engine.StateFingerprint();
-    const bool accepted = engine.InstallFull(corrupt, fx.blob_fp).ok();
+    const bool accepted = InstallSliceImage(&engine, corrupt, fx.blob_fp).ok();
     EXPECT_FALSE(accepted) << "bit flip at byte " << i << " was installed";
     if (!accepted) {
       ++rejected;
@@ -410,7 +422,7 @@ TEST(StrategyBinaryCorruption, WrongMagicAndKind) {
   Reseal(&forged_kind);
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  EXPECT_FALSE(engine.InstallFull(forged_kind, fx.blob_fp).ok());
+  EXPECT_FALSE(InstallSliceImage(&engine, forged_kind, fx.blob_fp).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
 
   // Kind byte outside the known set.
@@ -468,8 +480,8 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
   //     trailer text fingerprint the moment text is materialized (a
   //     self-consistent forgery is outside the corruption model the
   //     fingerprints defend — see docs/strategy_format.md — but it must
-  //     still fail *cleanly*, never silently yield wrong text, and the
-  //     engine, which decodes on entry, refuses it);
+  //     still fail *cleanly*, never silently yield wrong text, so it never
+  //     reaches the engine);
   //   - the byte was semantically inert and the image still decodes to the
   //     exact original text.
   size_t rejected = 0;
@@ -489,13 +501,13 @@ TEST(StrategyBinaryCorruption, ResealedPayloadForgerySweepNeverCrashes) {
       EXPECT_FALSE(decoded.ok()) << "byte " << i << ": invalid image decoded";
       InstallEngine engine = fx.EngineFor0();
       const uint64_t before = engine.StateFingerprint();
-      EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok()) << "byte " << i;
+      EXPECT_FALSE(InstallSliceImage(&engine, forged, fx.blob_fp).ok()) << "byte " << i;
       EXPECT_EQ(engine.StateFingerprint(), before) << "byte " << i;
     } else if (!decoded.ok()) {
       ++forged_content;
       InstallEngine engine = fx.EngineFor0();
       const uint64_t before = engine.StateFingerprint();
-      EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok()) << "byte " << i;
+      EXPECT_FALSE(InstallSliceImage(&engine, forged, fx.blob_fp).ok()) << "byte " << i;
       EXPECT_EQ(engine.StateFingerprint(), before) << "byte " << i;
     } else {
       ++benign;
@@ -519,11 +531,11 @@ TEST(StrategyBinaryCorruption, MismatchedTrailerFingerprint) {
   Reseal(&forged);
   EXPECT_FALSE(fmt::DecodeStrategyImage(forged).ok());
   // The chain fingerprint in META is intact (this is forgery, not
-  // corruption), but the engine decodes on entry, so the text hash check
-  // refuses the install and the state stays unchanged.
+  // corruption), but an image is decoded before it reaches the engine, so
+  // the text hash check refuses the install and the state stays unchanged.
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  EXPECT_FALSE(engine.InstallFull(forged, fx.blob_fp).ok());
+  EXPECT_FALSE(InstallSliceImage(&engine, forged, fx.blob_fp).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
 }
 
@@ -536,20 +548,20 @@ TEST(StrategyBinaryCorruption, WrongNodeAndWrongChainReject) {
   ASSERT_TRUE(slice1.ok());
   InstallEngine engine = fx.EngineFor0();
   const uint64_t before = engine.StateFingerprint();
-  EXPECT_FALSE(engine.InstallFull(*slice1, fx.blob_fp).ok());
+  EXPECT_FALSE(InstallSliceImage(&engine, *slice1, fx.blob_fp).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
   // The right slice against the wrong expected chain fingerprint.
-  EXPECT_FALSE(engine.InstallFull(fx.slice0_image, fx.blob_fp ^ 1).ok());
+  EXPECT_FALSE(InstallSliceImage(&engine, fx.slice0_image, fx.blob_fp ^ 1).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
   // A full-blob image is not installable as a slice.
-  EXPECT_FALSE(engine.InstallFull(fx.blob_image, fx.blob_fp).ok());
+  EXPECT_FALSE(InstallSliceImage(&engine, fx.blob_image, fx.blob_fp).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
 }
 
 TEST(StrategyBinaryCorruption, PatchImageSweepNeverAppliesPartially) {
   ImageFixture fx;
   // Build a real patch image, then drive truncations and flips through
-  // ApplyPatch on an engine that already holds the base slice image.
+  // decode and ApplyPatch on an engine that already holds the base slice.
   StrategyDelta delta;
   delta.edits.push_back(DeltaEdit::LinkRemove("xlink"));
   System& next = fx.generations.emplace_back();
@@ -571,7 +583,7 @@ TEST(StrategyBinaryCorruption, PatchImageSweepNeverAppliesPartially) {
   // The intact image applies; the engine ends on the target chain.
   {
     InstallEngine engine = fx.EngineFor0();
-    ASSERT_TRUE(engine.ApplyPatch(*patch_image).ok());
+    ASSERT_TRUE(ApplyPatchImage(&engine, *patch_image).ok());
     EXPECT_EQ(engine.strategy_fingerprint(), FingerprintStrategyText(target));
     auto expect = ExtractSlice(target, 0);
     ASSERT_TRUE(expect.ok());
@@ -583,14 +595,14 @@ TEST(StrategyBinaryCorruption, PatchImageSweepNeverAppliesPartially) {
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x10);
     InstallEngine engine = fx.EngineFor0();
     const uint64_t before = engine.StateFingerprint();
-    EXPECT_FALSE(engine.ApplyPatch(corrupt).ok()) << "flip at " << i;
+    EXPECT_FALSE(ApplyPatchImage(&engine, corrupt).ok()) << "flip at " << i;
     EXPECT_EQ(engine.StateFingerprint(), before) << "flip at " << i;
   }
   for (size_t cut : {size_t{0}, size_t{8}, patch_image->size() / 2, patch_image->size() - 1}) {
     const std::string corrupt = patch_image->substr(0, cut);
     InstallEngine engine = fx.EngineFor0();
     const uint64_t before = engine.StateFingerprint();
-    EXPECT_FALSE(engine.ApplyPatch(corrupt).ok()) << "cut at " << cut;
+    EXPECT_FALSE(ApplyPatchImage(&engine, corrupt).ok()) << "cut at " << cut;
     EXPECT_EQ(engine.StateFingerprint(), before) << "cut at " << cut;
   }
 }
@@ -622,9 +634,9 @@ TEST(StrategyBinary, BulkSliceRenderersMatchPerNodePrimitives) {
   auto patch = MakeStrategyPatch(base, target);
   ASSERT_TRUE(patch.ok());
 
-  // What BuildStrategyUpdate renders in bulk (base slices) or on demand
-  // (fallback slices, patch slices, the blob) must be byte-equal to the
-  // per-node primitives.
+  // What BuildStrategyUpdate renders in bulk (base slices) must be
+  // byte-equal to the per-node primitives, and what it encodes on demand
+  // (fallback slices, patch slices, the blob) must decode to them.
   for (uint32_t n = 0; n < next.topo.node_count(); ++n) {
     auto base_slice = ExtractSlice(base, n);
     auto full_slice = ExtractSlice(target, n);
@@ -633,13 +645,21 @@ TEST(StrategyBinary, BulkSliceRenderersMatchPerNodePrimitives) {
     const WireArtifact* fallback = update->fallback_slice(n);
     ASSERT_NE(fallback, nullptr) << "node " << n;
     EXPECT_EQ(update->base_slices[n], *base_slice) << "node " << n;
-    EXPECT_EQ(fallback->bytes, *full_slice) << "node " << n;
-    EXPECT_EQ(update->patch_slices[n], *patch_slice_text) << "node " << n;
-    EXPECT_EQ(fallback->fp, FingerprintStrategyText(*full_slice)) << "node " << n;
+    auto fallback_text = fmt::DecodeStrategyImage(fallback->bytes);
+    ASSERT_TRUE(fallback_text.ok()) << "node " << n;
+    EXPECT_EQ(*fallback_text, *full_slice) << "node " << n;
+    auto decoded_patch = fmt::DecodePatchImage(update->patch_slices[n]);
+    ASSERT_TRUE(decoded_patch.ok()) << "node " << n;
+    EXPECT_EQ(SaveStrategyPatch(*decoded_patch), *patch_slice_text) << "node " << n;
+    EXPECT_EQ(fallback->fp, FingerprintStrategyText(fallback->bytes)) << "node " << n;
   }
-  ASSERT_NE(update->blob_artifact(), nullptr);
-  EXPECT_EQ(update->blob_artifact()->bytes, target);  // v2: same bytes
-  EXPECT_EQ(update->blob_artifact()->fp, update->target_fp);
+  const WireArtifact* blob = update->blob_artifact();
+  ASSERT_NE(blob, nullptr);
+  auto blob_text = fmt::DecodeStrategyImage(blob->bytes);
+  ASSERT_TRUE(blob_text.ok());
+  EXPECT_EQ(*blob_text, target);
+  EXPECT_EQ(FingerprintStrategyText(*blob_text), update->target_fp);
+  EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
 }
 
 TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
@@ -661,49 +681,49 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
   ASSERT_TRUE(next_strategy.ok());
   const std::string target = Blob(*next_strategy, *next.planner);
 
-  auto v2 = BuildStrategyUpdate(base, target, StrategyWireFormat::kV2Text);
-  auto v4 = BuildStrategyUpdate(base, target, StrategyWireFormat::kV4Binary);
-  ASSERT_TRUE(v2.ok() && v4.ok());
+  auto v4 = BuildStrategyUpdate(base, target);
+  ASSERT_TRUE(v4.ok());
 
-  // The text-domain identity chain is format-invariant.
-  EXPECT_EQ(v4->base_fp, v2->base_fp);
-  EXPECT_EQ(v4->target_fp, v2->target_fp);
-  // Shipped artifacts are images, content-fingerprinted as shipped bytes.
+  // The identity chain stays in the text domain.
+  EXPECT_EQ(v4->base_fp, FingerprintStrategyText(base));
+  EXPECT_EQ(v4->target_fp, FingerprintStrategyText(target));
+  // Shipped artifacts are images, content-fingerprinted as shipped bytes,
+  // and the blob image is smaller than the text it encodes.
   const WireArtifact* blob = v4->blob_artifact();
   ASSERT_NE(blob, nullptr);
   EXPECT_TRUE(fmt::IsV4Image(blob->bytes));
   EXPECT_TRUE(fmt::IsV4Image(v4->patch_full.bytes));
   EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
   EXPECT_EQ(v4->patch_full.fp, FingerprintStrategyText(v4->patch_full.bytes));
+  EXPECT_LT(blob->bytes.size(), target.size());
   const uint32_t nodes = static_cast<uint32_t>(v4->base_slices.size());
   for (uint32_t n = 0; n < nodes; ++n) {
     const WireArtifact* full4 = v4->fallback_slice(n);
-    const WireArtifact* full2 = v2->fallback_slice(n);
-    ASSERT_TRUE(full4 != nullptr && full2 != nullptr) << n;
+    ASSERT_NE(full4, nullptr) << n;
     EXPECT_TRUE(fmt::IsV4Image(full4->bytes)) << n;
     EXPECT_TRUE(fmt::IsV4Image(v4->patch_slices[n])) << n;
     EXPECT_EQ(full4->fp, FingerprintStrategyText(full4->bytes)) << n;
-    // Base slices describe the installed (text) state either way.
-    EXPECT_EQ(v4->base_slices[n], v2->base_slices[n]) << n;
-    // The image decodes to exactly the v2 slice text.
-    auto decoded = fmt::DecodeStrategyImage(full4->bytes);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, full2->bytes) << n;
+    // Base slices describe the installed state, which is text.
+    auto base_slice = ExtractSlice(base, n);
+    ASSERT_TRUE(base_slice.ok());
+    EXPECT_EQ(v4->base_slices[n], *base_slice) << n;
   }
 
-  // Engines ride the v4 artifacts to the same end state as v2 text.
+  // Engines ride the decoded artifacts to the target slice text.
   for (uint32_t n = 0; n < nodes; ++n) {
+    auto target_slice = ExtractSlice(target, n);
+    ASSERT_TRUE(target_slice.ok());
     InstallEngine patched{NodeId(n)};
     ASSERT_TRUE(patched.InstallFull(v4->base_slices[n], v4->base_fp).ok());
-    ASSERT_TRUE(patched.ApplyPatch(v4->patch_slices[n]).ok()) << "node " << n;
+    ASSERT_TRUE(ApplyPatchImage(&patched, v4->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(patched.strategy_fingerprint(), v4->target_fp);
-    EXPECT_EQ(patched.slice(), v2->fallback_slice(n)->bytes) << "node " << n;
+    EXPECT_EQ(patched.slice(), *target_slice) << "node " << n;
 
     InstallEngine full{NodeId(n)};
-    ASSERT_TRUE(full.InstallFull(v4->fallback_slice(n)->bytes, v4->target_fp).ok())
+    ASSERT_TRUE(InstallSliceImage(&full, v4->fallback_slice(n)->bytes, v4->target_fp).ok())
         << "node " << n;
     EXPECT_EQ(full.strategy_fingerprint(), v4->target_fp);
-    EXPECT_EQ(full.slice(), v2->fallback_slice(n)->bytes) << "node " << n;
+    EXPECT_EQ(full.slice(), *target_slice) << "node " << n;
   }
 }
 
@@ -735,58 +755,54 @@ TEST(StrategyBinary, ImageAndTextInstallsLeaveIdenticalState) {
   ASSERT_TRUE(last.ok());
   blobs.push_back(Blob(*last, *sys->planner));
 
-  auto text = BuildStrategyUpdate(blobs[0], blobs[1], StrategyWireFormat::kV2Text);
-  auto image = BuildStrategyUpdate(blobs[0], blobs[1], StrategyWireFormat::kV4Binary);
-  auto next = BuildStrategyUpdate(blobs[1], blobs[2], StrategyWireFormat::kV2Text);
-  ASSERT_TRUE(text.ok() && image.ok() && next.ok());
+  auto image = BuildStrategyUpdate(blobs[0], blobs[1]);
+  auto next = BuildStrategyUpdate(blobs[1], blobs[2]);
+  ASSERT_TRUE(image.ok() && next.ok());
   ASSERT_NE(next->base_fp, next->target_fp);
-  for (uint32_t n = 0; n < text->base_slices.size(); ++n) {
-    const WireArtifact* as_text = text->fallback_slice(n);
+  for (uint32_t n = 0; n < image->base_slices.size(); ++n) {
+    auto as_text = ExtractSlice(blobs[1], n);
     const WireArtifact* as_image = image->fallback_slice(n);
-    ASSERT_TRUE(as_text != nullptr && as_image != nullptr) << "node " << n;
+    ASSERT_TRUE(as_text.ok() && as_image != nullptr) << "node " << n;
     ASSERT_TRUE(fmt::IsV4Image(as_image->bytes)) << "node " << n;
 
     InstallEngine from_text{NodeId(n)};
     InstallEngine from_image{NodeId(n)};
-    ASSERT_TRUE(from_text.InstallFull(as_text->bytes, text->target_fp).ok()) << "node " << n;
-    ASSERT_TRUE(from_image.InstallFull(as_image->bytes, image->target_fp).ok()) << "node " << n;
+    ASSERT_TRUE(from_text.InstallFull(*as_text, image->target_fp).ok()) << "node " << n;
+    ASSERT_TRUE(InstallSliceImage(&from_image, as_image->bytes, image->target_fp).ok())
+        << "node " << n;
     EXPECT_EQ(from_image.slice(), from_text.slice()) << "node " << n;
     EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
 
-    ASSERT_TRUE(from_text.ApplyPatch(next->patch_slices[n]).ok()) << "node " << n;
-    ASSERT_TRUE(from_image.ApplyPatch(next->patch_slices[n]).ok()) << "node " << n;
+    ASSERT_TRUE(ApplyPatchImage(&from_text, next->patch_slices[n]).ok()) << "node " << n;
+    ASSERT_TRUE(ApplyPatchImage(&from_image, next->patch_slices[n]).ok()) << "node " << n;
     EXPECT_EQ(from_image.strategy_fingerprint(), next->target_fp) << "node " << n;
     EXPECT_EQ(from_image.slice(), from_text.slice()) << "node " << n;
     EXPECT_EQ(from_image.StateFingerprint(), from_text.StateFingerprint()) << "node " << n;
   }
 }
 
-// --- spec plumbing (pace-fraction=, wire=) ----------------------------------
+// --- spec plumbing (pace-fraction=) -----------------------------------------
 
-TEST(StrategyBinarySpec, PaceFractionAndWireRoundTripCanonically) {
+TEST(StrategyBinarySpec, PaceFractionRoundTripsCanonically) {
   const std::string text =
       "BTRX 1\n"
       "NAME fmt\n"
       "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.125 wire=v4\n"
+      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.125\n"
       "PHASE periods=10\n"
       "END\n";
   auto spec = ParseExperimentSpec(text);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->pace_mille, 125u);
-  EXPECT_EQ(spec->wire_version, 4u);
   EXPECT_EQ(SerializeExperimentSpec(*spec), text);
 
   const BtrConfig config = MakeBtrConfig(*spec);
   EXPECT_DOUBLE_EQ(config.runtime.dissem.pace_fraction, 0.125);
-  EXPECT_EQ(config.wire_format, StrategyWireFormat::kV4Binary);
 
-  // Defaults serialize as absent keys; wire=v2 is the default spelling.
+  // The default serializes as an absent key.
   spec->pace_mille = 0;
-  spec->wire_version = 0;
   const std::string out = SerializeExperimentSpec(*spec);
   EXPECT_EQ(out.find("pace-fraction"), std::string::npos);
-  EXPECT_EQ(out.find("wire="), std::string::npos);
 
   // Canonical spellings for the value grammar.
   uint32_t mille = 0;
@@ -810,8 +826,6 @@ TEST(StrategyBinarySpec, RejectsMalformedKeys) {
       "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0\n",
       "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=2\n",
       "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.250\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 wire=v3\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 wire=binary\n",
   };
   for (const char* config : kBad) {
     const std::string text = std::string("BTRX 1\nNAME fmt\nSCENARIO convoy nodes=8\n") +
@@ -820,67 +834,7 @@ TEST(StrategyBinarySpec, RejectsMalformedKeys) {
   }
 }
 
-// --- end-to-end: format invariance ------------------------------------------
-
-std::string RolloutSpecText(const std::string& extra_config) {
-  return "BTRX 1\n"
-         "NAME fmt_convoy\n"
-         "SCENARIO convoy nodes=8\n"
-         "CONFIG f=1 recovery-us=800000 seed=3" +
-         extra_config +
-         "\n"
-         "PHASE periods=60\n"
-         "EDIT at-us=600000 kind=task-add name=gap_log task-kind=sink wcet-us=80"
-         " crit=best-effort node=0 deadline-us=20000 chan=gap_est1:gap_log:64\n"
-         "END\n";
-}
-
-TEST(StrategyBinaryE2E, GossipV4RolloutInstallsEverywhereAndShipsFewerBytes) {
-  auto v2_spec = ParseExperimentSpec(RolloutSpecText(""));
-  auto v4_spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
-  ASSERT_TRUE(v2_spec.ok() && v4_spec.ok());
-  auto v2 = RunExperiment(*v2_spec);
-  auto v4 = RunExperiment(*v4_spec);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  ASSERT_EQ(v4->phases.size(), 1u);
-  const RunReport& r2 = v2->phases[0];
-  const RunReport& r4 = v4->phases[0];
-
-  // Same rollout outcome: every node installed, correctness clean, and the
-  // text-domain strategy identity chain unchanged by the wire format.
-  EXPECT_EQ(r4.install.nodes_installed, 8u);
-  EXPECT_EQ(r4.correctness.correct_instances, r4.correctness.total_instances);
-  EXPECT_FALSE(r4.correctness.btr_violated);
-  EXPECT_EQ(r4.correctness.correct_instances, r2.correctness.correct_instances);
-  EXPECT_EQ(r4.correctness.total_instances, r2.correctness.total_instances);
-  EXPECT_EQ(r4.install.nodes_installed, r2.install.nodes_installed);
-
-  // The format is a cost knob: the packed rollout moves fewer wire bytes.
-  const uint64_t v2_bytes = r2.install.dissem.bytes_sent;
-  const uint64_t v4_bytes = r4.install.dissem.bytes_sent;
-  EXPECT_LT(v4_bytes, v2_bytes);
-}
-
-TEST(StrategyBinaryE2E, V4ReportsAreByteIdenticalAcrossShardCounts) {
-  setenv("BTR_SHARD_EXEC", "threads", 1);
-  std::string baseline;
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto spec = ParseExperimentSpec(RolloutSpecText(" wire=v4"));
-    ASSERT_TRUE(spec.ok());
-    spec->shards = shards;
-    auto report = RunExperiment(*spec);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    const std::string dump = SerializeExperimentReport(*report);
-    if (shards == 1) {
-      baseline = dump;
-      ASSERT_FALSE(baseline.empty());
-    } else {
-      EXPECT_EQ(dump, baseline) << "v4 report diverged at shards=" << shards;
-    }
-  }
-  unsetenv("BTR_SHARD_EXEC");
-}
+// --- end-to-end: strategy sources ------------------------------------------
 
 TEST(StrategyBinaryE2E, RunReportsMatchAcrossStrategySources) {
   // The same scenario run three ways — strategy planned in-process, loaded

@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -32,6 +33,7 @@
 #include "src/core/strategy_io.h"
 #include "src/core/strategy_patch.h"
 #include "src/crypto/keys.h"
+#include "src/fmt/strategy_binary.h"
 #include "src/net/network.h"
 #include "src/net/partition.h"
 #include "src/sim/simulator.h"
@@ -61,6 +63,30 @@ PlannerConfig SmallConfig(uint32_t f) {
 
 std::string Blob(const Strategy& strategy, const Planner& planner) {
   return SaveStrategy(strategy, planner.graph(), planner.topology());
+}
+
+// A patch text reaches an engine as a decoded image does: through the
+// strict text parser, then ApplyPatch.
+Status ApplyPatchText(InstallEngine* engine, const std::string& text) {
+  StatusOr<StrategyPatch> patch = ParseStrategyPatch(text);
+  return patch.ok() ? engine->ApplyPatch(*patch) : patch.status();
+}
+
+// A shipped patch image, decoded once as an install agent decodes it.
+Status ApplyPatchImage(InstallEngine* engine, const std::string& image) {
+  StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
+  return patch.ok() ? engine->ApplyPatch(*patch) : patch.status();
+}
+
+// The canonical text a shipped slice or blob image decodes to.
+std::string DecodedText(const WireArtifact* artifact) {
+  if (artifact == nullptr) {
+    ADD_FAILURE() << "artifact not built";
+    return std::string();
+  }
+  StatusOr<std::string> text = fmt::DecodeStrategyImage(artifact->bytes);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  return text.ok() ? std::move(*text) : std::string();
 }
 
 System* MakeBaseSystem(std::deque<System>* generations, const PlannerConfig& config,
@@ -109,7 +135,7 @@ std::string CheckPatchOracle(const std::string& old_blob, const System& old_sys,
   std::vector<std::string> applied_slices;
   applied_slices.reserve(n);
   for (size_t node = 0; node < n; ++node) {
-    auto patch = ParseStrategyPatch(update->patch_slices[node]);
+    auto patch = fmt::DecodePatchImage(update->patch_slices[node]);
     if (!patch.ok()) {
       ADD_FAILURE() << label << " node " << node << ": " << patch.status().ToString();
       return std::string();
@@ -121,7 +147,7 @@ std::string CheckPatchOracle(const std::string& old_blob, const System& old_sys,
     }
     // The oracle: applying the patch to the old slice must equal the full
     // install of the new slice, byte-for-byte.
-    EXPECT_EQ(*result, update->fallback_slice(static_cast<uint32_t>(node))->bytes)
+    EXPECT_EQ(*result, DecodedText(update->fallback_slice(static_cast<uint32_t>(node))))
         << label << ": applied slice diverged for node " << node;
     applied_slices.push_back(std::move(*result));
   }
@@ -422,8 +448,8 @@ TEST(StrategyPatch, FuzzedApplyEqualsFullInstall) {
       auto update = BuildStrategyUpdate(blob, next_blob);
       ASSERT_TRUE(update.ok());
       for (uint32_t n = 0; n < engines.size(); ++n) {
-        ASSERT_TRUE(engines[n].ApplyPatch(update->patch_slices[n]).ok()) << label;
-        EXPECT_EQ(engines[n].slice(), update->fallback_slice(n)->bytes) << label;
+        ASSERT_TRUE(ApplyPatchImage(&engines[n], update->patch_slices[n]).ok()) << label;
+        EXPECT_EQ(engines[n].slice(), DecodedText(update->fallback_slice(n))) << label;
         EXPECT_EQ(engines[n].strategy_fingerprint(), update->target_fp) << label;
       }
       blob = next_blob;
@@ -443,6 +469,7 @@ struct CorruptionFixture {
   std::string base_blob;
   std::string target_blob;
   StrategyUpdate update;
+  StrategyPatch patch;  // unsliced, base -> target
 
   CorruptionFixture() {
     System* sys = MakeBaseSystem(&generations, config);
@@ -466,6 +493,16 @@ struct CorruptionFixture {
     auto built = BuildStrategyUpdate(base_blob, target_blob);
     EXPECT_TRUE(built.ok());
     update = std::move(*built);
+    auto diff = MakeStrategyPatch(base_blob, target_blob);
+    EXPECT_TRUE(diff.ok());
+    patch = std::move(*diff);
+  }
+
+  // Node `n`'s patch slice as BTRPATCH text: what its patch image decodes to.
+  std::string PatchText(uint32_t n) const {
+    auto text = SaveStrategyPatchSlice(patch, n);
+    EXPECT_TRUE(text.ok());
+    return text.ok() ? std::move(*text) : std::string();
   }
 
   // A fresh engine with node `n`'s base slice installed.
@@ -479,27 +516,27 @@ struct CorruptionFixture {
 TEST(StrategyPatchCorruption, TruncationSweepRejectsWithoutMutation) {
   CorruptionFixture f;
   InstallEngine engine = f.EngineFor(1);
-  const std::string& patch = f.update.patch_slices[1];
+  const std::string patch = f.PatchText(1);
   const uint64_t before = engine.StateFingerprint();
   for (size_t cut = 0; cut < patch.size(); ++cut) {
     const bool line_boundary = cut == 0 || patch[cut - 1] == '\n';
     if (!line_boundary && cut % 3 != 0) {
       continue;
     }
-    EXPECT_FALSE(engine.ApplyPatch(patch.substr(0, cut)).ok())
+    EXPECT_FALSE(ApplyPatchText(&engine, patch.substr(0, cut)).ok())
         << "truncation at byte " << cut << " applied";
     EXPECT_EQ(engine.StateFingerprint(), before)
         << "truncated patch mutated state at byte " << cut;
   }
   // The intact patch still applies afterwards.
-  EXPECT_TRUE(engine.ApplyPatch(patch).ok());
+  EXPECT_TRUE(ApplyPatchText(&engine, patch).ok());
   EXPECT_EQ(engine.strategy_fingerprint(), f.update.target_fp);
 }
 
 TEST(StrategyPatchCorruption, BitFlipSweepRejectsWithoutMutation) {
   CorruptionFixture f;
   InstallEngine engine = f.EngineFor(2);
-  const std::string& patch = f.update.patch_slices[2];
+  const std::string patch = f.PatchText(2);
   const uint64_t before = engine.StateFingerprint();
   for (size_t byte = 0; byte < patch.size(); ++byte) {
     std::string flipped = patch;
@@ -507,18 +544,18 @@ TEST(StrategyPatchCorruption, BitFlipSweepRejectsWithoutMutation) {
     if (flipped[byte] == patch[byte]) {
       continue;
     }
-    EXPECT_FALSE(engine.ApplyPatch(flipped).ok())
+    EXPECT_FALSE(ApplyPatchText(&engine, flipped).ok())
         << "bit flip at byte " << byte << " applied";
     EXPECT_EQ(engine.StateFingerprint(), before)
         << "bit flip at byte " << byte << " mutated state";
   }
-  EXPECT_TRUE(engine.ApplyPatch(patch).ok());
+  EXPECT_TRUE(ApplyPatchText(&engine, patch).ok());
 }
 
 TEST(StrategyPatchCorruption, ForgedCountsRejected) {
   CorruptionFixture f;
   InstallEngine engine = f.EngineFor(0);
-  const std::string& patch = f.update.patch_slices[0];
+  const std::string patch = f.PatchText(0);
   const uint64_t before = engine.StateFingerprint();
   auto forge = [&](const std::string& needle, const std::string& replacement) {
     const size_t at = patch.find(needle);
@@ -526,9 +563,9 @@ TEST(StrategyPatchCorruption, ForgedCountsRejected) {
     return patch.substr(0, at) + replacement + patch.substr(patch.find('\n', at));
   };
   // Forged body counts (both directions) and a forged mode total.
-  EXPECT_FALSE(engine.ApplyPatch(forge("BODIES ", "BODIES 99999999 1")).ok());
-  EXPECT_FALSE(engine.ApplyPatch(forge("BODIES ", "BODIES 1 99999999")).ok());
-  EXPECT_FALSE(engine.ApplyPatch(forge("MODES ", "MODES 99999999 0 0")).ok());
+  EXPECT_FALSE(ApplyPatchText(&engine, forge("BODIES ", "BODIES 99999999 1")).ok());
+  EXPECT_FALSE(ApplyPatchText(&engine, forge("BODIES ", "BODIES 1 99999999")).ok());
+  EXPECT_FALSE(ApplyPatchText(&engine, forge("MODES ", "MODES 99999999 0 0")).ok());
   EXPECT_EQ(engine.StateFingerprint(), before);
 }
 
@@ -538,7 +575,7 @@ TEST(StrategyPatchCorruption, OutOfRangeReferencesRejected) {
   const uint64_t before = engine.StateFingerprint();
 
   // An MSET that references a body id beyond the declared body list.
-  auto patch = ParseStrategyPatch(f.update.patch_slices[0]);
+  auto patch = ParseStrategyPatch(f.PatchText(0));
   ASSERT_TRUE(patch.ok());
   {
     StrategyPatch bad = *patch;
@@ -547,7 +584,7 @@ TEST(StrategyPatchCorruption, OutOfRangeReferencesRejected) {
       ++bad.final_mode_count;
     }
     bad.sets[0].ref = static_cast<uint32_t>(bad.bodies.size() + 7);
-    EXPECT_FALSE(engine.ApplyPatch(SaveStrategyPatch(bad)).ok());
+    EXPECT_FALSE(ApplyPatchText(&engine, SaveStrategyPatch(bad)).ok());
   }
   // A BCOPY that references a base body the installed slice does not have.
   {
@@ -558,13 +595,13 @@ TEST(StrategyPatchCorruption, OutOfRangeReferencesRejected) {
         break;
       }
     }
-    EXPECT_FALSE(engine.ApplyPatch(SaveStrategyPatch(bad)).ok());
+    EXPECT_FALSE(ApplyPatchText(&engine, SaveStrategyPatch(bad)).ok());
   }
   // A MODE record whose fault node is outside the node universe.
   {
     StrategyPatch bad = *patch;
     bad.sets.push_back({{static_cast<uint32_t>(bad.node_count + 1)}, 0});
-    EXPECT_FALSE(engine.ApplyPatch(SaveStrategyPatch(bad)).ok());
+    EXPECT_FALSE(ApplyPatchText(&engine, SaveStrategyPatch(bad)).ok());
   }
   EXPECT_EQ(engine.StateFingerprint(), before);
 }
@@ -577,16 +614,16 @@ TEST(StrategyPatchCorruption, WrongBaseAndWrongNodeRefused) {
 
   // Apply the patch twice: the second application sees a different base
   // fingerprint (the chain moved on) and must be refused.
-  ASSERT_TRUE(engine.ApplyPatch(f.update.patch_slices[node]).ok());
+  ASSERT_TRUE(ApplyPatchText(&engine, f.PatchText(node)).ok());
   const uint64_t after_first = engine.StateFingerprint();
   EXPECT_NE(after_first, before);
-  EXPECT_FALSE(engine.ApplyPatch(f.update.patch_slices[node]).ok());
+  EXPECT_FALSE(ApplyPatchText(&engine, f.PatchText(node)).ok());
   EXPECT_EQ(engine.StateFingerprint(), after_first);
 
   // A patch sliced for another node must be refused by this node's engine.
   InstallEngine other = f.EngineFor(0);
   const uint64_t other_before = other.StateFingerprint();
-  EXPECT_FALSE(other.ApplyPatch(f.update.patch_slices[node]).ok());
+  EXPECT_FALSE(ApplyPatchText(&other, f.PatchText(node)).ok());
   EXPECT_EQ(other.StateFingerprint(), other_before);
 
   // A patch against a completely unrelated strategy must be refused.
@@ -594,7 +631,7 @@ TEST(StrategyPatchCorruption, WrongBaseAndWrongNodeRefused) {
   ASSERT_TRUE(unrelated.ok());
   auto unrelated_slice = SaveStrategyPatchSlice(*unrelated, 0);
   ASSERT_TRUE(unrelated_slice.ok());
-  EXPECT_FALSE(other.ApplyPatch(*unrelated_slice).ok());
+  EXPECT_FALSE(ApplyPatchText(&other, *unrelated_slice).ok());
   EXPECT_EQ(other.StateFingerprint(), other_before);
 }
 
@@ -689,24 +726,28 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
   EXPECT_GT(fallback.full_bytes_sent, 0u);
   EXPECT_NE(fallback.completed_at, kSimTimeNever);
 
-  // Poison the blob too — by one digit of a T-row duration, so the text
-  // still parses and carves into slices. The artifact's content fingerprint
-  // catches it; no receiver may install it, and since every server ships
-  // the same bytes, each gives up and goes silent instead of re-pulling
-  // forever. The blob is edited on a freshly built update, whose artifacts
-  // no other update shares, and keeps its clean content fingerprint.
+  // Poison the blob too — by one digit of a T-row duration, re-encoded, so
+  // the image still decodes and carves into slices. The artifact's content
+  // fingerprint catches it; no receiver may install it, and since every
+  // server ships the same bytes, each gives up and goes silent instead of
+  // re-pulling forever. The blob is edited on a freshly built update, whose
+  // artifacts no other update shares, and keeps its clean content
+  // fingerprint.
   auto poisoned_or = BuildStrategyUpdate(base_blob, target_blob);
   ASSERT_TRUE(poisoned_or.ok());
   StrategyUpdate poisoned = std::move(*poisoned_or);
   poisoned.patch_full = corrupted.patch_full;
   ASSERT_NE(poisoned.mutable_blob_artifact(), nullptr);
-  std::string& blob = poisoned.mutable_blob_artifact()->bytes;
+  std::string blob = DecodedText(poisoned.blob_artifact());
   const size_t t_row = blob.find("\nT ");
   ASSERT_NE(t_row, std::string::npos);
   const size_t line_end = blob.find('\n', t_row + 1);
   const size_t duration_digit = line_end - 1;
   blob[duration_digit] = blob[duration_digit] == '7' ? '8' : '7';
-  ASSERT_TRUE(ExtractSlice(blob, 1).ok());  // structurally sound...
+  auto poisoned_image = fmt::EncodeStrategyImage(blob);
+  ASSERT_TRUE(poisoned_image.ok()) << poisoned_image.status().ToString();
+  poisoned.mutable_blob_artifact()->bytes = std::move(*poisoned_image);
+  ASSERT_TRUE(ExtractSlice(DecodedText(poisoned.blob_artifact()), 1).ok());  // sound...
   InstallRunReport poisoned_report;
   run_install(std::make_shared<const StrategyUpdate>(poisoned), &poisoned_report);
   // ...yet never installed: only the distributor (which applied its own
@@ -765,7 +806,7 @@ struct ConvoyRollout {
   // A freshly built update: its on-demand artifacts are shared with no
   // other update, so a test may edit them.
   StrategyUpdate BuildUpdate() const {
-    auto update = BuildStrategyUpdate(base_blob, target_blob, StrategyWireFormat::kV4Binary);
+    auto update = BuildStrategyUpdate(base_blob, target_blob);
     EXPECT_TRUE(update.ok());
     return std::move(update).value();
   }
@@ -892,10 +933,9 @@ std::vector<StrategyDelta> FallbackEditStream(const Scenario& s, uint64_t seed) 
 }
 
 // Plans `scenario`, then replays its seeded edit stream, handing the update
-// of every step, built in `format`, to `visit(step, update)`.
+// of every step to `visit(step, update)`.
 template <typename Visit>
-void ForEachStreamUpdate(Scenario scenario, uint32_t f, uint64_t seed, StrategyWireFormat format,
-                         Visit&& visit) {
+void ForEachStreamUpdate(Scenario scenario, uint32_t f, uint64_t seed, Visit&& visit) {
   const PlannerConfig config = SmallConfig(f);
   const std::vector<StrategyDelta> stream = FallbackEditStream(scenario, seed);
   std::deque<System> generations;
@@ -918,7 +958,7 @@ void ForEachStreamUpdate(Scenario scenario, uint32_t f, uint64_t seed, StrategyW
     auto next_strategy = next_builder.Build();
     EXPECT_TRUE(next_strategy.ok()) << stream[i].ToString();
     const std::string next_blob = Blob(*next_strategy, *next.planner);
-    auto update = BuildStrategyUpdate(blob, next_blob, format);
+    auto update = BuildStrategyUpdate(blob, next_blob);
     EXPECT_TRUE(update.ok()) << stream[i].ToString();
     if (!update.ok()) {
       return;
@@ -932,13 +972,28 @@ void ForEachStreamUpdate(Scenario scenario, uint32_t f, uint64_t seed, StrategyW
   }
 }
 
-// Digests every node's fallback slice bytes and content fingerprint at
-// every step of the stream, in step and node order.
-uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
-                              StrategyWireFormat format) {
-  Hasher digest;
-  ForEachStreamUpdate(std::move(scenario), f, seed, format,
-                      [&digest](size_t i, const StrategyUpdate& update) {
+// Two digests of a stream of shipped artifacts, in the same order: `image`
+// over each artifact's image bytes and content fingerprint, `text` over the
+// canonical text the image decodes to and that text's fingerprint.
+struct StreamDigests {
+  Hasher image;
+  Hasher text;
+
+  void Add(const WireArtifact& artifact, const std::string& text_form) {
+    image.AddString(artifact.bytes);
+    image.Add(artifact.fp);
+    text.AddString(text_form);
+    text.Add(FingerprintStrategyText(text_form));
+  }
+};
+
+// Digests every node's fallback slice at every step of the stream, in step
+// and node order. Returns {text, image}.
+std::pair<uint64_t, uint64_t> FallbackStreamDigests(Scenario scenario, uint32_t f,
+                                                    uint64_t seed) {
+  StreamDigests digests;
+  ForEachStreamUpdate(std::move(scenario), f, seed,
+                      [&digests](size_t i, const StrategyUpdate& update) {
     const uint32_t nodes = static_cast<uint32_t>(update.base_slices.size());
     for (uint32_t n = 0; n < nodes; ++n) {
       const WireArtifact* slice = update.fallback_slice(n);
@@ -946,18 +1001,19 @@ uint64_t FallbackStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
       EXPECT_EQ(slice->fp, FingerprintStrategyText(slice->bytes));
       // A second request returns the same storage.
       EXPECT_EQ(update.fallback_slice(n), slice);
-      digest.AddString(slice->bytes);
-      digest.Add(slice->fp);
+      digests.Add(*slice, DecodedText(slice));
     }
     EXPECT_EQ(update.fallback_slices_built(), nodes);
     EXPECT_EQ(update.fallback_slice(nodes), nullptr);
   });
-  return digest.Digest();
+  return {digests.text.Digest(), digests.image.Digest()};
 }
 
 // The digests were recorded at the reference build, where BuildStrategyUpdate
 // rendered and encoded every node's slice eagerly into per-node vectors:
-// the slices built on demand carry the same bytes and fingerprints.
+// the slices built on demand carry the same bytes and fingerprints. The v2
+// digest was taken over the text wire's slices; it now digests the texts
+// the images decode to, which are the same texts.
 TEST(FallbackSlices, MatchEagerSlicesPinnedAtReference) {
   const struct {
     const char* name;
@@ -971,9 +1027,7 @@ TEST(FallbackSlices, MatchEagerSlicesPinnedAtReference) {
       {"avionics6", MakeAvionicsScenario(6), 1, 72, 0x304efa65acc82c77, 0x152cc1da43345cad},
   };
   for (const auto& c : cases) {
-    const uint64_t v2 = FallbackStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV2Text);
-    const uint64_t v4 =
-        FallbackStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV4Binary);
+    const auto [v2, v4] = FallbackStreamDigests(c.scenario, c.f, c.seed);
     EXPECT_EQ(v2, c.v2_digest) << c.name << " v2: got 0x" << std::hex << v2;
     EXPECT_EQ(v4, c.v4_digest) << c.name << " v4: got 0x" << std::hex << v4;
   }
@@ -1042,13 +1096,13 @@ TEST(FallbackSlices, FallbackRolloutIsByteIdenticalAcrossShardCounts) {
 
 // --- on-demand shipped artifacts ------------------------------------------
 
-// Digests every node's patch slice and the blob artifact, bytes and content
-// fingerprint, at every step of the stream, in step and node order.
-uint64_t ShippedStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
-                             StrategyWireFormat format) {
-  Hasher digest;
-  ForEachStreamUpdate(std::move(scenario), f, seed, format,
-                      [&digest](size_t i, const StrategyUpdate& update) {
+// Digests every node's patch slice and the blob artifact at every step of
+// the stream, in step and node order. Returns {text, image}.
+std::pair<uint64_t, uint64_t> ShippedStreamDigests(Scenario scenario, uint32_t f,
+                                                   uint64_t seed) {
+  StreamDigests digests;
+  ForEachStreamUpdate(std::move(scenario), f, seed,
+                      [&digests](size_t i, const StrategyUpdate& update) {
     const uint32_t nodes = static_cast<uint32_t>(update.base_slices.size());
     ASSERT_EQ(update.patch_slices.size(), nodes);
     for (uint32_t n = 0; n < nodes; ++n) {
@@ -1057,8 +1111,9 @@ uint64_t ShippedStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
       EXPECT_EQ(slice->fp, FingerprintStrategyText(slice->bytes));
       EXPECT_EQ(update.patch_slice(n), slice);  // built once
       EXPECT_EQ(&update.patch_slices[n], &slice->bytes);
-      digest.AddString(slice->bytes);
-      digest.Add(slice->fp);
+      auto patch = fmt::DecodePatchImage(slice->bytes);
+      ASSERT_TRUE(patch.ok()) << "step " << i << " node " << n;
+      digests.Add(*slice, SaveStrategyPatch(*patch));
     }
     EXPECT_EQ(update.patch_slices_built(), nodes);
     EXPECT_EQ(update.patch_slice(nodes), nullptr);
@@ -1067,16 +1122,17 @@ uint64_t ShippedStreamDigest(Scenario scenario, uint32_t f, uint64_t seed,
     EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
     EXPECT_EQ(update.blob_artifact(), blob);
     EXPECT_TRUE(update.blob_artifact_built());
-    digest.AddString(blob->bytes);
-    digest.Add(blob->fp);
+    digests.Add(*blob, DecodedText(blob));
   });
-  return digest.Digest();
+  return {digests.text.Digest(), digests.image.Digest()};
 }
 
 // The digests were recorded at the reference build, where BuildStrategyUpdate
 // rendered every node's patch slice and the blob artifact eagerly, and
 // encoded them under v4: the artifacts built on demand carry the same bytes
-// and content fingerprints.
+// and content fingerprints. The v2 digest was taken over the text wire's
+// artifacts; it now digests the texts the images decode to, which are the
+// same texts.
 TEST(ShippedArtifacts, MatchEagerArtifactsPinnedAtReference) {
   const struct {
     const char* name;
@@ -1090,9 +1146,7 @@ TEST(ShippedArtifacts, MatchEagerArtifactsPinnedAtReference) {
       {"avionics6", MakeAvionicsScenario(6), 1, 72, 0x34347b6bd06858bc, 0x104e9df2ae95a34a},
   };
   for (const auto& c : cases) {
-    const uint64_t v2 = ShippedStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV2Text);
-    const uint64_t v4 =
-        ShippedStreamDigest(c.scenario, c.f, c.seed, StrategyWireFormat::kV4Binary);
+    const auto [v2, v4] = ShippedStreamDigests(c.scenario, c.f, c.seed);
     EXPECT_EQ(v2, c.v2_digest) << c.name << " v2: got 0x" << std::hex << v2;
     EXPECT_EQ(v4, c.v4_digest) << c.name << " v4: got 0x" << std::hex << v4;
   }
