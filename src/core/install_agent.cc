@@ -444,7 +444,7 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
   msg->total = plan.total;
   msg->content_fp = serve.content_fp;
   if (seq + 1 == plan.total) {
-    msg->text = artifact->bytes;  // only the final chunk carries the text
+    msg->image = artifact->bytes;  // only the final chunk carries the image
   }
   ctx_.network->Send(id_, serve.to, wire, TrafficClass::kControl, std::move(msg));
   ++g.stats.chunks_sent;
@@ -485,7 +485,7 @@ void InstallAgent::HandleDissemChunk(const Packet& packet, const DissemChunkMess
   if (rx.received < rx.total) {
     return;
   }
-  // Final chunk carries the artifact text; content-verify before touching
+  // Final chunk carries the artifact image; content-verify before touching
   // the engine (the fingerprint chain alone cannot catch a flipped byte).
   rx = DissemReassembly{};
   g.pending_from = NodeId::Invalid();
@@ -533,8 +533,8 @@ void InstallAgent::ApplyDissemArtifact(const DissemChunkMessage& msg) {
   // mismatch means the served artifact itself is bad: it takes the same
   // path as one that fails to apply.
   const Status st =
-      FingerprintStrategyText(msg.text) == msg.content_fp
-          ? InstallDissemArtifact(msg.content, msg.text)
+      FingerprintStrategyText(msg.image) == msg.content_fp
+          ? InstallDissemArtifact(msg.content, msg.image)
           : Status::InvalidArgument("artifact does not match its content fingerprint");
   if (st.ok()) {
     if (DissemContentIsFull(msg.content)) {

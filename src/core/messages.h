@@ -84,15 +84,16 @@ struct DissemRequestMessage : Payload {
 };
 
 // One paced chunk of an artifact transfer. Only the final chunk (seq ==
-// total - 1) carries the artifact text; earlier chunks model wire bytes.
+// total - 1) carries the artifact's v4 image; earlier chunks model wire
+// bytes.
 struct DissemChunkMessage : Payload {
   NodeId from;  // the serving node
   uint64_t target_fp = 0;
   DissemContent content = DissemContent::kPatchFull;
   uint32_t seq = 0;
   uint32_t total = 0;
-  uint64_t content_fp = 0;  // fingerprint of the complete artifact text
-  std::string text;         // set on the final chunk only
+  uint64_t content_fp = 0;  // fingerprint of the complete artifact image
+  std::string image;        // set on the final chunk only
 
   PayloadKind kind() const override { return PayloadKind::kDissemChunk; }
 };

@@ -189,7 +189,7 @@ struct PendingServe {
   DissemContent content = DissemContent::kPatchFull;
   uint32_t start_chunk = 0;
   LinkId link;  // guardian this serve occupies; one active serve per link
-  uint64_t content_fp = 0;  // fingerprint of the artifact text, every chunk
+  uint64_t content_fp = 0;  // fingerprint of the artifact image, every chunk
 };
 
 // Per-node gossip protocol state for one rollout. Owned by the node's
