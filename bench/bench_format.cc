@@ -12,10 +12,10 @@
 //            the text it decodes to (wall clock; the engine installs
 //            only canonical text, so an install agent decodes first).
 //   safety — the formats must be semantically invisible: a run on the
-//            planned strategy, on the strategy loaded back from the v2
-//            text, and on the strategy loaded from the v4 image must
-//            produce byte-identical run reports. The bench exits nonzero
-//            on divergence, so the harness records it.
+//            planned strategy, on the strategy loaded back from the v3
+//            text, and on the strategy loaded from the text the v4 image
+//            decodes to must produce byte-identical run reports. The bench
+//            exits nonzero on divergence, so the harness records it.
 //
 // Emits one `BENCH_JSON {"bench":"strategy_format",...}` row that
 // ci/run_benches.sh --format folds into BENCH_runtime.json.
@@ -114,8 +114,9 @@ double TimeInstall(const std::string& slice, bool decode, uint64_t sfp, int reps
 }
 
 // Byte-identity of run reports across strategy sources: planned in-process,
-// loaded from the v2 text, loaded from the v4 image. Returns true when all
-// three serialize identically.
+// loaded from the v3 text, loaded from the text the v4 image decodes to (the
+// loader reads text only). Returns true when all three serialize
+// identically.
 bool ReportsMatchAcrossSources(const std::string& v2_blob, const std::string& v4_image,
                                uint64_t* fingerprint) {
   const auto make_system = [] { return BtrSystem(MakeE7Scenario(), E7Config()); };
@@ -129,7 +130,13 @@ bool ReportsMatchAcrossSources(const std::string& v2_blob, const std::string& v4
   }
   const std::string baseline_dump = SerializeRunReport(*baseline);
   *fingerprint = FingerprintRunReport(*baseline);
-  for (const std::string* serialized : {&v2_blob, &v4_image}) {
+  const StatusOr<std::string> decoded = fmt::DecodeStrategyImage(v4_image);
+  if (!decoded.ok()) {
+    std::fprintf(stderr, "format bench: decode failed: %s\n",
+                 decoded.status().ToString().c_str());
+    return false;
+  }
+  for (const std::string* serialized : {&v2_blob, &*decoded}) {
     BtrSystem system = make_system();
     auto loaded =
         LoadStrategy(*serialized, system.planner().graph(), system.scenario().topology);
@@ -162,8 +169,7 @@ int Run(int reps) {
   }
   const std::string v2_blob =
       SaveStrategy(system.strategy(), system.planner().graph(), system.scenario().topology);
-  auto v4_blob = SaveStrategyV4(system.strategy(), system.planner().graph(),
-                                system.scenario().topology);
+  auto v4_blob = fmt::EncodeStrategyImage(v2_blob);
   if (!v4_blob.ok()) {
     std::fprintf(stderr, "format bench: encode failed: %s\n",
                  v4_blob.status().ToString().c_str());
@@ -203,7 +209,7 @@ int Run(int reps) {
 
   const double v2_bytes = static_cast<double>(v2_blob.size());
   const double v4_bytes = static_cast<double>(v4_blob->size());
-  Table table({"artifact", "v2 text", "v4 image", "ratio"});
+  Table table({"artifact", "v3 text", "v4 image", "ratio"});
   table.AddRow({"blob (full strategy)", CellBytes(v2_bytes), CellBytes(v4_bytes),
                 CellDouble(100.0 * v4_bytes / v2_bytes, 1) + " %"});
   table.AddRow({"patch: link_flap", CellBytes(static_cast<double>(link_flap->text_bytes)),
@@ -225,7 +231,7 @@ int Run(int reps) {
   std::printf("%s\n", table.Render().c_str());
   std::printf("(install = wall clock over %d reps: InstallEngine::InstallFull's\n"
               " parse + canonical re-check of the text vs image decode, then the same\n"
-              " text check; reports_match pins planned / v2-loaded / v4-loaded runs\n"
+              " text check; reports_match pins planned / text-loaded / image-loaded runs\n"
               " to byte-identical reports)\n\n", reps);
 
   std::printf(

@@ -13,7 +13,7 @@
 #   ci/run_benches.sh --scenarios      # + scenario-family rows (coverage vs
 #                                      #   churn rate on the mobile convoy)
 #   ci/run_benches.sh --format         # + strategy_format row (v4 image vs
-#                                      #   v2 text: blob/patch bytes, parse-
+#                                      #   v3 text: blob/patch bytes, parse-
 #                                      #   vs-map install time, report-fp
 #                                      #   equality across strategy sources)
 #
@@ -155,10 +155,10 @@ if [[ "${SCENARIOS}" == "1" ]]; then
   fi
 fi
 
-# Strategy-format row (--format): v4 binary images vs v2 text — blob and
+# Strategy-format row (--format): v4 binary images vs v3 text — blob and
 # E7-edit patch bytes in both serializations, parse-vs-map install wall
 # clock, and the cross-source report-fingerprint equality assertion
-# (planned / v2-loaded / v4-mapped runs must serialize identically; the
+# (planned / text-loaded / image-loaded runs must serialize identically; the
 # bench exits nonzero on divergence — record it, don't kill the harness).
 if [[ "${FORMAT}" == "1" ]]; then
   FORMAT_ROWS=$( (./build-bench/bench_format || \

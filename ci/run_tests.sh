@@ -7,8 +7,10 @@
 #                            # determinism sweeps; scheduled CI and local runs)
 #
 # Tiers are ctest LABELS assigned in CMakeLists.txt (BTR_TIER2_TESTS). After
-# the tests, the shipped specs' experiment fingerprints are checked against
-# their pins (ci/check_spec_fingerprints.sh).
+# the tests come CI's paper-claim checks (E1, E3, E8 and bench_format, each
+# of which exits non-zero when its claim fails), then the shipped specs'
+# experiment fingerprints are checked against their pins
+# (ci/check_spec_fingerprints.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,4 +22,8 @@ fi
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure --no-tests=error "${LABEL_ARGS[@]}" -j
+build/bench_replication_cost
+build/bench_recovery_time
+build/bench_plan_delta
+build/bench_format --reps=1
 ci/check_spec_fingerprints.sh build/example_btrsim

@@ -55,9 +55,6 @@ struct Options {
   int64_t recovery_ms = 500;
   uint64_t periods = 200;
   std::optional<uint32_t> shards;  // overrides the spec; default = one shard
-  std::optional<int64_t> beacon_us;
-  std::optional<uint32_t> suppress_k;
-  std::optional<std::string> pace_fraction;
   std::optional<std::string> fault;
   std::optional<uint32_t> fault_node;
   int64_t fault_at_ms = 200;
@@ -79,7 +76,6 @@ int Usage(const char* argv0) {
       "usage: %s [--spec FILE.btrx]\n"
       "          [--scenario avionics|scada|convoy|convoy-mobile|lossy-mesh|random] [--nodes N]\n"
       "          [--seed S] [--f F] [--recovery-ms R] [--periods P] [--shards N]\n"
-      "          [--beacon-us T] [--suppress-k K] [--pace-fraction F]\n"
       "          [--fault crash|value-corruption|omission|selective-omission|\n"
       "                   delay|equivocate|evidence-flood]\n"
       "          [--fault-node N] [--fault-at-ms T] [--fault-until-ms T]\n"
@@ -384,12 +380,6 @@ int main(int argc, char** argv) {
       opts.periods = static_cast<uint64_t>(std::atoll(next("--periods")));
     } else if (arg == "--shards") {
       opts.shards = static_cast<uint32_t>(std::atoi(next("--shards")));
-    } else if (arg == "--beacon-us") {
-      opts.beacon_us = std::atoll(next("--beacon-us"));
-    } else if (arg == "--suppress-k") {
-      opts.suppress_k = static_cast<uint32_t>(std::atoi(next("--suppress-k")));
-    } else if (arg == "--pace-fraction") {
-      opts.pace_fraction = next("--pace-fraction");
     } else if (arg == "--fault") {
       opts.fault = next("--fault");
     } else if (arg == "--fault-node") {
@@ -451,18 +441,6 @@ int main(int argc, char** argv) {
   // sharding only changes how fast they arrive).
   if (opts.shards.has_value()) {
     spec.shards = *opts.shards;
-  }
-  if (opts.beacon_us.has_value()) {
-    spec.beacon_period = Microseconds(*opts.beacon_us);
-  }
-  if (opts.suppress_k.has_value()) {
-    spec.suppress_k = *opts.suppress_k;
-  }
-  if (opts.pace_fraction.has_value()) {
-    if (!ParsePaceFraction(*opts.pace_fraction, &spec.pace_mille)) {
-      std::printf("--pace-fraction must be a canonical fraction in (0, 1], e.g. 0.25\n");
-      return Usage(argv[0]);
-    }
   }
 
   if (opts.dump_spec) {

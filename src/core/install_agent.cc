@@ -25,37 +25,31 @@ uint64_t InstallEngine::StateFingerprint() const {
 Status InstallEngine::InstallFull(std::string slice, uint64_t expected_sfp) {
   const StatusOr<uint64_t> sfp = ValidateSliceText(slice, node_.value());
   if (!sfp.ok()) {
-    ++stats_.patches_rejected;
     return sfp.status();
   }
   if (*sfp != expected_sfp) {
-    ++stats_.patches_rejected;
     return Status::FailedPrecondition(
         "slice does not chain to the expected strategy fingerprint; refusing to install");
   }
   slice_ = std::move(slice);
   strategy_fp_ = *sfp;
   ++version_;
-  ++stats_.full_installs;
   return Status::Ok();
 }
 
 Status InstallEngine::ApplyPatch(const StrategyPatch& patch) {
   if (!installed()) {
-    ++stats_.patches_rejected;
     return Status::FailedPrecondition("no base slice installed; patch has nothing to apply to");
   }
   // Verify-then-swap: the new slice is fully assembled and fingerprint-
   // checked before the installed state changes.
   StatusOr<std::string> applied = ApplyPatchToSlice(slice_, patch);
   if (!applied.ok()) {
-    ++stats_.patches_rejected;
     return applied.status();
   }
   slice_ = std::move(*applied);
   strategy_fp_ = patch.target_fp;
   ++version_;
-  ++stats_.patches_applied;
   return Status::Ok();
 }
 
@@ -455,13 +449,12 @@ void InstallAgent::SendDissemChunk(PendingServe serve, uint32_t seq, ChunkPlan p
                     [this, serve, seq, plan]() { SendDissemChunk(serve, seq + 1, plan); });
 }
 
-void InstallAgent::HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg) {
+void InstallAgent::HandleDissemChunk(const DissemChunkMessage& msg) {
   if (gossip_ == nullptr || msg.target_fp != gossip_->target_fp) {
     return;
   }
   GossipSession& g = *gossip_;
   g.timer.NoteActivity();
-  engine_.CountReceivedBytes(packet.size_bytes);
   if (DissemInstalled() || g.gave_up) {
     return;  // late duplicates
   }

@@ -22,13 +22,6 @@
 
 namespace btr {
 
-struct InstallEngineStats {
-  uint64_t full_installs = 0;
-  uint64_t patches_applied = 0;
-  uint64_t patches_rejected = 0;
-  uint64_t bytes_received = 0;  // wire bytes of install payloads delivered
-};
-
 // Node-side installed-strategy state: the node's slice of the canonical
 // strategy text plus the fingerprint chain that pins which full blob it
 // belongs to. Every install is transactional (verify-then-swap): the new
@@ -52,12 +45,10 @@ class InstallEngine {
   // Monotonic install counter (full installs + applied patches).
   uint64_t version() const { return version_; }
   const std::string& slice() const { return slice_; }
-  const InstallEngineStats& stats() const { return stats_; }
 
-  // Fingerprint over the installed-strategy state only (slice bytes, chain
-  // fingerprint, version); rejection diagnostics are excluded, so a
-  // refused install leaves it unchanged — the corruption tests assert
-  // exactly that.
+  // Fingerprint over the installed-strategy state (slice bytes, chain
+  // fingerprint, version), so a refused install leaves it unchanged — the
+  // corruption tests assert exactly that.
   uint64_t StateFingerprint() const;
 
   // Replaces the installed slice wholesale (initial install or fallback).
@@ -75,14 +66,11 @@ class InstallEngine {
   // applied result verifies against the patch's NSLICE fingerprint.
   Status ApplyPatch(const StrategyPatch& patch);
 
-  void CountReceivedBytes(uint64_t bytes) { stats_.bytes_received += bytes; }
-
  private:
   NodeId node_;
   std::string slice_;  // canonical text slice
   uint64_t strategy_fp_ = 0;
   uint64_t version_ = 0;
-  InstallEngineStats stats_;
 };
 
 // What a strategy rollout cost and achieved, aggregated by BtrRuntime.
@@ -145,7 +133,7 @@ class InstallAgent {
   // The three dissemination payloads, forwarded by NodeRuntime::OnPacket.
   void HandleDissemBeacon(const DissemBeaconMessage& msg);
   void HandleDissemRequest(const DissemRequestMessage& msg);
-  void HandleDissemChunk(const Packet& packet, const DissemChunkMessage& msg);
+  void HandleDissemChunk(const DissemChunkMessage& msg);
 
  private:
   // Pooled payload construction (freelist arena shared across nodes).

@@ -162,9 +162,9 @@ PlanDelta ComputeDelta(const Plan& from, const Plan& to, const AugmentedGraph& g
 
 // Where a strategy came from: the fault bound it was compiled for and a
 // fingerprint of the planner inputs (config + topology + workload). Set by
-// StrategyBuilder, persisted by strategy_io, and checked by
-// StrategyBuilder::Rebuild so an incremental rebuild cannot silently resume
-// from a strategy compiled for a different system.
+// StrategyBuilder, persisted as the blob's PROV record by strategy_io, and
+// checked by StrategyBuilder::Rebuild so an incremental rebuild cannot
+// silently resume from a strategy compiled for a different system.
 struct StrategyProvenance {
   bool present = false;
   uint32_t max_faults = 0;
@@ -175,10 +175,6 @@ struct StrategyProvenance {
   // disk); 0 on strategies loaded from a blob. The strategy cache keys on
   // it, and BtrSystem::AdoptStrategy cross-checks it when nonzero.
   uint64_t scenario_fingerprint = 0;
-  // Serialization the strategy came from: 0 = planned in-process, 2 = v2/v3
-  // text blob, 4 = v4 binary image. In-memory only; recorded into results
-  // provenance so a sweep row shows which format fed the run.
-  uint32_t source_format = 0;
 };
 
 // The offline-computed strategy: fault set -> plan, deduplicated at two
@@ -253,13 +249,10 @@ class Strategy {
 
   const StrategyProvenance& provenance() const { return provenance_; }
   void set_provenance(uint32_t max_faults, uint64_t planner_fingerprint,
-                      uint64_t scenario_fingerprint = 0, uint32_t source_format = 0) {
-    provenance_ = StrategyProvenance{true, max_faults, planner_fingerprint,
-                                     scenario_fingerprint, source_format};
+                      uint64_t scenario_fingerprint = 0) {
+    provenance_ =
+        StrategyProvenance{true, max_faults, planner_fingerprint, scenario_fingerprint};
   }
-  // Records where the strategy was deserialized from without claiming PROV
-  // data the blob did not carry.
-  void set_source_format(uint32_t source_format) { provenance_.source_format = source_format; }
 
  private:
   // Replaces equal sub-structures with pool representatives so equal

@@ -977,7 +977,7 @@ void NodeRuntime::OnPacket(const Packet& packet) {
       install_.HandleDissemRequest(static_cast<const DissemRequestMessage&>(*packet.payload));
       return;
     case PayloadKind::kDissemChunk:
-      install_.HandleDissemChunk(packet, static_cast<const DissemChunkMessage&>(*packet.payload));
+      install_.HandleDissemChunk(static_cast<const DissemChunkMessage&>(*packet.payload));
       return;
     case PayloadKind::kOther:
       return;  // foreign payload (baseline protocols, tests): not ours

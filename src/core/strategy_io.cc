@@ -1,22 +1,18 @@
 #include "src/core/strategy_io.h"
 
+#include <charconv>
 #include <iomanip>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/strategy_parts_internal.h"
 #include "src/core/strategy_text_internal.h"
-#include "src/fmt/strategy_binary.h"
 
 namespace btr {
 namespace {
-
-constexpr char kMagic[] = "BTRSTRATEGY";
-// v3 = v2 plus the optional PROV provenance record. The loader accepts
-// both; bumping the header keeps pre-PROV readers failing with a clear
-// version error instead of a misleading parse error.
-constexpr int kVersion = 3;
 
 void WriteBody(std::ostringstream& out, const PlanBody& body) {
   out << "U " << body.utility << "\n";
@@ -47,7 +43,7 @@ void WriteBody(std::ostringstream& out, const PlanBody& body) {
 std::string SaveStrategy(const Strategy& strategy, const AugmentedGraph& graph,
                          const Topology& topo) {
   std::ostringstream out;
-  out << kMagic << " v" << kVersion << "\n";
+  out << strategy_text::kBlobMagic << "\n";
   out << "DIM " << graph.size() << " " << topo.node_count() << " " << graph.edges().size()
       << "\n";
   // Provenance (optional record): the fault bound and planner-input
@@ -90,200 +86,132 @@ std::string SaveStrategy(const Strategy& strategy, const AugmentedGraph& graph,
   return out.str();
 }
 
-StatusOr<Strategy> LoadStrategy(const std::string& text, const AugmentedGraph& graph,
-                                const Topology& topo) {
-  // v4 binary images auto-detect by magic and funnel through the text
-  // loader, so every caller accepts both formats transparently.
-  if (fmt::IsV4Image(text)) {
-    const StatusOr<std::string> decoded = fmt::DecodeStrategyImage(text);
-    if (!decoded.ok()) {
-      return decoded.status();
-    }
-    StatusOr<Strategy> loaded = LoadStrategy(*decoded, graph, topo);
-    if (loaded.ok()) {
-      loaded->set_source_format(4);
-    }
-    return loaded;
-  }
-  // The writer always terminates the blob with a newline; a blob whose last
-  // line is cut short would otherwise parse successfully because the token
-  // reader below is newline-insensitive (found by the zero-degraded-modes
-  // round-trip's exhaustive truncation sweep).
-  if (text.empty() || text.back() != '\n') {
-    return Status::InvalidArgument("truncated blob (missing final newline)");
-  }
-  std::istringstream in(text);
-  std::string magic;
-  std::string version;
-  in >> magic >> version;
-  if (magic != kMagic || (version != "v2" && version != "v3")) {
-    return Status::InvalidArgument("not a BTRSTRATEGY v2/v3 blob");
-  }
-  std::string tag;
-  in >> tag;
-  size_t aug_count = 0;
-  size_t node_count = 0;
-  size_t edge_count = 0;
-  if (tag != "DIM" || !(in >> aug_count >> node_count >> edge_count)) {
-    return Status::InvalidArgument("missing DIM header");
-  }
-  if (aug_count != graph.size() || node_count != topo.node_count() ||
-      edge_count != graph.edges().size()) {
-    return Status::InvalidArgument("strategy dimensions do not match graph/topology");
-  }
+namespace {
 
-  StrategyProvenance provenance;
-  if (!(in >> tag)) {
-    return Status::InvalidArgument("missing PLANS header");
-  }
-  if (tag == "PROV") {
-    if (!(in >> provenance.max_faults >> std::hex >> provenance.planner_fingerprint >>
-          std::dec)) {
-      return Status::InvalidArgument("malformed PROV record");
-    }
-    provenance.present = true;
-    if (!(in >> tag)) {
-      return Status::InvalidArgument("missing PLANS header");
-    }
-  }
-  size_t plan_count = 0;
-  if (tag != "PLANS" || !(in >> plan_count)) {
-    return Status::InvalidArgument("missing PLANS header");
-  }
-  // Every body occupies at least a "PLAN n\nEND\n" line pair, so a count
-  // beyond the blob size is a forged header — reject before reserving.
-  if (plan_count > text.size()) {
-    return Status::InvalidArgument("implausible PLANS count");
-  }
+using strategy_text::BodyDims;
+using strategy_text::BodyReader;
+using strategy_text::BodyRecord;
+using strategy_text::BodyScan;
+using strategy_text::BodyTag;
+using strategy_text::LineScanner;
+using strategy_text::Parts;
 
-  std::vector<std::shared_ptr<const PlanBody>> bodies;
-  bodies.reserve(plan_count);
-  for (size_t id = 0; id < plan_count; ++id) {
-    size_t declared_id = 0;
-    if (!(in >> tag >> declared_id) || tag != "PLAN" || declared_id != id) {
-      return Status::InvalidArgument("malformed PLAN header");
+// Turns one body chunk that ParseParts accepted into a PlanBody. The record
+// grammar is ParseParts'; what is checked here is only what a PlanBody
+// cannot hold: a utility that is not a number, a sink id beyond 32 bits and
+// a time beyond SimDuration.
+StatusOr<PlanBody> ReadBody(const std::string& chunk, const BodyDims& dims) {
+  PlanBody body;
+  body.placement.assign(dims.aug_count, NodeId::Invalid());
+  body.start.assign(dims.aug_count, -1);
+  body.tables.assign(dims.node_count, ScheduleTable());
+  std::vector<SimDuration> edge_budget(dims.edge_count, -1);
+  const auto fits = [](uint64_t v) { return v <= static_cast<uint64_t>(INT64_MAX); };
+  LineScanner scan(chunk);
+  BodyReader reader(&scan, dims);
+  BodyRecord rec;
+  do {
+    if (reader.Next(&rec) != BodyScan::kOk) {
+      return Status::InvalidArgument("malformed plan body record");
     }
-    PlanBody body;
-    body.placement.assign(aug_count, NodeId::Invalid());
-    body.start.assign(aug_count, -1);
-    body.tables.assign(node_count, ScheduleTable());
-    std::vector<SimDuration> edge_budget(edge_count, -1);
-    bool ended = false;
-    while (!ended && (in >> tag)) {
-      if (tag == "U") {
-        if (!(in >> body.utility)) {
+    const uint64_t* v = rec.v;
+    switch (rec.tag) {
+      case BodyTag::kU: {
+        const char* last = rec.utility.data() + rec.utility.size();
+        const std::from_chars_result r =
+            std::from_chars(rec.utility.data(), last, body.utility);
+        if (r.ec != std::errc() || r.ptr != last) {
           return Status::InvalidArgument("malformed U record");
         }
-      } else if (tag == "P") {
-        uint32_t aug = 0;
-        uint32_t node = 0;
-        SimDuration start = 0;
-        if (!(in >> aug >> node >> start) || aug >= aug_count || node >= node_count) {
+        break;
+      }
+      case BodyTag::kP:
+        if (!fits(v[2])) {
           return Status::InvalidArgument("malformed P record");
         }
-        body.placement[aug] = NodeId(node);
-        body.start[aug] = start;
-      } else if (tag == "S") {
-        uint32_t sink = 0;
-        if (!(in >> sink)) {
+        body.placement[v[0]] = NodeId(static_cast<uint32_t>(v[1]));
+        body.start[v[0]] = static_cast<SimDuration>(v[2]);
+        break;
+      case BodyTag::kS:
+        if (v[0] > UINT32_MAX) {
           return Status::InvalidArgument("malformed S record");
         }
-        body.shed_sinks.push_back(TaskId(sink));
-      } else if (tag == "T") {
-        size_t node = 0;
-        uint32_t job = 0;
-        SimDuration start = 0;
-        SimDuration duration = 0;
-        if (!(in >> node >> job >> start >> duration) || node >= node_count ||
-            job >= aug_count) {
+        body.shed_sinks.push_back(TaskId(static_cast<uint32_t>(v[0])));
+        break;
+      case BodyTag::kT:
+        if (!fits(v[2]) || !fits(v[3])) {
           return Status::InvalidArgument("malformed T record");
         }
-        body.tables[node].Add(job, start, duration);
-      } else if (tag == "B") {
-        size_t idx = 0;
-        SimDuration budget = 0;
-        if (!(in >> idx >> budget) || idx >= edge_count) {
+        body.tables[v[0]].Add(static_cast<uint32_t>(v[1]), static_cast<SimDuration>(v[2]),
+                              static_cast<SimDuration>(v[3]));
+        break;
+      case BodyTag::kB:
+        if (!fits(v[1])) {
           return Status::InvalidArgument("malformed B record");
         }
-        edge_budget[idx] = budget;
-      } else if (tag == "END") {
-        ended = true;
-      } else {
-        return Status::InvalidArgument("unknown record: " + tag);
-      }
+        edge_budget[v[0]] = static_cast<SimDuration>(v[1]);
+        break;
+      case BodyTag::kEnd:
+        break;
     }
-    if (!ended) {
-      return Status::InvalidArgument("truncated plan body (missing END)");
-    }
-    for (ScheduleTable& t : body.tables) {
-      t.SortByStart();
-    }
-    body.set_edge_budget(std::move(edge_budget));
-    bodies.push_back(std::make_shared<const PlanBody>(std::move(body)));
+  } while (rec.tag != BodyTag::kEnd);
+  for (ScheduleTable& t : body.tables) {
+    t.SortByStart();
   }
+  body.set_edge_budget(std::move(edge_budget));
+  return body;
+}
 
-  size_t mode_count = 0;
-  if (!(in >> tag >> mode_count) || tag != "MODES") {
-    return Status::InvalidArgument("missing MODES header");
+}  // namespace
+
+StatusOr<Strategy> LoadStrategy(const std::string& text, const AugmentedGraph& graph,
+                                const Topology& topo) {
+  StatusOr<Parts> parts = strategy_text::ParseParts(text);
+  if (!parts.ok()) {
+    return parts.status();
   }
-  if (mode_count > text.size()) {
-    return Status::InvalidArgument("implausible MODES count");
+  if (parts->is_slice) {
+    return Status::InvalidArgument("a BTRSLICE text is one node's slice, not a strategy");
   }
+  if (parts->aug_count != graph.size() || parts->node_count != topo.node_count() ||
+      parts->edge_count != graph.edges().size()) {
+    return Status::InvalidArgument("strategy dimensions do not match graph/topology");
+  }
+  const BodyDims dims{parts->aug_count, parts->node_count, parts->edge_count};
+  std::vector<std::shared_ptr<const PlanBody>> bodies;
+  bodies.reserve(parts->bodies.size());
+  for (const std::string& chunk : parts->bodies) {
+    StatusOr<PlanBody> body = ReadBody(chunk, dims);
+    if (!body.ok()) {
+      return body.status();
+    }
+    bodies.push_back(std::make_shared<const PlanBody>(std::move(*body)));
+  }
+  // ParseParts admits modes only in strictly ascending order, so each fault
+  // set appears once and the fault-free mode comes first.
   Strategy strategy;
-  for (size_t m = 0; m < mode_count; ++m) {
-    size_t k = 0;
-    if (!(in >> tag >> k) || tag != "MODE") {
-      return Status::InvalidArgument("malformed MODE");
-    }
-    std::vector<NodeId> nodes;
-    for (size_t i = 0; i < k; ++i) {
-      uint32_t v = 0;
-      if (!(in >> v) || v >= node_count) {
-        return Status::InvalidArgument("malformed MODE nodes");
-      }
-      nodes.push_back(NodeId(v));
-    }
-    size_t ref = 0;
-    if (!(in >> tag >> ref) || tag != "REF" || ref >= bodies.size()) {
-      return Status::InvalidArgument("malformed MODE body reference");
-    }
+  for (const Parts::Mode& mode : parts->modes) {
+    std::vector<NodeId> nodes(mode.fault_nodes.begin(), mode.fault_nodes.end());
     Plan plan;
     plan.faults = FaultSet(std::move(nodes));
-    if (strategy.Lookup(plan.faults) != nullptr) {
-      return Status::InvalidArgument("duplicate MODE for " + plan.faults.ToString());
-    }
-    plan.body = bodies[ref];
+    plan.body = bodies[mode.ref];
     // Routing is a pure function of (topology, fault set); rebuild it.
     plan.routing = std::make_shared<RoutingTable>(topo, plan.faults.nodes());
     strategy.Insert(std::move(plan));
   }
-  if (in >> tag) {
-    return Status::InvalidArgument("trailing data after MODES: " + tag);
+  if (parts->has_prov) {
+    strategy.set_provenance(static_cast<uint32_t>(parts->prov_max_faults),
+                            parts->prov_planner_fp);
   }
-  if (strategy.Lookup(FaultSet()) == nullptr) {
-    return Status::InvalidArgument("strategy has no fault-free mode");
-  }
-  if (provenance.present) {
-    strategy.set_provenance(provenance.max_faults, provenance.planner_fingerprint);
-  }
-  strategy.set_source_format(2);
   return strategy;
-}
-
-StatusOr<std::string> SaveStrategyV4(const Strategy& strategy, const AugmentedGraph& graph,
-                                     const Topology& topo) {
-  return fmt::EncodeStrategyImage(SaveStrategy(strategy, graph, topo));
 }
 
 // --- install-plane records -------------------------------------------------
 
 namespace {
 
-using strategy_text::BodyDims;
-using strategy_text::BodyScan;
 using strategy_text::Hex16;
 using strategy_text::HexCanonical;
-using strategy_text::LineScanner;
 using strategy_text::ParseHex16;
 using strategy_text::ParseHexCanonical;
 using strategy_text::ParseU64;

@@ -4,16 +4,19 @@
 // so that correct nodes will have a consistent view of it at runtime". This
 // module provides that representation: a line-oriented text format that
 // round-trips a Strategy exactly (placements, start offsets, tables, edge
-// budgets, shed sinks, utility). The v2 format mirrors the deduplicated
-// in-memory layout: each unique plan body is written once (PLAN blocks),
-// and every mode is a one-line fault set + body reference (MODE ... REF n),
-// so the blob shrinks with the same dedup ratio as the strategy. Routing
-// tables are not stored — they are a pure function of (topology, fault set)
-// and are rebuilt on load; body sharing survives the round trip. The v3
-// revision adds an optional PROV record persisting the strategy's
-// provenance (fault bound + planner-input fingerprint) so
-// StrategyBuilder::Rebuild can resume from a loaded blob and refuse a
-// mismatched planner; the loader accepts v2 and v3.
+// budgets, shed sinks, utility). The BTRSTRATEGY v3 format mirrors the
+// deduplicated in-memory layout: each unique plan body is written once
+// (PLAN blocks), and every mode is a one-line fault set + body reference
+// (MODE ... REF n), so the blob shrinks with the same dedup ratio as the
+// strategy. Routing tables are not stored — they are a pure function of
+// (topology, fault set) and are rebuilt on load; body sharing survives the
+// round trip. An optional PROV record persists the strategy's provenance
+// (fault bound + planner-input fingerprint) so StrategyBuilder::Rebuild can
+// resume from a loaded blob and refuse a mismatched planner.
+//
+// The text has one grammar, and one parser reads it (ParseParts in
+// strategy_parts_internal.h): the loader, slicing, patching and the v4
+// image codec accept exactly the same canonical texts.
 
 #ifndef BTR_SRC_CORE_STRATEGY_IO_H_
 #define BTR_SRC_CORE_STRATEGY_IO_H_
@@ -33,20 +36,12 @@ namespace btr {
 std::string SaveStrategy(const Strategy& strategy, const AugmentedGraph& graph,
                          const Topology& topo);
 
-// Parses a serialized strategy and rebuilds per-mode routing from `topo`.
-// Fails if the header's dimensions do not match `graph`/`topo`. Accepts
-// both the v2/v3 text blob and the v4 binary image (auto-detected by
-// magic); the loaded strategy records which format it came from in its
-// provenance (`source_format`).
+// Parses a canonical BTRSTRATEGY v3 blob and rebuilds per-mode routing
+// from `topo`. Fails on any text ParseParts refuses, on a BTRSLICE text,
+// and if the header's dimensions do not match `graph`/`topo`. A caller
+// holding a v4 image decodes it first (fmt::DecodeStrategyImage).
 StatusOr<Strategy> LoadStrategy(const std::string& text, const AugmentedGraph& graph,
                                 const Topology& topo);
-
-// Serializes to the v4 binary image (see src/fmt/strategy_binary.h): the
-// canonical v3 text, delta-encoded against the wave DAG, dictionary-packed,
-// and sealed into an mmap-able sectioned image. LoadStrategy auto-detects
-// the magic, so the two formats interchange freely on disk and on the wire.
-StatusOr<std::string> SaveStrategyV4(const Strategy& strategy, const AugmentedGraph& graph,
-                                     const Topology& topo);
 
 // --- install-plane records (see strategy_patch.h for the semantics) ------
 

@@ -17,6 +17,11 @@
 namespace btr {
 namespace strategy_text {
 
+// First lines of a canonical strategy blob (v3 added the optional PROV
+// record) and of a per-node slice.
+inline constexpr char kBlobMagic[] = "BTRSTRATEGY v3";
+inline constexpr char kSliceMagic[] = "BTRSLICE v1";
+
 // A canonical strategy blob or per-node slice, decomposed into verbatim
 // body chunks and parsed mode lines. The decomposition is lossless: the
 // matching renderer reproduces the input byte-for-byte.
@@ -39,7 +44,9 @@ struct Parts {
   std::vector<Mode> modes;
 };
 
-// Strict parser for canonical BTRSTRATEGY v3 / BTRSLICE v1 texts.
+// Strict parser for canonical BTRSTRATEGY v3 / BTRSLICE v1 texts: the one
+// parser of strategy text, which LoadStrategy, slicing, patching and the v4
+// image codec all read through.
 StatusOr<Parts> ParseParts(const std::string& text);
 
 // Renders a slice from components; exactly what ExtractSlice produces and

@@ -39,9 +39,6 @@ using strategy_text::SplitChunk;
 namespace strategy_text {
 namespace {
 
-constexpr char kBlobMagic[] = "BTRSTRATEGY v3";
-constexpr char kSliceMagic[] = "BTRSLICE v1";
-
 Status Truncated(const char* what) {
   return Status::InvalidArgument(std::string("truncated strategy text (") + what + ")");
 }
@@ -105,7 +102,7 @@ StatusOr<Parts> ParseParts(const std::string& text) {
   }
   if (f[0] == "PROV") {
     if (f.size() != 3 || !ParseU64(f[1], &parts.prov_max_faults) ||
-        !ParseHexCanonical(f[2], &parts.prov_planner_fp)) {
+        parts.prov_max_faults > UINT32_MAX || !ParseHexCanonical(f[2], &parts.prov_planner_fp)) {
       return Status::InvalidArgument("malformed PROV record");
     }
     parts.has_prov = true;
@@ -342,47 +339,34 @@ StatusOr<uint64_t> ValidateSliceText(const std::string& slice_text, uint32_t nod
 namespace {
 
 // Splits a body chunk once into (prefix, per-node T rows, suffix) for bulk
-// slicing. Returns false when the chunk is not in canonical record order
-// (all T rows contiguous) — callers then fall back to FilterBodyForNode per
-// node, which handles any record order. For a canonical chunk,
+// slicing. Every chunk passed BodyReader, which holds it to the writer's
+// record order, so its T rows are contiguous and
 //   pre + buckets[node] + post == FilterBodyForNode(chunk, node)
-// byte-for-byte (T lines with an unparsable node field are dropped from
-// every slice, exactly as FilterBodyForNode drops them).
-bool BucketChunkByNode(const std::string& chunk, std::string* pre, std::string* post,
+// byte-for-byte.
+void BucketChunkByNode(const std::string& chunk, std::string* pre, std::string* post,
                        std::unordered_map<uint64_t, std::string>* buckets) {
   pre->clear();
   post->clear();
   buckets->clear();
   size_t pos = 0;
-  int section = 0;  // 0 = pre, 1 = T rows, 2 = post
+  bool after_t = false;  // past the first T row: the rest is the suffix
   while (pos < chunk.size()) {
     size_t nl = chunk.find('\n', pos);
     if (nl == std::string::npos) {
       nl = chunk.size() - 1;  // defensive; validated chunks end with '\n'
     }
     const std::string_view line(chunk.data() + pos, nl - pos);
-    const bool is_t = line.size() > 2 && line[0] == 'T' && line[1] == ' ';
-    if (is_t) {
-      if (section == 2) {
-        return false;  // T row after the T section: non-canonical order
-      }
-      section = 1;
+    if (line.size() > 2 && line[0] == 'T' && line[1] == ' ') {
+      after_t = true;
       uint64_t node = 0;
-      const size_t sp = line.find(' ', 2);
-      const std::string_view field =
-          sp == std::string_view::npos ? line.substr(2) : line.substr(2, sp - 2);
-      if (ParseU64(field, &node)) {
+      if (ParseU64(line.substr(2, line.find(' ', 2) - 2), &node)) {
         (*buckets)[node].append(chunk, pos, nl - pos + 1);
       }
     } else {
-      if (section == 1) {
-        section = 2;
-      }
-      (section == 0 ? pre : post)->append(chunk, pos, nl - pos + 1);
+      (after_t ? post : pre)->append(chunk, pos, nl - pos + 1);
     }
     pos = nl + 1;
   }
-  return true;
 }
 
 // Renders every node's slice of a parsed blob in one pass, handing each to
@@ -395,25 +379,19 @@ void ForEachSliceOfBlob(const Parts& blob, uint64_t sfp, Sink&& sink) {
   std::vector<std::string> pres(body_count);
   std::vector<std::string> posts(body_count);
   std::vector<std::unordered_map<uint64_t, std::string>> buckets(body_count);
-  std::vector<char> bucketed(body_count, 0);
   for (size_t id = 0; id < body_count; ++id) {
-    bucketed[id] =
-        BucketChunkByNode(blob.bodies[id], &pres[id], &posts[id], &buckets[id]) ? 1 : 0;
+    BucketChunkByNode(blob.bodies[id], &pres[id], &posts[id], &buckets[id]);
   }
   std::vector<std::string> chunks(body_count);
   std::vector<const std::string*> chunk_ptrs(body_count);
   for (uint64_t node = 0; node < blob.node_count; ++node) {
     for (size_t id = 0; id < body_count; ++id) {
-      if (bucketed[id] != 0) {
-        const auto it = buckets[id].find(node);
-        chunks[id] = pres[id];
-        if (it != buckets[id].end()) {
-          chunks[id] += it->second;
-        }
-        chunks[id] += posts[id];
-      } else {
-        chunks[id] = FilterBodyForNode(blob.bodies[id], node);
+      const auto it = buckets[id].find(node);
+      chunks[id] = pres[id];
+      if (it != buckets[id].end()) {
+        chunks[id] += it->second;
       }
+      chunks[id] += posts[id];
       chunk_ptrs[id] = &chunks[id];
     }
     sink(node, RenderSliceText(node, blob.aug_count, blob.node_count, blob.edge_count,

@@ -1,5 +1,5 @@
 // Internal line-level utilities shared by the strategy text toolchain
-// (strategy_patch.cc and the PATCH record serialization in strategy_io.cc).
+// (strategy_patch.cc, strategy_io.cc and the v4 image codec in src/fmt).
 // Not part of the public API.
 //
 // The install plane operates on canonical serialized text, so these
@@ -230,54 +230,95 @@ inline bool ScanDecimalFields(std::string_view s, size_t count, uint64_t* values
   return pos == s.size();  // no further field, no trailing space
 }
 
-// Validates one line of a plan-body chunk (U/P/S/T/B/END). On success,
-// `*is_end` marks the END line and `*t_node` is the node of a T record
-// (UINT64_MAX otherwise). All id fields must be canonical decimal and
-// in range for `dims`. Runs once per body line of every parse, so it scans
-// the line in place: every record is a one-character tag, a space and its
-// fields, which is exactly what splitting on single spaces and checking
-// each tag's field count accepts.
-inline bool ValidBodyRecord(std::string_view line, const BodyDims& dims, uint64_t* t_node,
-                            bool* is_end) {
-  *t_node = UINT64_MAX;
-  *is_end = false;
+// Plan-body record tags, in the order SaveStrategy writes them: one U, then
+// P*, S*, T*, B*, then END.
+enum class BodyTag { kU, kP, kS, kT, kB, kEnd };
+
+// One plan-body record line. `utility` is the U record's field verbatim;
+// `v` holds the integer fields in line order (P: aug node start; S: sink;
+// T: node job start duration; B: edge budget).
+struct BodyRecord {
+  BodyTag tag = BodyTag::kEnd;
+  std::string_view utility;
+  uint64_t v[4] = {0, 0, 0, 0};
+};
+
+// Parses one line of a plan-body chunk (U/P/S/T/B/END). All id fields must
+// be canonical decimal and in range for `dims`. Runs once per body line of
+// every parse, so it scans the line in place: every record is a
+// one-character tag, a space and its fields, which is exactly what
+// splitting on single spaces and checking each tag's field count accepts.
+inline bool ParseBodyRecord(std::string_view line, const BodyDims& dims, BodyRecord* rec) {
   if (line == "END") {
-    *is_end = true;
+    rec->tag = BodyTag::kEnd;
     return true;
   }
   if (line.size() < 2 || line[1] != ' ') {
     return false;
   }
   const std::string_view fields = line.substr(2);
-  uint64_t v[4] = {0, 0, 0, 0};
+  uint64_t* v = rec->v;
   switch (line[0]) {
     case 'U':
+      rec->tag = BodyTag::kU;
+      rec->utility = fields;
       return PlausibleFloatField(fields);  // which also rejects a space
     case 'P':
-      return ScanDecimalFields(fields, 3, v) && v[0] < dims.aug_count &&
-             v[1] < dims.node_count;
+      rec->tag = BodyTag::kP;
+      return ScanDecimalFields(fields, 3, v) && v[0] < dims.aug_count && v[1] < dims.node_count;
     case 'S':
+      rec->tag = BodyTag::kS;
       return ScanDecimalFields(fields, 1, v);
     case 'T':
-      if (!ScanDecimalFields(fields, 4, v) || v[0] >= dims.node_count ||
-          v[1] >= dims.aug_count) {
-        return false;
-      }
-      *t_node = v[0];
-      return true;
+      rec->tag = BodyTag::kT;
+      return ScanDecimalFields(fields, 4, v) && v[0] < dims.node_count && v[1] < dims.aug_count;
     case 'B':
+      rec->tag = BodyTag::kB;
       return ScanDecimalFields(fields, 2, v) && v[0] < dims.edge_count;
     default:
       return false;
   }
 }
 
-// Why ScanBody stopped short of a body's END line.
+// Why a body read stopped short of the body's END line.
 enum class BodyScan {
   kOk,
   kTruncated,   // the text ended inside the body
-  kBadRecord,   // a line failed ValidBodyRecord
+  kBadRecord,   // a line failed ParseBodyRecord or broke the record order
   kForeignRow,  // a T row of a node other than `own_node`
+};
+
+// Reads one plan body record by record, from the scanner's position through
+// its END line, refusing any record out of SaveStrategy's order. Every
+// reader of body text goes through it (ScanBody, LoadStrategy and the v4
+// encoder), so they all accept exactly the same chunks.
+class BodyReader {
+ public:
+  BodyReader(LineScanner* scan, const BodyDims& dims) : scan_(scan), dims_(dims) {}
+
+  // Reads the next record; `rec->tag == BodyTag::kEnd` marks the last one.
+  BodyScan Next(BodyRecord* rec) {
+    std::string_view line;
+    if (!NextTerminatedLine(scan_, &line)) {
+      return BodyScan::kTruncated;
+    }
+    if (!ParseBodyRecord(line, dims_, rec)) {
+      return BodyScan::kBadRecord;
+    }
+    // One U opens the body; every later record keeps or advances the order.
+    const int rank = static_cast<int>(rec->tag);
+    const bool in_order = rec->tag == BodyTag::kU ? last_ < 0 : (last_ >= 0 && rank >= last_);
+    if (!in_order) {
+      return BodyScan::kBadRecord;
+    }
+    last_ = rank;
+    return BodyScan::kOk;
+  }
+
+ private:
+  LineScanner* scan_;
+  BodyDims dims_;
+  int last_ = -1;  // rank of the previous record; -1 before the U
 };
 
 // Validates one plan body's record lines, from the scanner's position
@@ -287,20 +328,17 @@ enum class BodyScan {
 inline BodyScan ScanBody(LineScanner* scan, const BodyDims& dims, uint64_t own_node,
                          std::string_view* chunk) {
   const size_t start = scan->offset();
-  std::string_view line;
-  bool ended = false;
-  while (!ended) {
-    if (!NextTerminatedLine(scan, &line)) {
-      return BodyScan::kTruncated;
+  BodyReader reader(scan, dims);
+  BodyRecord rec;
+  do {
+    const BodyScan st = reader.Next(&rec);
+    if (st != BodyScan::kOk) {
+      return st;
     }
-    uint64_t t_node = 0;
-    if (!ValidBodyRecord(line, dims, &t_node, &ended)) {
-      return BodyScan::kBadRecord;
-    }
-    if (own_node != UINT64_MAX && t_node != UINT64_MAX && t_node != own_node) {
+    if (own_node != UINT64_MAX && rec.tag == BodyTag::kT && rec.v[0] != own_node) {
       return BodyScan::kForeignRow;
     }
-  }
+  } while (rec.tag != BodyTag::kEnd);
   *chunk = std::string_view(scan->text()).substr(start, scan->offset() - start);
   return BodyScan::kOk;
 }
@@ -314,7 +352,7 @@ inline void AppendDecimal(std::string* out, uint64_t value) {
 }
 
 // Drops T records of other nodes from a body chunk (verbatim otherwise).
-// The chunk must already have passed ValidBodyRecord line by line.
+// The chunk must already have passed BodyReader.
 inline std::string FilterBodyForNode(const std::string& chunk, uint64_t node) {
   std::string out;
   out.reserve(chunk.size());

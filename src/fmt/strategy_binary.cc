@@ -21,6 +21,7 @@ namespace {
 
 using strategy_text::AppendDecimal;
 using strategy_text::BodyDims;
+using strategy_text::BodyTag;
 using strategy_text::Parts;
 using strategy_text::PlausibleFloatField;
 using strategy_text::ValidFaultNodeList;
@@ -116,16 +117,15 @@ bool StrictlyAscendingByKey(const std::vector<Pair>& v) {
 
 // ---- body chunk <-> records ---------------------------------------------
 
-// Parses a validated canonical body chunk (U, P*, S*, T*, B*, END — the
-// writer's record order) into dictionary-referenced records. Rejects any
-// other record ordering: the delta coder relies on the canonical shape,
-// and non-canonical chunks never come out of SaveStrategy / ExtractSlice.
+// Parses a canonical body chunk into dictionary-referenced records. The
+// chunk is read through strategy_text::BodyReader, which holds it to the
+// writer's record order (U, P*, S*, T*, B*, END) that the delta coder
+// relies on.
 Status ParseChunk(const std::string& chunk, const BodyDims& dims, DictBuilder* dicts,
                   BodyRecords* out) {
   strategy_text::LineScanner scan(chunk);
-  std::string_view line;
-  int stage = 0;  // 0 = expect U, then 1 P, 2 S, 3 T, 4 B
-  bool saw_end = false;
+  strategy_text::BodyReader reader(&scan, dims);
+  strategy_text::BodyRecord rec;
   uint64_t run_node = 0;
   std::vector<TableRow> run_rows;
   const auto flush_run = [&] {
@@ -134,74 +134,39 @@ Status ParseChunk(const std::string& chunk, const BodyDims& dims, DictBuilder* d
       run_rows.clear();
     }
   };
-  std::vector<std::string_view> f;
-  while (strategy_text::NextTerminatedLine(&scan, &line)) {
-    if (saw_end) {
-      return BadEncode("records after END");
+  do {
+    if (reader.Next(&rec) != strategy_text::BodyScan::kOk) {
+      return BadEncode("non-canonical body record");
     }
-    if (line == "END") {
-      flush_run();
-      saw_end = true;
-      continue;
-    }
-    if (!strategy_text::SplitFields(line, &f)) {
-      return BadEncode("bad record line");
-    }
-    uint64_t v0 = 0;
-    uint64_t v1 = 0;
-    uint64_t v2 = 0;
-    uint64_t v3 = 0;
-    if (f[0] == "U") {
-      if (stage != 0 || f.size() != 2 || !PlausibleFloatField(f[1])) {
-        return BadEncode("non-canonical U record");
-      }
-      out->u_ref = dicts->StringRef(std::string(f[1]));
-      stage = 1;
-    } else if (f[0] == "P") {
-      if (stage != 1 || f.size() != 4 || !strategy_text::ParseU64(f[1], &v0) ||
-          v0 >= dims.aug_count || !strategy_text::ParseU64(f[2], &v1) ||
-          v1 >= dims.node_count || !strategy_text::ParseU64(f[3], &v2)) {
-        return BadEncode("non-canonical P record");
-      }
-      out->p.push_back(PRow{v0, v1, v2});
-    } else if (f[0] == "S") {
-      if (stage < 1 || stage > 2 || f.size() != 2 || !strategy_text::ParseU64(f[1], &v0)) {
-        return BadEncode("non-canonical S record");
-      }
-      out->s.push_back(v0);
-      stage = 2;
-    } else if (f[0] == "T") {
-      if (stage < 1 || stage > 3 || f.size() != 5 || !strategy_text::ParseU64(f[1], &v0) ||
-          v0 >= dims.node_count || !strategy_text::ParseU64(f[2], &v1) ||
-          v1 >= dims.aug_count || !strategy_text::ParseU64(f[3], &v2) ||
-          !strategy_text::ParseU64(f[4], &v3)) {
-        return BadEncode("non-canonical T record");
-      }
-      if (!run_rows.empty() && v0 != run_node) {
+    const uint64_t* v = rec.v;
+    switch (rec.tag) {
+      case BodyTag::kU:
+        out->u_ref = dicts->StringRef(std::string(rec.utility));
+        break;
+      case BodyTag::kP:
+        out->p.push_back(PRow{v[0], v[1], v[2]});
+        break;
+      case BodyTag::kS:
+        out->s.push_back(v[0]);
+        break;
+      case BodyTag::kT:
+        if (!run_rows.empty() && v[0] != run_node) {
+          flush_run();
+        }
+        run_node = v[0];
+        run_rows.push_back(TableRow{v[1], v[2], v[3]});
+        break;
+      case BodyTag::kB:
         flush_run();
-      }
-      run_node = v0;
-      run_rows.push_back(TableRow{v1, v2, v3});
-      stage = 3;
-    } else if (f[0] == "B") {
-      if (stage < 1 || stage > 4 || f.size() != 3 || !strategy_text::ParseU64(f[1], &v0) ||
-          v0 >= dims.edge_count || !strategy_text::ParseU64(f[2], &v1)) {
-        return BadEncode("non-canonical B record");
-      }
-      if (stage != 4) {
+        out->b.emplace_back(v[0], v[1]);
+        break;
+      case BodyTag::kEnd:
         flush_run();
-      }
-      out->b.emplace_back(v0, v1);
-      stage = 4;
-    } else {
-      return BadEncode("unknown body record");
+        break;
     }
-  }
-  if (!saw_end || !scan.AtEnd()) {
-    return BadEncode("unterminated body chunk");
-  }
-  if (stage == 0) {
-    return BadEncode("body missing U record");
+  } while (rec.tag != BodyTag::kEnd);
+  if (!scan.AtEnd()) {
+    return BadEncode("records after END");
   }
   return Status::Ok();
 }

@@ -1,7 +1,7 @@
 // v4 binary strategy format: delta-encoded, dictionary-packed, mmap-able
 // images of the canonical strategy texts.
 //
-// The v2/v3 text formats dedup whole plan bodies but still write every
+// The BTRSTRATEGY v3 text dedups whole plan bodies but still writes every
 // table and budget record verbatim per body, so slices and patches inherit
 // verbatim rows. The v4 image packs them:
 //
@@ -25,13 +25,16 @@
 // self-checks this before returning), and a decoded patch re-serializes to
 // the exact BTRPATCH text it was encoded from. Equality stays provable by
 // string comparison all the way down.
+//
+// Images are a wire form only. The canonical text stays the installed form
+// and the on-disk form, and LoadStrategy reads text only, so a holder of an
+// image decodes it first, as InstallAgent does where an image arrives.
 
 #ifndef BTR_SRC_FMT_STRATEGY_BINARY_H_
 #define BTR_SRC_FMT_STRATEGY_BINARY_H_
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "src/common/status.h"
 #include "src/core/strategy_patch.h"
@@ -39,10 +42,6 @@
 
 namespace btr {
 namespace fmt {
-
-// True if `data` carries the v4 image magic. Callers use this to
-// auto-detect format; a positive sniff still requires validation.
-inline bool IsV4Image(std::string_view data) { return LooksLikeImage(data); }
 
 // Encodes a canonical BTRSTRATEGY v3 blob or BTRSLICE v1 slice text into a
 // v4 image (kind chosen from the text). Fails on non-canonical input. The

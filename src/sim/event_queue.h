@@ -108,18 +108,6 @@ class EventQueue {
     return heap_.front().when;
   }
 
-  // (when, prio) key of the earliest pending event, for cross-queue merges.
-  // Returns false if empty.
-  bool PeekKey(SimTime* when, uint64_t* prio) const {
-    SkipDead();
-    if (heap_.empty()) {
-      return false;
-    }
-    *when = heap_.front().when;
-    *prio = heap_.front().prio;
-    return true;
-  }
-
   // Pops the earliest event into `*fn` WITHOUT running it, and returns its
   // timestamp. Requires !Empty(). The driver advances its clock between the
   // pop and the call, so callbacks observe their own timestamp via Now().

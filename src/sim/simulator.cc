@@ -314,75 +314,19 @@ SimTime Simulator::RunToCompletion() {
 }
 
 bool Simulator::Step() {
-  if (shard_count_ == 1) {
-    EventQueue& q = shards_[0]->queue;
-    if (q.Empty()) {
-      return false;
-    }
-    ExecContext& exec = ThisThreadExec();
-    EventFn fn;
-    uint32_t owner = kDriverActor;
-    now_ = q.PopNext(&fn, &owner);
-    exec.actor = owner;
-    fn();
-    exec.actor = kDriverActor;
-    ++events_executed_;
-    return true;
-  }
-  return StepMerged();
-}
-
-bool Simulator::StepMerged() {
-  // Global (when, prio) merge across the driver queue and every shard:
-  // executes exactly the event the windowed engine would execute next, just
-  // one at a time on the calling thread.
-  constexpr int kNone = -1;
-  constexpr int kDriver = -2;
-  SimTime best_when = kSimTimeNever;
-  uint64_t best_prio = 0;
-  int best = kNone;
-  SimTime when = 0;
-  uint64_t prio = 0;
-  if (driver_queue_.PeekKey(&when, &prio)) {
-    best_when = when;
-    best_prio = prio;
-    best = kDriver;
-  }
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    if (shards_[s]->queue.PeekKey(&when, &prio) &&
-        (best == kNone || when < best_when || (when == best_when && prio < best_prio))) {
-      best_when = when;
-      best_prio = prio;
-      best = static_cast<int>(s);
-    }
-  }
-  if (best == kNone) {
+  assert(shard_count_ == 1 && "Step runs a single-shard simulator");
+  EventQueue& q = shards_[0]->queue;
+  if (q.Empty()) {
     return false;
   }
-  if (best == kDriver) {
-    EventFn fn;
-    now_ = driver_queue_.PopNext(&fn);
-    fn();
-    ++events_executed_;
-    return true;
-  }
-  Shard& sh = *shards_[best];
-  merged_exec_ = true;
-  {
-    ExecContext ctx;
-    ctx.worker = true;
-    ctx.shard = static_cast<uint32_t>(best);
-    ctx.now = &sh.now;
-    ScopedExecContext scoped(ctx);
-    EventFn fn;
-    uint32_t owner = kDriverActor;
-    sh.now = sh.queue.PopNext(&fn, &owner);
-    ThisThreadExec().actor = owner;
-    fn();
-    ++sh.events;
-  }
-  merged_exec_ = false;
-  now_ = std::max(now_, sh.now);
+  ExecContext& exec = ThisThreadExec();
+  EventFn fn;
+  uint32_t owner = kDriverActor;
+  now_ = q.PopNext(&fn, &owner);
+  exec.actor = owner;
+  fn();
+  exec.actor = kDriverActor;
+  ++events_executed_;
   return true;
 }
 

@@ -105,7 +105,7 @@ class Simulator {
     const uint64_t prio = exec.actor == kDriverActor ? next_driver_prio_++
                                                      : NextActorPrio(exec.actor);
     const uint32_t shard = layout_.ShardOf(actor);
-    if (exec.worker && shard != exec.shard && !merged_exec_) {
+    if (exec.worker && shard != exec.shard) {
       assert(when >= window_end_ && "cross-shard event inside the lookahead window");
       auto& box = mail_[exec.shard * shard_count_ + shard];
       box.items.push_back(PendingEvent{when, prio, actor, std::move(fn)});
@@ -143,9 +143,8 @@ class Simulator {
   // Runs until every queue is fully drained.
   SimTime RunToCompletion();
 
-  // Executes exactly one event (the globally earliest) if one is pending;
-  // returns false if idle. Sharded simulators execute it inline on the
-  // calling thread.
+  // Executes exactly one event (the earliest) if one is pending; returns
+  // false if idle. Single-shard simulators only.
   bool Step();
 
   uint64_t events_executed() const;
@@ -205,15 +204,12 @@ class Simulator {
   void DrainMailboxes();
   // Windowed conservative execution of events with when <= deadline.
   void RunWindowed(SimTime deadline);
-  // Sequential single-event global merge (Step on a sharded simulator).
-  bool StepMerged();
 
   ShardLayout layout_;
   uint32_t shard_count_ = 1;
   SimDuration lookahead_ = kSimTimeNever;
   bool use_threads_ = false;
   bool workers_running_ = false;
-  bool merged_exec_ = false;  // inside StepMerged: cross-shard pushes go direct
 
   std::vector<std::unique_ptr<Shard>> shards_;
   EventQueue driver_queue_;  // unused when shard_count_ == 1

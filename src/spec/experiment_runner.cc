@@ -90,15 +90,6 @@ BtrConfig MakeBtrConfig(const ExperimentSpec& spec) {
   config.planner.max_faults = spec.max_faults;
   config.planner.recovery_bound = spec.recovery_bound;
   config.runtime.heartbeats = spec.heartbeats;
-  if (spec.beacon_period != 0) {
-    config.runtime.dissem.beacon_period = spec.beacon_period;
-  }
-  if (spec.suppress_k != 0) {
-    config.runtime.dissem.suppression_k = spec.suppress_k;
-  }
-  if (spec.pace_mille != 0) {
-    config.runtime.dissem.pace_fraction = static_cast<double>(spec.pace_mille) / 1000.0;
-  }
   config.seed = spec.seed;
   config.shards = spec.shards;
   return config;

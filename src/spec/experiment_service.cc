@@ -119,7 +119,6 @@ void RunJob(const ExperimentSpec& spec, bool use_cache, bool keep_report,
   const uint64_t t1 = NowUs();
   rec->plan_us = t1 - t0;
   rec->modes = system.strategy().mode_count();
-  rec->strategy_format = system.strategy().provenance().source_format;
 
   StatusOr<ExperimentReport> report = RunExperimentPhases(system, spec);
   rec->run_us = NowUs() - t1;
@@ -232,7 +231,6 @@ std::string SerializeSweepResults(const SweepServiceReport& report,
            " planner-fp=" + Hex16(job.planner_fingerprint) +
            " scenario-fp=" + Hex16(job.scenario_fingerprint) +
            " f=" + std::to_string(job.max_faults) +
-           " fmt=v" + std::to_string(job.strategy_format) +
            " cache=" + (job.cache_hit ? "hit" : "miss") +
            " plan-us=" + std::to_string(job.plan_us) +
            " run-us=" + std::to_string(job.run_us) + '\n';
@@ -372,17 +370,15 @@ StatusOr<std::vector<SweepResultsRecord>> ParseResultsStore(const std::string& t
             !TakeKeyU64(fields[6], "f", &f) || f > UINT32_MAX) {
           return LineError(line_no, "malformed JOB record");
         }
-        // fmt= postdates the first stores: records without it parse as
-        // format 0 so appended history stays readable.
+        // Older stores carry a fmt=v<n> field here; it is read and ignored
+        // so appended history stays readable.
         size_t i = 7;
         if (fields.size() == 11) {
-          std::string_view fmt = fields[7];
           uint64_t version = 0;
-          if (fmt.substr(0, 5) != "fmt=v" || !ParseU64(fmt.substr(5), &version) ||
+          if (fields[7].substr(0, 5) != "fmt=v" || !ParseU64(fields[7].substr(5), &version) ||
               version > UINT32_MAX) {
             return LineError(line_no, "malformed JOB record");
           }
-          job.strategy_format = static_cast<uint32_t>(version);
           i = 8;
         }
         if ((fields[i] != "cache=hit" && fields[i] != "cache=miss") ||

@@ -74,11 +74,6 @@ struct SweepJobRecord {
   uint64_t scenario_fingerprint = 0;
   uint32_t max_faults = 0;
   bool cache_hit = false;    // strategy served from the cache
-  // Strategy source format (StrategyProvenance::source_format): 0 =
-  // planned in-process, 2 = loaded from v2/v3 text, 4 = loaded from a v4
-  // binary image. Recorded so results provenance pins which serialization
-  // the strategy crossed, not just which planner produced it.
-  uint32_t strategy_format = 0;
   uint64_t plan_us = 0;      // scenario build + plan/adopt wall time
   uint64_t run_us = 0;       // phase-script wall time
 
@@ -123,13 +118,14 @@ StatusOr<SweepServiceReport> RunSweepService(const ExperimentSpec& spec,
 //         combined-fp=<16hex> strategy-hits=<n> strategy-misses=<n>
 //         wall-us=<n>                                   (one line)
 //   JOB <name> ok=<0|1> fp=<16hex> planner-fp=<16hex> scenario-fp=<16hex>
-//       f=<n> fmt=v<n> cache=<hit|miss> plan-us=<n> run-us=<n>
+//       f=<n> cache=<hit|miss> plan-us=<n> run-us=<n>
 //                                                       (one line each)
 //   END
 //
 // Appends never rewrite: history accumulates, one block per sweep run.
-// The fmt= field (strategy source format) postdates the first stores; the
-// parser accepts records without it and reports them as format 0.
+// Stores written before the strategy loader read text only carry a
+// fmt=v<n> field after f=; every job there reads fmt=v0 (no job loaded a
+// strategy), so the parser accepts the field and ignores it.
 
 // One parsed block (header fields + its JOB rows).
 struct SweepResultsRecord {
@@ -150,7 +146,6 @@ struct SweepResultsRecord {
     uint64_t scenario_fingerprint = 0;
     uint32_t max_faults = 0;
     bool cache_hit = false;
-    uint32_t strategy_format = 0;  // 0 when the record predates fmt=
     uint64_t plan_us = 0;
     uint64_t run_us = 0;
   };

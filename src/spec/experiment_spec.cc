@@ -472,44 +472,6 @@ std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name) {
   return std::nullopt;
 }
 
-bool ParsePaceFraction(std::string_view text, uint32_t* mille) {
-  if (text == "1") {
-    *mille = 1000;
-    return true;
-  }
-  if (text.size() < 3 || text.size() > 5 || text[0] != '0' || text[1] != '.') {
-    return false;
-  }
-  const std::string_view digits = text.substr(2);
-  if (digits.back() == '0') {
-    return false;  // trailing zero: not the canonical spelling
-  }
-  uint32_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint32_t>(c - '0');
-  }
-  for (size_t i = digits.size(); i < 3; ++i) {
-    value *= 10;
-  }
-  *mille = value;  // last digit nonzero => value >= 1
-  return true;
-}
-
-std::string PaceFractionText(uint32_t mille) {
-  if (mille >= 1000) {
-    return "1";
-  }
-  std::string digits = std::to_string(mille);
-  digits.insert(0, 3 - digits.size(), '0');
-  while (digits.back() == '0') {
-    digits.pop_back();
-  }
-  return "0." + digits;
-}
-
 std::string SerializeSpecScenario(const SpecScenario& scenario) {
   std::string out;
   out.reserve(256);
@@ -530,15 +492,6 @@ std::string SerializeExperimentSpec(const ExperimentSpec& spec) {
   }
   if (spec.shards != 0) {
     out += " shards=" + std::to_string(spec.shards);
-  }
-  if (spec.beacon_period != 0) {
-    out += " beacon-us=" + Us(spec.beacon_period);
-  }
-  if (spec.suppress_k != 0) {
-    out += " suppress-k=" + std::to_string(spec.suppress_k);
-  }
-  if (spec.pace_mille != 0) {
-    out += " pace-fraction=" + PaceFractionText(spec.pace_mille);
   }
   out += '\n';
   for (const SweepAxis& axis : spec.sweeps) {
@@ -848,27 +801,6 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
           return LineError(line_no, "shards= must be in [1, 64]");
         }
         spec.shards = static_cast<uint32_t>(shards);
-      }
-      if (kv.Take("beacon-us", &value)) {
-        if (!ParseDurationUs(value, &spec.beacon_period) || spec.beacon_period == 0) {
-          return LineError(line_no, "beacon-us= must be a positive duration");
-        }
-      }
-      if (kv.Take("suppress-k", &value)) {
-        uint64_t k = 0;
-        // 0 would serialize as an absent key; 64 announcements per interval
-        // already exceeds any plausible neighborhood.
-        if (!ParseU64(value, &k) || k == 0 || k > 64) {
-          return LineError(line_no, "suppress-k= must be in [1, 64]");
-        }
-        spec.suppress_k = static_cast<uint32_t>(k);
-      }
-      if (kv.Take("pace-fraction", &value)) {
-        if (!ParsePaceFraction(value, &spec.pace_mille)) {
-          return LineError(line_no,
-                           "pace-fraction= must be a canonical fraction in (0, 1] "
-                           "(\"1\" or \"0.\" plus up to three digits, e.g. 0.25)");
-        }
       }
       Status done = kv.Done(line_no);
       if (!done.ok()) {

@@ -160,15 +160,6 @@ struct ExperimentSpec {
   // Simulation shards (CONFIG shards=, parallel data plane). 0 = one
   // shard. Purely a speed knob: reports are byte-identical for every value.
   uint32_t shards = 0;
-  // Trickle minimum beacon interval (CONFIG beacon-us=). 0 = one workload
-  // period, resolved at rollout time.
-  SimDuration beacon_period = 0;
-  // Trickle suppression constant (CONFIG suppress-k=). 0 = default (1).
-  uint32_t suppress_k = 0;
-  // Gossip pacing budget (CONFIG pace-fraction=): the fraction of a
-  // workload period one chunk's serialization time may occupy, stored in
-  // per-mille so the format stays integer-exact. 0 = library default.
-  uint32_t pace_mille = 0;
   std::vector<SweepAxis> sweeps;
   std::vector<SpecPhase> phases;
 };
@@ -178,13 +169,6 @@ struct ExperimentSpec {
 // one name registry the serializer, parser, runner, and CLI share.
 const char* ScenarioKindName(SpecScenario::Kind kind);
 std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name);
-
-// The pace-fraction= value grammar: "1", or "0." followed by one to three
-// digits with no trailing zero — the unique canonical spelling of every
-// per-mille value in (0, 1]. Returns false on any other spelling, so the
-// canonical round-trip holds with no normalization pass.
-bool ParsePaceFraction(std::string_view text, uint32_t* mille);
-std::string PaceFractionText(uint32_t mille);
 
 // Canonical serialization: fixed section and key order, optional keys only
 // when they deviate from defaults, no comments. The exact inverse of

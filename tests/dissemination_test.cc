@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,47 +150,32 @@ TEST(ChunkPlan, SpacingLeavesIdleGapPerDutyFactor) {
 
 // --- Spec plumbing -----------------------------------------------------------
 
-TEST(DissemSpec, ConfigKeysRoundTripCanonically) {
-  const std::string text =
-      "BTRX 1\n"
-      "NAME d\n"
-      "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 beacon-us=5000 suppress-k=2\n"
-      "PHASE periods=10\n"
-      "END\n";
-  auto spec = ParseExperimentSpec(text);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec->beacon_period, Microseconds(5000));
-  EXPECT_EQ(spec->suppress_k, 2u);
-  EXPECT_EQ(SerializeExperimentSpec(*spec), text);
-  // Defaults serialize as absent keys.
-  spec->beacon_period = 0;
-  spec->suppress_k = 0;
-  const std::string out = SerializeExperimentSpec(*spec);
-  EXPECT_EQ(out.find("beacon-us"), std::string::npos);
-  EXPECT_EQ(out.find("suppress-k"), std::string::npos);
-}
-
 TEST(DissemSpec, RejectsRetiredModeKeyAndZeroValues) {
-  const char* kBad[] = {
-      "CONFIG f=1 recovery-us=800000 seed=3 dissem=gossip\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 beacon-us=0\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 suppress-k=0\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 wire=v4\n",
+  // Each retired key with the name it is refused under.
+  const std::pair<const char*, const char*> kBad[] = {
+      {"dissem=gossip", "dissem"},
+      {"beacon-us=0", "beacon-us"},
+      {"suppress-k=0", "suppress-k"},
+      {"wire=v4", "wire"},
+      {"beacon-us=5000", "beacon-us"},
+      {"suppress-k=2", "suppress-k"},
+      {"pace-fraction=0.125", "pace-fraction"},
   };
-  const auto parse = [](const char* config) {
-    return ParseExperimentSpec(std::string("BTRX 1\nNAME d\nSCENARIO convoy nodes=8\n") +
-                               config + "PHASE periods=10\nEND\n");
+  const auto parse = [](const std::string& key) {
+    return ParseExperimentSpec("BTRX 1\nNAME d\nSCENARIO convoy nodes=8\n"
+                               "CONFIG f=1 recovery-us=800000 seed=3 " +
+                               key + "\nPHASE periods=10\nEND\n");
   };
-  for (const char* config : kBad) {
-    EXPECT_FALSE(parse(config).ok()) << config;
+  for (const auto& [config, key] : kBad) {
+    const auto spec = parse(config);
+    ASSERT_FALSE(spec.ok()) << config;
+    // Gossip is the only transport and every rollout ships v4 images, so
+    // the mode and wire keys are gone; the Trickle beacon, suppression and
+    // pacing constants are DissemConfig fields only.
+    EXPECT_NE(spec.status().message().find(std::string("line 4: unknown key '") + key + "'"),
+              std::string::npos)
+        << config << ": " << spec.status().ToString();
   }
-  // Gossip is the only transport, so the mode key is gone, not defaulted.
-  EXPECT_NE(parse(kBad[0]).status().message().find("line 4: unknown key 'dissem'"),
-            std::string::npos);
-  // Every rollout ships v4 images, so the wire key is gone too.
-  EXPECT_NE(parse(kBad[3]).status().message().find("line 4: unknown key 'wire'"),
-            std::string::npos);
 }
 
 // --- End-to-end: the convoy staged edit with heartbeats on -------------------

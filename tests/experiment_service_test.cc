@@ -564,6 +564,41 @@ TEST(ResultsStore, CorruptionIsRejectedWithLineNumbers) {
   }
 }
 
+// Stores written before the strategy loader read text only carry a
+// fmt=v<n> field after f=. The reader still accepts it, ignores its value,
+// and refuses a malformed one.
+TEST(ResultsStore, ReadsAndIgnoresTheRetiredFormatField) {
+  const ExperimentSpec spec = MakeSweepSpec(2, {1});
+  ServiceOptions options;
+  options.jobs = 1;
+  const std::string good = SerializeSweepResults(RunOrDie(spec, options), options);
+  ASSERT_EQ(good.find(" fmt="), std::string::npos);
+  const auto with_fmt = [&](const std::string& field) {
+    std::string text = good;
+    for (size_t at = text.find("\nJOB "); at != std::string::npos;
+         at = text.find("\nJOB ", at + 1)) {
+      text.insert(text.find(" cache=", at), " " + field);
+    }
+    return text;
+  };
+  const auto expected = ParseResultsStore(good);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const char* field : {"fmt=v0", "fmt=v4"}) {
+    const auto parsed = ParseResultsStore(with_fmt(field));
+    ASSERT_TRUE(parsed.ok()) << field << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed->size(), 1u);
+    ASSERT_EQ((*parsed)[0].jobs.size(), (*expected)[0].jobs.size());
+    for (size_t i = 0; i < (*parsed)[0].jobs.size(); ++i) {
+      EXPECT_EQ((*parsed)[0].jobs[i].fingerprint, (*expected)[0].jobs[i].fingerprint);
+      EXPECT_EQ((*parsed)[0].jobs[i].cache_hit, (*expected)[0].jobs[i].cache_hit);
+      EXPECT_EQ((*parsed)[0].jobs[i].run_us, (*expected)[0].jobs[i].run_us);
+    }
+  }
+  for (const char* field : {"fmt=4", "fmt=v", "fmt=v04", "format=v0"}) {
+    EXPECT_FALSE(ParseResultsStore(with_fmt(field)).ok()) << field;
+  }
+}
+
 // A declared-vs-actual JOB count mismatch is corruption, not a shrug.
 TEST(ResultsStore, RunCountMismatchRejected) {
   const ExperimentSpec spec = MakeSweepSpec(2, {1});

@@ -246,11 +246,14 @@ TEST_F(PlannedAvionics, LoadRejectsCorruptBlobs) {
 TEST_F(PlannedAvionics, LoadRejectsOutOfRangeRecords) {
   const AugmentedGraph& graph = system_.planner().graph();
   const Topology& topo = system_.scenario().topology;
-  std::string blob = "BTRSTRATEGY v2\nDIM " + std::to_string(graph.size()) + " " +
-                     std::to_string(topo.node_count()) + " " +
-                     std::to_string(graph.edges().size()) + "\n";
-  blob += "PLANS 1\nPLAN 0\nP 99999 0 0\nEND\nMODES 1\nMODE 0 REF 0\n";
-  EXPECT_FALSE(LoadStrategy(blob, graph, topo).ok());
+  const std::string header = "BTRSTRATEGY v3\nDIM " + std::to_string(graph.size()) + " " +
+                             std::to_string(topo.node_count()) + " " +
+                             std::to_string(graph.edges().size()) + "\nPLANS 1\nPLAN 0\n";
+  const std::string modes = "END\nMODES 1\nMODE 0 REF 0\n";
+  // The same blob with an in-range P record loads, so the refusal is the P
+  // range check's.
+  EXPECT_TRUE(LoadStrategy(header + "U 1\nP 0 0 0\n" + modes, graph, topo).ok());
+  EXPECT_FALSE(LoadStrategy(header + "U 1\nP 99999 0 0\n" + modes, graph, topo).ok());
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 //      bit-identical (StateFingerprint).
 //   3. End-to-end — the images BuildStrategyUpdate ships decode to the
 //      per-node primitives' texts, an image install leaves the engine in
-//      the same state as the text it encodes, and a run on a v4-loaded
-//      strategy reports byte-identically to the planned and v2-loaded
-//      runs.
+//      the same state as the text it encodes, and a run on the strategy
+//      loaded from a decoded image reports byte-identically to the planned
+//      and text-loaded runs.
 
 #include <gtest/gtest.h>
 
@@ -38,8 +38,6 @@
 #include "src/core/strategy_patch.h"
 #include "src/fmt/binary_image.h"
 #include "src/fmt/strategy_binary.h"
-#include "src/spec/experiment_runner.h"
-#include "src/spec/experiment_spec.h"
 #include "src/workload/generators.h"
 
 namespace btr {
@@ -102,7 +100,7 @@ size_t CheckRoundTrip(const std::string& text, const char* label) {
     ADD_FAILURE() << label << ": encode failed: " << image.status().ToString();
     return 0;
   }
-  EXPECT_TRUE(fmt::IsV4Image(*image)) << label;
+  EXPECT_TRUE(fmt::LooksLikeImage(*image)) << label;
   EXPECT_TRUE(fmt::ValidateStrategyImage(*image).ok()) << label;
   auto decoded = fmt::DecodeStrategyImage(*image);
   if (!decoded.ok()) {
@@ -255,31 +253,29 @@ TEST(StrategyBinary, FuzzedEditStreamsRoundTrip) {
   EXPECT_GE(checked, 200u);
 }
 
-// --- v2 interchange ---------------------------------------------------------
+// --- text-only loading ------------------------------------------------------
 
-TEST(StrategyBinary, SaveV4LoadsBackAndRecordsSourceFormat) {
+TEST(StrategyBinary, ImageDecodesBeforeItLoads) {
   const PlannerConfig config = SmallConfig(2);
   std::deque<System> generations;
   System* sys = MakeBaseSystem(&generations, config);
   StrategyBuilder builder(sys->planner.get(), config.planner_threads);
   auto strategy = builder.Build();
   ASSERT_TRUE(strategy.ok());
-  const std::string v2 = Blob(*strategy, *sys->planner);
+  const std::string text = Blob(*strategy, *sys->planner);
 
-  auto v4 = SaveStrategyV4(*strategy, sys->planner->graph(), sys->topo);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  EXPECT_TRUE(fmt::IsV4Image(*v4));
-
-  auto from_v2 = LoadStrategy(v2, sys->planner->graph(), sys->topo);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  EXPECT_EQ(from_v2->provenance().source_format, 2u);
-  auto from_v4 = LoadStrategy(*v4, sys->planner->graph(), sys->topo);
-  ASSERT_TRUE(from_v4.ok()) << from_v4.status().ToString();
-  EXPECT_EQ(from_v4->provenance().source_format, 4u);
-
-  // Either load re-serializes to the same canonical v2 text.
-  EXPECT_EQ(Blob(*from_v2, *sys->planner), v2);
-  EXPECT_EQ(Blob(*from_v4, *sys->planner), v2);
+  auto image = fmt::EncodeStrategyImage(text);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_TRUE(fmt::LooksLikeImage(*image));
+  // The loader reads canonical text only: the image itself is refused...
+  EXPECT_FALSE(LoadStrategy(*image, sys->planner->graph(), sys->topo).ok());
+  // ...and decodes to the text, which loads and re-serializes unchanged.
+  auto decoded = fmt::DecodeStrategyImage(*image);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, text);
+  auto loaded = LoadStrategy(*decoded, sys->planner->graph(), sys->topo);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Blob(*loaded, *sys->planner), text);
 }
 
 // --- adversarial ------------------------------------------------------------
@@ -691,8 +687,8 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
   // and the blob image is smaller than the text it encodes.
   const WireArtifact* blob = v4->blob_artifact();
   ASSERT_NE(blob, nullptr);
-  EXPECT_TRUE(fmt::IsV4Image(blob->bytes));
-  EXPECT_TRUE(fmt::IsV4Image(v4->patch_full.bytes));
+  EXPECT_TRUE(fmt::LooksLikeImage(blob->bytes));
+  EXPECT_TRUE(fmt::LooksLikeImage(v4->patch_full.bytes));
   EXPECT_EQ(blob->fp, FingerprintStrategyText(blob->bytes));
   EXPECT_EQ(v4->patch_full.fp, FingerprintStrategyText(v4->patch_full.bytes));
   EXPECT_LT(blob->bytes.size(), target.size());
@@ -700,8 +696,8 @@ TEST(StrategyBinary, V4UpdateShipsImagesWithMatchingFingerprints) {
   for (uint32_t n = 0; n < nodes; ++n) {
     const WireArtifact* full4 = v4->fallback_slice(n);
     ASSERT_NE(full4, nullptr) << n;
-    EXPECT_TRUE(fmt::IsV4Image(full4->bytes)) << n;
-    EXPECT_TRUE(fmt::IsV4Image(v4->patch_slices[n])) << n;
+    EXPECT_TRUE(fmt::LooksLikeImage(full4->bytes)) << n;
+    EXPECT_TRUE(fmt::LooksLikeImage(v4->patch_slices[n])) << n;
     EXPECT_EQ(full4->fp, FingerprintStrategyText(full4->bytes)) << n;
     // Base slices describe the installed state, which is text.
     auto base_slice = ExtractSlice(base, n);
@@ -763,7 +759,7 @@ TEST(StrategyBinary, ImageAndTextInstallsLeaveIdenticalState) {
     auto as_text = ExtractSlice(blobs[1], n);
     const WireArtifact* as_image = image->fallback_slice(n);
     ASSERT_TRUE(as_text.ok() && as_image != nullptr) << "node " << n;
-    ASSERT_TRUE(fmt::IsV4Image(as_image->bytes)) << "node " << n;
+    ASSERT_TRUE(fmt::LooksLikeImage(as_image->bytes)) << "node " << n;
 
     InstallEngine from_text{NodeId(n)};
     InstallEngine from_image{NodeId(n)};
@@ -781,66 +777,12 @@ TEST(StrategyBinary, ImageAndTextInstallsLeaveIdenticalState) {
   }
 }
 
-// --- spec plumbing (pace-fraction=) -----------------------------------------
-
-TEST(StrategyBinarySpec, PaceFractionRoundTripsCanonically) {
-  const std::string text =
-      "BTRX 1\n"
-      "NAME fmt\n"
-      "SCENARIO convoy nodes=8\n"
-      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.125\n"
-      "PHASE periods=10\n"
-      "END\n";
-  auto spec = ParseExperimentSpec(text);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(spec->pace_mille, 125u);
-  EXPECT_EQ(SerializeExperimentSpec(*spec), text);
-
-  const BtrConfig config = MakeBtrConfig(*spec);
-  EXPECT_DOUBLE_EQ(config.runtime.dissem.pace_fraction, 0.125);
-
-  // The default serializes as an absent key.
-  spec->pace_mille = 0;
-  const std::string out = SerializeExperimentSpec(*spec);
-  EXPECT_EQ(out.find("pace-fraction"), std::string::npos);
-
-  // Canonical spellings for the value grammar.
-  uint32_t mille = 0;
-  EXPECT_TRUE(ParsePaceFraction("1", &mille));
-  EXPECT_EQ(mille, 1000u);
-  EXPECT_TRUE(ParsePaceFraction("0.5", &mille));
-  EXPECT_EQ(mille, 500u);
-  EXPECT_TRUE(ParsePaceFraction("0.001", &mille));
-  EXPECT_EQ(mille, 1u);
-  EXPECT_EQ(PaceFractionText(250), "0.25");
-  EXPECT_EQ(PaceFractionText(1000), "1");
-  EXPECT_EQ(PaceFractionText(5), "0.005");
-  for (const char* bad : {"0", "0.0", "0.250", "1.5", "2", ".25", "0.2500", "-0.5", "0.",
-                          "0.x"}) {
-    EXPECT_FALSE(ParsePaceFraction(bad, &mille)) << bad;
-  }
-}
-
-TEST(StrategyBinarySpec, RejectsMalformedKeys) {
-  const char* kBad[] = {
-      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=2\n",
-      "CONFIG f=1 recovery-us=800000 seed=3 pace-fraction=0.250\n",
-  };
-  for (const char* config : kBad) {
-    const std::string text = std::string("BTRX 1\nNAME fmt\nSCENARIO convoy nodes=8\n") +
-                             config + "PHASE periods=10\nEND\n";
-    EXPECT_FALSE(ParseExperimentSpec(text).ok()) << config;
-  }
-}
-
 // --- end-to-end: strategy sources ------------------------------------------
 
 TEST(StrategyBinaryE2E, RunReportsMatchAcrossStrategySources) {
   // The same scenario run three ways — strategy planned in-process, loaded
-  // from the v2 text blob, loaded from the v4 image — must produce
-  // byte-identical run reports (provenance records the source; the
-  // simulation must not care).
+  // from the text blob, loaded from the text the v4 image decodes to — must
+  // produce byte-identical run reports.
   auto make_system = [] {
     Rng rng(42);
     RandomDagParams params;
@@ -859,16 +801,17 @@ TEST(StrategyBinaryE2E, RunReportsMatchAcrossStrategySources) {
   ASSERT_TRUE(planned.Plan().ok());
   const std::string v2_blob = SaveStrategy(
       planned.strategy(), planned.planner().graph(), planned.scenario().topology);
-  auto v4_image = SaveStrategyV4(planned.strategy(), planned.planner().graph(),
-                                 planned.scenario().topology);
+  auto v4_image = fmt::EncodeStrategyImage(v2_blob);
   ASSERT_TRUE(v4_image.ok());
+  const StatusOr<std::string> decoded = fmt::DecodeStrategyImage(*v4_image);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   auto planned_report = planned.Run(100);
   ASSERT_TRUE(planned_report.ok());
   const std::string baseline = SerializeRunReport(*planned_report);
 
-  for (const std::string& serialized : {v2_blob, *v4_image}) {
+  for (const std::string* serialized : {&v2_blob, &*decoded}) {
     BtrSystem system = make_system();
-    auto loaded = LoadStrategy(serialized, system.planner().graph(),
+    auto loaded = LoadStrategy(*serialized, system.planner().graph(),
                                system.scenario().topology);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_TRUE(
@@ -876,8 +819,8 @@ TEST(StrategyBinaryE2E, RunReportsMatchAcrossStrategySources) {
     auto report = system.Run(100);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(SerializeRunReport(*report), baseline)
-        << "report diverged for source_format "
-        << system.strategy().provenance().source_format;
+        << "report diverged for the " << (serialized == &v2_blob ? "text" : "image")
+        << " source";
   }
 }
 

@@ -1,11 +1,14 @@
-// Robustness tests for the strategy_io v2 parser: a strategy blob is
-// installed on every node, so a corrupted or adversarial blob must fail
-// with a clean Status — never crash, never silently load a half-strategy.
+// Robustness tests for the strategy loader: a strategy blob is installed
+// on every node, so a corrupted or adversarial blob must fail with a clean
+// Status — never crash, never silently load a half-strategy. The loader
+// reads through ParseParts, so it accepts exactly the canonical texts that
+// slicing, patching and the v4 encoder accept.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -89,7 +92,8 @@ TEST(StrategyIo, OutOfRangeBodyRefRejected) {
 TEST(StrategyIo, DuplicateModeRejected) {
   IoFixture f;
   // Duplicate the first MODE line (and bump the MODES count to match, so
-  // the duplicate-id check is what fires, not a count mismatch).
+  // the mode-order check is what fires, not a count mismatch): modes must
+  // be strictly ascending, so a repeated fault set is out of order.
   const size_t modes_at = f.blob.find("MODES ");
   ASSERT_NE(modes_at, std::string::npos);
   const size_t count_end = f.blob.find('\n', modes_at);
@@ -103,7 +107,9 @@ TEST(StrategyIo, DuplicateModeRejected) {
   bad = f.blob.substr(0, modes_at) + bad;
   auto loaded = f.Load(bad);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("duplicate MODE"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("MODE records out of canonical order"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(StrategyIo, ForgedCountsRejected) {
@@ -169,7 +175,14 @@ TEST(StrategyIo, MalformedProvenanceRejected) {
   const size_t prov_end = f.blob.find('\n', prov_at);
   std::string bad = f.blob.substr(0, prov_at) + "PROV zzz qqq" + f.blob.substr(prov_end);
   EXPECT_FALSE(f.Load(bad).ok());
-  // A blob without provenance is still accepted (older v2 writers).
+  // A fault bound beyond 32 bits fits no StrategyProvenance: neither the
+  // loader nor the slicer may take it.
+  const std::string prov_line = f.blob.substr(prov_at, prov_end - prov_at);
+  const std::string wide = f.blob.substr(0, prov_at) + "PROV 4294967296" +
+                           prov_line.substr(prov_line.rfind(' ')) + f.blob.substr(prov_end);
+  EXPECT_FALSE(f.Load(wide).ok());
+  EXPECT_FALSE(ExtractSlice(wide, 0).ok());
+  // A blob without provenance is still accepted: PROV is optional.
   std::string stripped = f.blob.substr(0, prov_at) + f.blob.substr(prov_end + 1);
   auto loaded = f.Load(stripped);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -228,11 +241,115 @@ TEST(StrategyIo, DimensionMismatchRejected) {
   EXPECT_FALSE(f.Load(blob).ok());
 }
 
+// Replaces the first `from` in `text` with `to`.
+std::string ReplaceFirst(std::string text, const std::string& from, const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+// The [begin, end) byte range of the first line of `text` that starts with
+// `prefix`, newline included.
+std::pair<size_t, size_t> FirstLine(const std::string& text, const std::string& prefix) {
+  const size_t begin = text.find("\n" + prefix) + 1;
+  return {begin, text.find('\n', begin) + 1};
+}
+
+// Non-canonical spellings of a planned blob. A newline-insensitive token
+// reader loads every one of them as the planned strategy, yet none can be
+// sliced, patched or encoded. The loader reads through ParseParts, so it
+// refuses them all, and it refuses a node's slice as a strategy.
+TEST(StrategyIo, LoaderRefusesNonCanonicalText) {
+  IoFixture f;
+  const std::string& b = f.blob;
+  ASSERT_TRUE(f.Load(b).ok());
+
+  const auto [t_begin, t_end] = FirstLine(b, "T ");
+  std::string split = b;
+  const size_t third_space = split.find(' ', split.find(' ', split.find(' ', t_begin) + 1) + 1);
+  ASSERT_LT(third_space, t_end);
+  split[third_space] = '\n';
+
+  const auto [m_begin, m_end] = FirstLine(b, "MODE ");
+  const size_t m_next = b.find('\n', m_end) + 1;
+  const std::string swapped = b.substr(0, m_begin) + b.substr(m_end, m_next - m_end) +
+                              b.substr(m_begin, m_end - m_begin) + b.substr(m_next);
+
+  const std::vector<std::pair<std::string, std::string>> variants = {
+      {"v2 header", ReplaceFirst(b, "BTRSTRATEGY v3\n", "BTRSTRATEGY v2\n")},
+      {"doubled space", ReplaceFirst(b, "\nP ", "\nP  ")},
+      {"tab", ReplaceFirst(b, "\nT ", "\nT\t")},
+      {"leading zero", ReplaceFirst(b, "\nPLAN 0\n", "\nPLAN 00\n")},
+      {"plus sign", ReplaceFirst(b, "\nPLANS ", "\nPLANS +")},
+      {"record split over two lines", split},
+      {"CR before a newline", ReplaceFirst(b, "\nEND\n", "\nEND\r\n")},
+      {"blank line", ReplaceFirst(b, "BTRSTRATEGY v3\n", "BTRSTRATEGY v3\n\n")},
+      {"space after END", ReplaceFirst(b, "\nEND\n", "\nEND \n")},
+      {"swapped MODE lines", swapped},
+  };
+  for (const auto& [what, text] : variants) {
+    ASSERT_NE(text, b) << what;
+    EXPECT_FALSE(f.Load(text).ok()) << what << " loaded";
+    EXPECT_FALSE(ExtractSlice(text, 0).ok()) << what << " sliced";
+  }
+
+  auto slice = ExtractSlice(b, 0);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  auto loaded = f.Load(*slice);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("BTRSLICE"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// Body records come in SaveStrategy's order: one U, then P*, S*, T*, B*,
+// then END. Every line below is valid on its own, so only the order check
+// can refuse the reordered bodies, and every reader of strategy text
+// (ParseParts and through it slicing and loading) refuses them alike.
+TEST(StrategyText, BodyRecordsOutOfWriterOrderAreRefused) {
+  IoFixture f;
+  const std::string& b = f.blob;
+  const size_t first_end = b.find("\nEND\n");
+  const auto [u_begin, u_end] = FirstLine(b, "U ");
+  const auto [p_begin, p_end] = FirstLine(b, "P ");
+  const auto [t_begin, t_end] = FirstLine(b, "T ");
+  const auto [b_begin, b_end] = FirstLine(b, "B ");
+  // All four lines sit in the first body.
+  ASSERT_LT(u_begin, p_begin);
+  ASSERT_LT(p_begin, t_begin);
+  ASSERT_LT(t_begin, b_begin);
+  ASSERT_LT(b_begin, first_end);
+  // Moves the line [begin, end) so that it starts at offset `to` (< begin).
+  const auto move_back = [&](size_t begin, size_t end, size_t to) {
+    return b.substr(0, to) + b.substr(begin, end - begin) + b.substr(to, begin - to) +
+           b.substr(end);
+  };
+  const std::string u_line = b.substr(u_begin, u_end - u_begin);
+  const std::vector<std::pair<std::string, std::string>> variants = {
+      {"T row before the P rows", move_back(t_begin, t_end, p_begin)},
+      {"B row before the T rows", move_back(b_begin, b_end, t_begin)},
+      {"P row before the U", move_back(p_begin, p_end, u_begin)},
+      {"second U", b.substr(0, u_end) + u_line + b.substr(u_end)},
+      {"no U", b.substr(0, u_begin) + b.substr(u_end)},
+  };
+  for (const auto& [what, text] : variants) {
+    ASSERT_NE(text, b) << what;
+    auto parts = strategy_text::ParseParts(text);
+    ASSERT_FALSE(parts.ok()) << what << " parsed";
+    EXPECT_NE(parts.status().message().find("malformed plan body record"), std::string::npos)
+        << what << ": " << parts.status().ToString();
+    EXPECT_FALSE(ExtractSlice(text, 0).ok()) << what << " sliced";
+    EXPECT_FALSE(f.Load(text).ok()) << what << " loaded";
+  }
+}
+
 
 // --- body-record validator oracle -------------------------------------------
 
 // The validator as it was before it split into fixed field slots: one
-// vector of fields per line. ValidBodyRecord must accept and reject exactly
+// vector of fields per line. ParseBodyRecord must accept and reject exactly
 // the same lines, with the same outputs.
 bool ReferenceValidBodyRecord(std::string_view line, const strategy_text::BodyDims& dims,
                               uint64_t* t_node, bool* is_end) {
@@ -378,19 +495,25 @@ std::vector<std::string> EdgeCaseBodyLines(const strategy_text::BodyDims& dims) 
   return out;
 }
 
-// Expects ValidBodyRecord's verdict and outputs on `probe` to equal the
+// Expects ParseBodyRecord's verdict and outputs on `probe` to equal the
 // reference's.
 void ExpectSameVerdict(const std::string& probe, const strategy_text::BodyDims& dims,
                        const char* label) {
   uint64_t ref_node = 0;
   bool ref_end = false;
-  uint64_t node = 0;
-  bool end = false;
   const bool ref_ok = ReferenceValidBodyRecord(probe, dims, &ref_node, &ref_end);
-  const bool ok = strategy_text::ValidBodyRecord(probe, dims, &node, &end);
+  strategy_text::BodyRecord rec;
+  const bool ok = strategy_text::ParseBodyRecord(probe, dims, &rec);
   EXPECT_EQ(ok, ref_ok) << label << ": \"" << probe << "\"";
+  if (!ok || !ref_ok) {
+    return;
+  }
+  const uint64_t node = rec.tag == strategy_text::BodyTag::kT ? rec.v[0] : UINT64_MAX;
   EXPECT_EQ(node, ref_node) << label << ": \"" << probe << "\"";
-  EXPECT_EQ(end, ref_end) << label << ": \"" << probe << "\"";
+  EXPECT_EQ(rec.tag == strategy_text::BodyTag::kEnd, ref_end) << label << ": \"" << probe
+                                                              << "\"";
+  EXPECT_EQ(std::string(1, "UPSTBE"[static_cast<int>(rec.tag)]), probe.substr(0, 1))
+      << label << ": \"" << probe << "\"";
 }
 
 // Probes every body line of `blob` and its mutations; returns the probe
