@@ -7,7 +7,10 @@
 // recorded with the planner that tried every shedding prefix, rebuilt every
 // dirty mode's routing table, and stored routes as materialized hop lists;
 // skipping doomed prefixes, reusing unmoved tables and storing routes as
-// shortest-path trees must reproduce them bit for bit.
+// shortest-path trees must reproduce them bit for bit. Convoy12 and
+// Avionics8 are also pinned under four non-default scoring configs; those
+// pins were recorded with the planner that re-derived a task's peers and
+// parent placements for every candidate node it scored.
 
 #include <gtest/gtest.h>
 
@@ -114,8 +117,12 @@ bool WorkloadOnly(const StrategyDelta& delta) {
   return true;
 }
 
-void CheckAgainstPins(const OracleCase& c) {
-  const PlannerConfig config = Config(c.max_faults);
+// `adjust`, if set, departs from the default scoring config.
+void CheckAgainstPins(const OracleCase& c, void (*adjust)(PlannerConfig*) = nullptr) {
+  PlannerConfig config = Config(c.max_faults);
+  if (adjust != nullptr) {
+    adjust(&config);
+  }
   Scenario scenario = c.make();
   const std::vector<StrategyDelta> stream = EditStream(scenario, c.seed);
   std::deque<System> generations;
@@ -201,6 +208,70 @@ TEST(PlannerOracle, Random) {
   CheckAgainstPins({RandomScenario, 2, 66, 0x4da70f2b41303f15,
                     {0x6258294053090494, 0xb8c20d290db4c556, 0x7355e84e2ba1df19,
                      0xb8c20d290db4c556, 0x6258294053090494, 0x4da70f2b41303f15}});
+}
+
+// The default config adds every placement score term. These pin the
+// branches it never takes: each heuristic off in turn, and E8's strong load
+// weight, so a reordered score that flips a tie in any branch changes a pin.
+void NoStickiness(PlannerConfig* c) { c->parent_stickiness = false; }
+void NoLookahead(PlannerConfig* c) { c->lookahead = false; }
+void NoLocality(PlannerConfig* c) { c->locality_heuristic = false; }
+void HeavyLoad(PlannerConfig* c) { c->weight_load = 4.0; }
+
+TEST(PlannerOracle, Convoy12NoStickiness) {
+  CheckAgainstPins({[] { return MakeConvoyScenario(12); }, 1, 62, 0xfc90f0602714640a,
+                    {0x3be9ec4f566884ff, 0x4f7ebf2b3541d939, 0xf709edbc4d5cf3cd,
+                     0x4f7ebf2b3541d939, 0x3be9ec4f566884ff, 0xfc90f0602714640a}},
+                   NoStickiness);
+}
+
+TEST(PlannerOracle, Convoy12NoLookahead) {
+  CheckAgainstPins({[] { return MakeConvoyScenario(12); }, 1, 62, 0x445fe8713c1628d5,
+                    {0xeb4ac8d6543def16, 0x89ff15393b6c6164, 0xf401b4e1fd1b2c11,
+                     0x89ff15393b6c6164, 0xeb4ac8d6543def16, 0x445fe8713c1628d5}},
+                   NoLookahead);
+}
+
+TEST(PlannerOracle, Convoy12NoLocality) {
+  CheckAgainstPins({[] { return MakeConvoyScenario(12); }, 1, 62, 0x320785c3c8a30914,
+                    {0x7a059f3dc3827c47, 0xf4fa4419007c82f2, 0xb2eabbd42c640a3a,
+                     0xf4fa4419007c82f2, 0x7a059f3dc3827c47, 0x320785c3c8a30914}},
+                   NoLocality);
+}
+
+TEST(PlannerOracle, Convoy12HeavyLoad) {
+  CheckAgainstPins({[] { return MakeConvoyScenario(12); }, 1, 62, 0xac234bc449c6d79a,
+                    {0xa25161a417b422a2, 0x60204bdb557e846a, 0xdf91cfb393df1788,
+                     0x60204bdb557e846a, 0xa25161a417b422a2, 0xac234bc449c6d79a}},
+                   HeavyLoad);
+}
+
+TEST(PlannerOracle, Avionics8NoStickiness) {
+  CheckAgainstPins({[] { return MakeAvionicsScenario(8); }, 2, 64, 0x2e0f239636ab93be,
+                    {0x83b8329dacb4daa7, 0x46e96ee7085d4c7f, 0x40c6d494ecef7cc0,
+                     0x46e96ee7085d4c7f, 0x83b8329dacb4daa7, 0x2e0f239636ab93be}},
+                   NoStickiness);
+}
+
+TEST(PlannerOracle, Avionics8NoLookahead) {
+  CheckAgainstPins({[] { return MakeAvionicsScenario(8); }, 2, 64, 0xfa9128db2738f938,
+                    {0x86322abd66cd7136, 0x4b7e4e13bc085f28, 0x84fd614dd0f27917,
+                     0x4b7e4e13bc085f28, 0x86322abd66cd7136, 0xfa9128db2738f938}},
+                   NoLookahead);
+}
+
+TEST(PlannerOracle, Avionics8NoLocality) {
+  CheckAgainstPins({[] { return MakeAvionicsScenario(8); }, 2, 64, 0x51342215fa4eb0a4,
+                    {0x48ff8aa743dd098b, 0x1da39911b84f613c, 0x7f9dff266af8b689,
+                     0x1da39911b84f613c, 0x48ff8aa743dd098b, 0x51342215fa4eb0a4}},
+                   NoLocality);
+}
+
+TEST(PlannerOracle, Avionics8HeavyLoad) {
+  CheckAgainstPins({[] { return MakeAvionicsScenario(8); }, 2, 64, 0xb13338a0f677e664,
+                    {0xbbfd256610007014, 0x092f7234d4952595, 0x0ece8f57c061c85c,
+                     0x092f7234d4952595, 0xbbfd256610007014, 0xb13338a0f677e664}},
+                   HeavyLoad);
 }
 
 // The shedding loop used to try every criticality prefix in turn (588
