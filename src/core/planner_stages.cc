@@ -278,68 +278,30 @@ bool PlacementStage::Doomed(const ModeContext& ctx,
   return false;
 }
 
-double PlacementStage::Score(const ModeContext& ctx, uint32_t aug_id, NodeId candidate,
-                             const std::vector<const Plan*>& parents) const {
-  const AugTask& task = graph_->task(aug_id);
-  const SimDuration period = workload_->period();
+namespace {
 
-  double score = config_->weight_load *
-                 static_cast<double>(ctx.node_load[candidate.value()] + task.wcet) /
-                 static_cast<double>(period);
+// A placed, active communication peer of the task being placed: where it
+// runs and how many bytes the edge carries, in the edge's direction.
+struct Peer {
+  NodeId node;
+  uint32_t bytes;
+  bool inbound;  // the edge runs peer -> task
+};
 
-  if (config_->locality_heuristic) {
-    double comm = 0.0;
-    auto add_peer = [&](uint32_t peer, uint32_t bytes) {
-      if (!ctx.active[peer] || !ctx.placement[peer].valid()) {
-        return;
-      }
-      const size_t hops = ctx.routing->HopCount(candidate, ctx.placement[peer]);
-      comm += static_cast<double>(hops) * static_cast<double>(bytes);
-    };
-    for (const AugEdge& e : graph_->InEdges(aug_id)) {
-      add_peer(e.from, e.bytes);
-    }
-    for (const AugEdge& e : graph_->OutEdges(aug_id)) {
-      add_peer(e.to, e.bytes);
-    }
-    score += config_->weight_locality * comm / 10000.0;
-  }
+// What a parent plan held on a candidate node, in increasing order of the
+// stickiness credit it earns.
+enum class ParentMark : uint8_t {
+  kNone,
+  kSibling,   // some replica of the task: its state is there
+  kSameSlot,  // this very replica
+};
 
-  if (config_->parent_stickiness && !parents.empty()) {
-    bool same_slot = false;   // candidate held this very replica before
-    bool has_state = false;   // candidate held *some* replica of the task
-    for (const Plan* parent : parents) {
-      if (parent == nullptr) {
-        continue;
-      }
-      if (parent->placement()[aug_id] == candidate) {
-        same_slot = true;
-      }
-      if (task.kind == AugKind::kWorkload) {
-        for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
-          if (parent->placement()[sibling] == candidate) {
-            has_state = true;
-          }
-        }
-      }
-    }
-    if (!same_slot) {
-      // Moving is expensive; moving somewhere that already has the task's
-      // state (a sibling replica) costs half as much.
-      score += config_->weight_parent * (has_state ? 0.5 : 1.0);
-    }
-  }
-
-  if (config_->lookahead && task.state_bytes > 0) {
-    const double state_scale = 1.0 + static_cast<double>(task.state_bytes) / 4096.0;
-    score += config_->weight_lookahead *
-             static_cast<double>(ctx.vulnerability[candidate.value()]) * state_scale / 10.0;
-  }
-  return score;
-}
+}  // namespace
 
 Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const {
   const size_t node_count = topo_->node_count();
+  const double period = static_cast<double>(workload_->period());
+  const bool stickiness = config_->parent_stickiness && !parents.empty();
 
   // Deterministic order: workload topological order, replicas ascending,
   // then the task's checker; verifiers are pinned anyway.
@@ -359,6 +321,11 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
     order.push_back(graph_->VerifierOf(n));
   }
 
+  // Per-task scoring inputs, refilled for each task and read for every
+  // candidate. They live in this call: PlanForMode runs concurrently.
+  std::vector<bool> banned;
+  std::vector<Peer> peers;
+  std::vector<ParentMark> marks;
   for (uint32_t aug_id : order) {
     const AugTask& task = graph_->task(aug_id);
     if (task.pinned.valid()) {
@@ -369,8 +336,8 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
       ctx->node_load[task.pinned.value()] += task.wcet;
       continue;
     }
-    // Hard constraints.
-    std::vector<bool> banned(node_count, false);
+    // Hard constraint: replica dispersion.
+    banned.assign(node_count, false);
     if (task.kind == AugKind::kWorkload || task.kind == AugKind::kChecker) {
       for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
         if (sibling != aug_id && ctx->active[sibling] && ctx->placement[sibling].valid()) {
@@ -378,34 +345,77 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
         }
       }
     }
-    // Connectivity constraint: the candidate must be able to exchange
-    // messages with every already-placed communication peer (a fault can
-    // disconnect part of the topology).
-    auto reachable_to_peers = [&](NodeId cand) {
-      for (const AugEdge& e : graph_->InEdges(aug_id)) {
-        if (ctx->active[e.from] && ctx->placement[e.from].valid() &&
-            !ctx->routing->Reachable(ctx->placement[e.from], cand)) {
-          return false;
+    // In-edges first, then out-edges: the locality sum adds in this order.
+    peers.clear();
+    for (const AugEdge& e : graph_->InEdges(aug_id)) {
+      if (ctx->active[e.from] && ctx->placement[e.from].valid()) {
+        peers.push_back({ctx->placement[e.from], e.bytes, true});
+      }
+    }
+    for (const AugEdge& e : graph_->OutEdges(aug_id)) {
+      if (ctx->active[e.to] && ctx->placement[e.to].valid()) {
+        peers.push_back({ctx->placement[e.to], e.bytes, false});
+      }
+    }
+    if (stickiness) {
+      marks.assign(node_count, ParentMark::kNone);
+      auto mark = [&marks, node_count](NodeId node, ParentMark level) {
+        if (node.valid() && node.value() < node_count) {
+          marks[node.value()] = std::max(marks[node.value()], level);
+        }
+      };
+      for (const Plan* parent : parents) {
+        if (parent == nullptr) {
+          continue;
+        }
+        mark(parent->placement()[aug_id], ParentMark::kSameSlot);
+        if (task.kind == AugKind::kWorkload) {
+          for (uint32_t sibling : graph_->ReplicasOf(task.workload_task)) {
+            mark(parent->placement()[sibling], ParentMark::kSibling);
+          }
         }
       }
-      for (const AugEdge& e : graph_->OutEdges(aug_id)) {
-        if (ctx->active[e.to] && ctx->placement[e.to].valid() &&
-            !ctx->routing->Reachable(cand, ctx->placement[e.to])) {
-          return false;
-        }
-      }
-      return true;
-    };
+    }
+    const double state_scale = 1.0 + static_cast<double>(task.state_bytes) / 4096.0;
+
     NodeId best;
     double best_score = 0.0;
     for (NodeId cand : ctx->available_list) {
       if (banned[cand.value()]) {
         continue;
       }
-      if (!reachable_to_peers(cand)) {
+      // Connectivity constraint: the candidate must be able to exchange
+      // messages with every already-placed communication peer (a fault can
+      // disconnect part of the topology).
+      const bool reachable = std::all_of(peers.begin(), peers.end(), [&](const Peer& p) {
+        return p.inbound ? ctx->routing->Reachable(p.node, cand)
+                         : ctx->routing->Reachable(cand, p.node);
+      });
+      if (!reachable) {
         continue;
       }
-      const double score = Score(*ctx, aug_id, cand, parents);
+      // Lower is better. The terms are added in a fixed order (load,
+      // locality, stickiness, lookahead) so that every score, and with it
+      // every tie-break, is reproducible bit for bit.
+      double score = config_->weight_load *
+                     static_cast<double>(ctx->node_load[cand.value()] + task.wcet) / period;
+      if (config_->locality_heuristic) {
+        double comm = 0.0;
+        for (const Peer& p : peers) {
+          comm += static_cast<double>(ctx->routing->HopCount(cand, p.node)) *
+                  static_cast<double>(p.bytes);
+        }
+        score += config_->weight_locality * comm / 10000.0;
+      }
+      if (stickiness && marks[cand.value()] != ParentMark::kSameSlot) {
+        // Moving is expensive; moving somewhere that already has the task's
+        // state (a sibling replica) costs half as much.
+        score += config_->weight_parent * (marks[cand.value()] == ParentMark::kSibling ? 0.5 : 1.0);
+      }
+      if (config_->lookahead && task.state_bytes > 0) {
+        score += config_->weight_lookahead *
+                 static_cast<double>(ctx->vulnerability[cand.value()]) * state_scale / 10.0;
+      }
       if (!best.valid() || score < best_score) {
         best = cand;
         best_score = score;

@@ -138,10 +138,11 @@ class PlacementStage {
   bool Doomed(const ModeContext& ctx, const std::vector<TaskId>& served_sinks) const;
 
   // Greedy scored placement of every active task; fills ctx->placement.
+  // Each task goes to the lowest-scoring node that meets the hard
+  // constraints, the lowest node id winning a tie. The score sums load,
+  // hop-weighted traffic to placed peers, a penalty for leaving the
+  // parents' placement, and the lookahead vulnerability of stateful tasks.
   Status Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const;
-
-  double Score(const ModeContext& ctx, uint32_t aug_id, NodeId candidate,
-               const std::vector<const Plan*>& parents) const;
 
   // Placement reads topology structure (hop counts, reachability,
   // adjacency-based vulnerability) and the active-task universe, but not

@@ -1,8 +1,7 @@
 #include "src/rt/list_scheduler.h"
 
 #include <algorithm>
-#include <cassert>
-#include <set>
+#include <queue>
 
 namespace btr {
 
@@ -12,10 +11,12 @@ ListScheduler::ListScheduler(size_t node_count, SimDuration period)
 StatusOr<SchedResult> ListScheduler::Schedule(const std::vector<SchedJob>& jobs,
                                               const std::vector<SchedEdge>& edges) const {
   const size_t n = jobs.size();
+  std::vector<bool> seen(n, false);
   for (const SchedJob& j : jobs) {
-    if (j.id >= n) {
+    if (j.id >= n || seen[j.id]) {
       return Status::InvalidArgument("job ids must be dense 0..n-1");
     }
+    seen[j.id] = true;
     if (j.node >= node_count_) {
       return Status::InvalidArgument("job assigned to unknown node");
     }
@@ -44,33 +45,35 @@ StatusOr<SchedResult> ListScheduler::Schedule(const std::vector<SchedJob>& jobs,
     earliest[j.id] = j.release;
   }
 
-  // Ready set ordered by (deadline, priority_rank, id) for determinism.
-  auto cmp = [&jobs](uint32_t a, uint32_t b) {
+  // Ready jobs pop in (deadline, priority_rank, id) order for determinism.
+  // The order is strict, so the heap pops them in the same sequence as any
+  // other priority queue would.
+  auto pops_later = [&jobs](uint32_t a, uint32_t b) {
     const SchedJob& ja = jobs[a];
     const SchedJob& jb = jobs[b];
     if (ja.deadline != jb.deadline) {
-      return ja.deadline < jb.deadline;
+      return ja.deadline > jb.deadline;
     }
     if (ja.priority_rank != jb.priority_rank) {
-      return ja.priority_rank < jb.priority_rank;
+      return ja.priority_rank > jb.priority_rank;
     }
-    return a < b;
+    return a > b;
   };
-  std::set<uint32_t, decltype(cmp)> ready(cmp);
+  std::priority_queue<uint32_t, std::vector<uint32_t>, decltype(pops_later)> ready(pops_later);
   for (const SchedJob& j : jobs) {
     if (in_degree[j.id] == 0) {
-      ready.insert(j.id);
+      ready.push(j.id);
     }
   }
 
   size_t scheduled = 0;
   while (!ready.empty()) {
-    const uint32_t id = *ready.begin();
-    ready.erase(ready.begin());
+    const uint32_t id = ready.top();
+    ready.pop();
     const SchedJob& job = jobs[id];
 
+    // Tables stay sorted by (start, job) as jobs are inserted.
     ScheduleTable& table = result.tables[job.node];
-    table.SortByStart();
     const SimDuration start = table.FindGap(earliest[id], job.wcet, period_);
     if (start < 0) {
       return Status::Infeasible("no gap for job " + std::to_string(id) + " on node " +
@@ -80,7 +83,7 @@ StatusOr<SchedResult> ListScheduler::Schedule(const std::vector<SchedJob>& jobs,
     if (job.deadline != kSimTimeNever && finish > job.deadline) {
       return Status::Infeasible("job " + std::to_string(id) + " misses deadline");
     }
-    table.Add(id, start, job.wcet);
+    table.Insert(id, start, job.wcet);
     result.start[id] = start;
     result.finish[id] = finish;
     result.makespan = std::max(result.makespan, finish);
@@ -91,15 +94,12 @@ StatusOr<SchedResult> ListScheduler::Schedule(const std::vector<SchedJob>& jobs,
       const SimDuration delay = succ.node == job.node ? 0 : e.comm_delay;
       earliest[e.to] = std::max(earliest[e.to], finish + delay);
       if (--in_degree[e.to] == 0) {
-        ready.insert(e.to);
+        ready.push(e.to);
       }
     }
   }
   if (scheduled != n) {
     return Status::InvalidArgument("precedence graph has a cycle");
-  }
-  for (ScheduleTable& t : result.tables) {
-    t.SortByStart();
   }
   return result;
 }

@@ -18,8 +18,26 @@ std::vector<ScheduleEntry>& ScheduleTable::Detach() {
   return *entries_;
 }
 
+namespace {
+
+// Runtime dispatch order: by start, then by job.
+bool StartsBefore(const ScheduleEntry& a, const ScheduleEntry& b) {
+  if (a.start != b.start) {
+    return a.start < b.start;
+  }
+  return a.job < b.job;
+}
+
+}  // namespace
+
 void ScheduleTable::Add(uint32_t job, SimDuration start, SimDuration duration) {
   Detach().push_back(ScheduleEntry{job, start, duration});
+}
+
+void ScheduleTable::Insert(uint32_t job, SimDuration start, SimDuration duration) {
+  std::vector<ScheduleEntry>& entries = Detach();
+  const ScheduleEntry entry{job, start, duration};
+  entries.insert(std::upper_bound(entries.begin(), entries.end(), entry, StartsBefore), entry);
 }
 
 void ScheduleTable::SortByStart() {
@@ -27,12 +45,7 @@ void ScheduleTable::SortByStart() {
     return;
   }
   std::vector<ScheduleEntry>& entries = Detach();
-  std::sort(entries.begin(), entries.end(), [](const ScheduleEntry& a, const ScheduleEntry& b) {
-    if (a.start != b.start) {
-      return a.start < b.start;
-    }
-    return a.job < b.job;
-  });
+  std::sort(entries.begin(), entries.end(), StartsBefore);
 }
 
 SimDuration ScheduleTable::BusyTime() const {

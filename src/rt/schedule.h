@@ -36,13 +36,17 @@ class ScheduleTable {
 
   void Add(uint32_t job, SimDuration start, SimDuration duration);
 
+  // Adds an entry at its (start, job) position, so a sorted table stays
+  // sorted without a SortByStart.
+  void Insert(uint32_t job, SimDuration start, SimDuration duration);
+
   const std::vector<ScheduleEntry>& entries() const {
     return entries_ != nullptr ? *entries_ : EmptyEntries();
   }
   bool empty() const { return entries().empty(); }
   size_t size() const { return entries().size(); }
 
-  // Sorts entries by start time (runtime dispatch order).
+  // Sorts entries by (start, job): runtime dispatch order.
   void SortByStart();
 
   // Sum of all window durations (node busy time per period).
