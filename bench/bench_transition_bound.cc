@@ -7,17 +7,23 @@
 // settle). We print the analyzed bound per scenario, check it against R, and
 // compare with the worst *measured* recovery across fault injections — the
 // measured value must never exceed the analyzed bound.
+//
+// Exits non-zero when a Plan() or Run() fails, or when a row's measured
+// recovery exceeds its analyzed bound or its analyzed bound exceeds R.
 
 #include "bench/bench_util.h"
 
 namespace btr {
 namespace {
 
-void Row(Table* table, const std::string& name, Scenario scenario, SimDuration recovery_bound,
-         uint64_t periods) {
+// Adds one scenario's row; a row that breaks the claim is appended to
+// *broken.
+Status Row(Table* table, std::string* broken, const std::string& name, Scenario scenario,
+           SimDuration recovery_bound, uint64_t periods) {
   BtrSystem system(std::move(scenario), DefaultBtrConfig(1, recovery_bound));
-  if (!system.Plan().ok()) {
-    return;
+  const Status planned = system.Plan();
+  if (!planned.ok()) {
+    return StepFailed(name + " Plan", planned);
   }
   const TransitionAnalysis analysis = system.AnalyzeRecoveryBound();
 
@@ -38,9 +44,12 @@ void Row(Table* table, const std::string& name, Scenario scenario, SimDuration r
       system.ClearFaults();
       system.AddFault({victim, Milliseconds(100), behavior, 0, NodeId::Invalid(), 0});
       auto report = system.Run(periods);
-      if (report.ok()) {
-        worst_measured = std::max(worst_measured, report->correctness.max_recovery);
+      if (!report.ok()) {
+        return StepFailed(name + " " + FaultBehaviorName(behavior) + " " + ToString(victim) +
+                              " Run",
+                          report.status());
       }
+      worst_measured = std::max(worst_measured, report->correctness.max_recovery);
     }
   }
   const TransitionBound* worst = analysis.Worst();
@@ -49,26 +58,54 @@ void Row(Table* table, const std::string& name, Scenario scenario, SimDuration r
                  analysis.fits_recovery_bound ? "guaranteed" : "NOT GUARANTEED",
                  CellDuration(static_cast<double>(worst_measured)),
                  worst != nullptr ? worst->to.ToString() : "-"});
+  auto note = [&](const std::string& what) {
+    *broken += (broken->empty() ? "" : "; ") + name + ": " + what;
+  };
+  if (worst_measured > analysis.worst_total) {
+    note("measured " + CellDuration(static_cast<double>(worst_measured)) + " > analyzed " +
+         CellDuration(static_cast<double>(analysis.worst_total)));
+  }
+  if (!analysis.fits_recovery_bound) {
+    note("analyzed " + CellDuration(static_cast<double>(analysis.worst_total)) + " > R " +
+         CellDuration(static_cast<double>(recovery_bound)));
+  }
+  return Status::Ok();
 }
 
-void Run() {
+Status Run() {
   PrintHeader("E13 / Table 4 (extension): offline recovery-bound analysis",
               "analyzed worst-case transition vs configured R vs worst measured recovery");
 
   Table table({"scenario", "analyzed worst case", "R", "design-time verdict",
                "worst measured", "worst transition"});
-  Row(&table, "avionics", MakeAvionicsScenario(6), Milliseconds(500), 150);
-  Row(&table, "scada", MakeScadaScenario(), Milliseconds(2000), 60);
-  Row(&table, "convoy", MakeConvoyScenario(4), Milliseconds(1000), 100);
+  const struct {
+    const char* name;
+    Scenario (*make)();
+    SimDuration recovery_bound;
+    uint64_t periods;
+  } rows[] = {
+      {"avionics", [] { return MakeAvionicsScenario(6); }, Milliseconds(500), 150},
+      {"scada", [] { return MakeScadaScenario(); }, Milliseconds(2000), 60},
+      {"convoy", [] { return MakeConvoyScenario(4); }, Milliseconds(1000), 100},
+  };
+  std::string broken;
+  for (const auto& row : rows) {
+    const Status added =
+        Row(&table, &broken, row.name, row.make(), row.recovery_bound, row.periods);
+    if (!added.ok()) {
+      return added;
+    }
+  }
   std::printf("%s\n", table.Render().c_str());
   std::printf("(measured <= analyzed must hold on every row; analyzed <= R means the\n"
               " deployment's R is provably sufficient, not just empirically so)\n\n");
+  if (!broken.empty()) {
+    return Status::Internal("recovery bound claim broken: " + broken);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 }  // namespace btr
 
-int main() {
-  btr::Run();
-  return 0;
-}
+int main() { return btr::ExitCode(btr::Run()); }
