@@ -302,6 +302,7 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
   const size_t node_count = topo_->node_count();
   const double period = static_cast<double>(workload_->period());
   const bool stickiness = config_->parent_stickiness && !parents.empty();
+  const RoutingTable& routing = *ctx->routing;
 
   // Deterministic order: workload topological order, replicas ascending,
   // then the task's checker; verifiers are pinned anyway.
@@ -388,8 +389,7 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
       // messages with every already-placed communication peer (a fault can
       // disconnect part of the topology).
       const bool reachable = std::all_of(peers.begin(), peers.end(), [&](const Peer& p) {
-        return p.inbound ? ctx->routing->Reachable(p.node, cand)
-                         : ctx->routing->Reachable(cand, p.node);
+        return p.inbound ? routing.Reachable(p.node, cand) : routing.Reachable(cand, p.node);
       });
       if (!reachable) {
         continue;
@@ -402,7 +402,7 @@ Status PlacementStage::Place(ModeContext* ctx, const std::vector<const Plan*>& p
       if (config_->locality_heuristic) {
         double comm = 0.0;
         for (const Peer& p : peers) {
-          comm += static_cast<double>(ctx->routing->HopCount(cand, p.node)) *
+          comm += static_cast<double>(routing.HopCount(cand, p.node)) *
                   static_cast<double>(p.bytes);
         }
         score += config_->weight_locality * comm / 10000.0;

@@ -105,20 +105,6 @@ Hop RoutingTable::LastHop(NodeId src, NodeId dst) const {
   return Hop{NodeId(pred_[at]), LinkId(link_[at]), dst};
 }
 
-bool RoutingTable::Reachable(NodeId src, NodeId dst) const {
-  if (src == dst) {
-    return true;
-  }
-  return HopCount(src, dst) != 0;
-}
-
-size_t RoutingTable::HopCount(NodeId src, NodeId dst) const {
-  if (!InRange(src, dst)) {
-    return 0;
-  }
-  return hops_[Index(src, dst)];
-}
-
 SimDuration RoutingTable::PathPropagation(NodeId src, NodeId dst) const {
   if (src == dst || !InRange(src, dst)) {
     return 0;

@@ -62,10 +62,16 @@ class RoutingTable {
   // unreachable or src == dst.
   Hop LastHop(NodeId src, NodeId dst) const;
 
-  bool Reachable(NodeId src, NodeId dst) const;
+  // Reachable and HopCount are inline: placement asks them for every
+  // candidate node and communication peer of every task it places.
+  bool Reachable(NodeId src, NodeId dst) const {
+    return src == dst || HopCount(src, dst) != 0;
+  }
 
   // Number of hops (0 means unreachable or same node).
-  size_t HopCount(NodeId src, NodeId dst) const;
+  size_t HopCount(NodeId src, NodeId dst) const {
+    return InRange(src, dst) ? hops_[Index(src, dst)] : 0;
+  }
 
   // Sum of propagation delays along the route.
   SimDuration PathPropagation(NodeId src, NodeId dst) const;
