@@ -38,7 +38,7 @@ struct Aggregate {
   double recovery_ms = 0;
   double worst_recovery_ms = 0;
   SimDuration analysed_worst = 0;  // worst transition, by AnalyzeRecoveryBound
-  int violations = 0;              // runs whose outputs stayed wrong longer than R
+  int violations = 0;              // runs that break Definition 3.1 for R
   int runs = 0;
 };
 
@@ -113,8 +113,9 @@ Status Run() {
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("(averaged over crashing each flight computer once; R = %.0f ms; a run\n"
-              " violates R when its outputs stay incorrect for longer than R; the analysed\n"
-              " worst transition is AnalyzeRecoveryBound's bound for the row's strategy)\n\n",
+              " violates R when an output is incorrect outside [manifest, manifest + R),\n"
+              " Definition 3.1; the analysed worst transition is AnalyzeRecoveryBound's\n"
+              " bound for the row's strategy)\n\n",
               ToMillisF(kRecoveryBound));
   if (!(sticky_ms < fresh_ms)) {
     return Status::Internal("claim C5: stickiness-on recovery " + CellDouble(sticky_ms, 1) +
