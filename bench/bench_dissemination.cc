@@ -9,7 +9,9 @@
 // suppression counts, and the sinks the rollout cost the workload.
 //
 // Emits `BENCH_JSON {...}` rows that ci/run_benches.sh --dissemination
-// folds into BENCH_runtime.json.
+// folds into BENCH_runtime.json. Exits non-zero when a run fails, and when
+// a rollout never completes or leaves a node uninstalled: every row prints
+// first, so the table shows which.
 
 #include <cstdio>
 #include <string>
@@ -127,6 +129,17 @@ int Main(int argc, char** argv) {
   PrintHeader("dissemination",
               "Gossip rollout latency and bytes-on-bus vs fleet size, heartbeats on.");
 
+  // Every rollout must complete with every node installed.
+  std::vector<std::string> incomplete;
+  auto check_complete = [&incomplete](const std::string& variant, const RolloutRow& row,
+                                      size_t nodes) {
+    if (row.rollout_ms < 0 || row.installed != nodes) {
+      incomplete.push_back(variant + " (" + std::to_string(row.installed) + "/" +
+                           std::to_string(nodes) + " installed" +
+                           (row.rollout_ms < 0 ? ", never completed)" : ")"));
+    }
+  };
+
   Table table({"fleet", "rollout", "installed", "control B", "payload B", "missing sinks",
                "beacons", "suppressed"});
   for (size_t nodes : sizes) {
@@ -136,6 +149,7 @@ int Main(int argc, char** argv) {
                   row.status().ToString().c_str());
       return 1;
     }
+    check_complete("convoy" + std::to_string(nodes), *row, nodes);
     table.AddRow({"convoy" + std::to_string(nodes),
                   row->rollout_ms < 0 ? std::string("incomplete")
                                       : CellDouble(row->rollout_ms, 2) + " ms",
@@ -177,6 +191,7 @@ int Main(int argc, char** argv) {
                   row.status().ToString().c_str());
       return 1;
     }
+    check_complete("convoy40/pace" + CellDouble(pace, 2), *row, 40);
     pace_table.AddRow({"convoy40", CellDouble(pace, 2),
                        row->rollout_ms < 0 ? std::string("incomplete")
                                            : CellDouble(row->rollout_ms, 2) + " ms",
@@ -196,7 +211,10 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(row->fingerprint));
   }
   std::printf("%s\n", pace_table.Render().c_str());
-  return 0;
+  for (const std::string& row : incomplete) {
+    std::printf("dissemination bench: rollout incomplete: %s\n", row.c_str());
+  }
+  return incomplete.empty() ? 0 : 1;
 }
 
 }  // namespace

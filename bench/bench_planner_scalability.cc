@@ -13,9 +13,11 @@
 //
 // The incremental section measures StrategyBuilder::Rebuild against a full
 // rebuild on single-edit streams (a redundant link flapping down/up; a
-// staged task rolled in/out), verifying byte-identical serialization at
-// every step. Emits `BENCH_JSON {...}` rows that ci/run_benches.sh folds
-// into BENCH_runtime.json.
+// staged task rolled in/out; a compute task's criticality raised and
+// restored), verifying byte-identical serialization at every step. It exits
+// non-zero when a step fails or a rebuild does not serialize like the full
+// build. Emits `BENCH_JSON {...}` rows that ci/run_benches.sh folds into
+// BENCH_runtime.json.
 
 #include <chrono>
 #include <cstring>
@@ -116,7 +118,9 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-void RunIncremental() {
+// Returns false when a step failed or a rebuild did not serialize like the
+// full build.
+bool RunIncremental() {
   PrintHeader("E7 addendum: incremental replanning",
               "rebuild only the fault modes a topology/workload edit can reach");
 
@@ -141,8 +145,13 @@ void RunIncremental() {
   const Stream streams[] = {
       {"link_flap", "redundant link removed / re-added per edit"},
       {"task_add", "staged task rolled in / out per edit"},
+      {"reweight", "a compute task's criticality raised / restored per edit"},
   };
   constexpr int kEdits = 6;
+  // The reweighted task: in the middle layer, so shedding it changes which
+  // tasks a degraded mode keeps.
+  const std::string reweighted = "c1_0";
+  bool ok = true;
 
   Table table({"stream", "edits", "modes", "dirty/edit", "clean/edit", "full ms/edit",
                "incr ms/edit", "speedup", "bytes equal"});
@@ -165,8 +174,14 @@ void RunIncremental() {
     if (!strategy.ok()) {
       std::printf("%s: base build failed: %s\n", stream.name,
                   strategy.status().ToString().c_str());
+      ok = false;
       continue;
     }
+    const Criticality original =
+        base.workload.task(base.workload.FindTask(reweighted)).criticality;
+    const Criticality raised = original == Criticality::kSafetyCritical
+                                   ? Criticality::kBestEffort
+                                   : Criticality::kSafetyCritical;
 
     TaskSpec staged;
     staged.name = "staged_task";
@@ -191,9 +206,11 @@ void RunIncremental() {
                                       : DeltaEdit::LinkAdd("flaplink",
                                                            {NodeId(2), NodeId(3)},
                                                            25'000'000, Microseconds(2)));
-      } else {
+      } else if (std::strcmp(stream.name, "task_add") == 0) {
         delta.edits.push_back(forward ? DeltaEdit::TaskAdd(staged)
                                       : DeltaEdit::TaskRemove(staged.name));
+      } else {
+        delta.edits.push_back(DeltaEdit::TaskReweight(reweighted, forward ? raised : original));
       }
 
       PlannedSystem& next = generations.emplace_back();
@@ -231,6 +248,7 @@ void RunIncremental() {
       current = &next;
     }
 
+    ok = ok && all_equal;
     const size_t modes = carried.mode_count();
     const double speedup = incremental_ms > 0.0 ? full_ms / incremental_ms : 0.0;
     table.AddRow({std::string(stream.name), CellInt(kEdits),
@@ -253,7 +271,9 @@ void RunIncremental() {
               " system, incr = Rebuild() from the previous strategy; \"bytes equal\"\n"
               " checks the two strategies serialize byte-identically via strategy_io;\n"
               " the link-flap stream leaves every mode clean, the staged task-add\n"
-              " migrates every body into the grown universe without replanning)\n\n");
+              " migrates every body into the grown universe without replanning, and\n"
+              " the reweight stream replans the modes whose shedding it changes)\n\n");
+  return ok;
 }
 
 }  // namespace
@@ -269,6 +289,9 @@ int main(int argc, char** argv) {
   if (!incremental_only) {
     btr::Run();
   }
-  btr::RunIncremental();
+  if (!btr::RunIncremental()) {
+    std::printf("incremental replanning: a step failed or a rebuild diverged\n");
+    return 1;
+  }
   return 0;
 }

@@ -485,20 +485,36 @@ void InstallAgent::HandleDissemChunk(const DissemChunkMessage& msg) {
   ApplyDissemArtifact(msg);
 }
 
+StatusOr<std::shared_ptr<const StrategyPatch>> InstallAgent::ReceivedPatch(
+    DissemContent content, const std::string& image) const {
+  std::shared_ptr<const StrategyPatch> kept =
+      content == DissemContent::kPatchFull
+          ? update_->patch_full_decode(image)
+          : update_->TakePatchSliceDecode(id_.value(), image);
+  if (kept != nullptr) {
+    return kept;
+  }
+  StatusOr<StrategyPatch> decoded = fmt::DecodePatchImage(image);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  return std::make_shared<const StrategyPatch>(std::move(*decoded));
+}
+
 Status InstallAgent::InstallDissemArtifact(DissemContent content, const std::string& image) {
   switch (content) {
     case DissemContent::kPatchSlice: {
-      StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
-      return patch.ok() ? engine_.ApplyPatch(*patch) : patch.status();
+      StatusOr<std::shared_ptr<const StrategyPatch>> patch = ReceivedPatch(content, image);
+      return patch.ok() ? engine_.ApplyPatch(**patch) : patch.status();
     }
     case DissemContent::kPatchFull: {
       // The relay keeps the full artifact to re-serve and installs its own
-      // slice of the patch it just decoded, in memory.
-      StatusOr<StrategyPatch> patch = fmt::DecodePatchImage(image);
+      // slice of the patch, carved in memory.
+      StatusOr<std::shared_ptr<const StrategyPatch>> patch = ReceivedPatch(content, image);
       if (!patch.ok()) {
         return patch.status();
       }
-      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(*patch, id_.value());
+      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(**patch, id_.value());
       return sliced.ok() ? engine_.ApplyPatch(*sliced) : sliced.status();
     }
     case DissemContent::kBlobFull: {

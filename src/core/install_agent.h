@@ -32,7 +32,9 @@ namespace btr {
 //
 // The engine takes only the canonical forms, slice text and parsed patches;
 // the installed form is the canonical slice text. Shipped v4 images are
-// decoded by the InstallAgent where they arrive (src/fmt/strategy_binary.h).
+// decoded by the InstallAgent where they arrive (src/fmt/strategy_binary.h),
+// or, for a patch image that is exactly the bytes the rollout's encoder
+// built, replaced by the decode its self-check made.
 class InstallEngine {
  public:
   InstallEngine() = default;
@@ -169,9 +171,16 @@ class InstallAgent {
   // Content-verifies and installs a completed transfer, falling back from a
   // bad patch to the blob artifact and giving up on a bad blob.
   void ApplyDissemArtifact(const DissemChunkMessage& msg);
-  // Decodes an artifact's v4 image and installs it into the engine: the one
-  // place shipped bytes become canonical text or a parsed patch.
+  // Installs an artifact's v4 image into the engine: the one place shipped
+  // bytes become canonical text or a parsed patch. Blob images are decoded
+  // here; patch images go through ReceivedPatch.
   Status InstallDissemArtifact(DissemContent content, const std::string& image);
+  // The patch a received patch image carries: the update's kept decode when
+  // `image` is exactly the bytes it was decoded from (the unsliced patch's
+  // for kPatchFull, this node's patch slice's for kPatchSlice, taken once),
+  // else a fresh decode, which refuses a corrupted or foreign image.
+  StatusOr<std::shared_ptr<const StrategyPatch>> ReceivedPatch(DissemContent content,
+                                                                const std::string& image) const;
   LinkId LinkToNeighbor(NodeId peer) const;
 
   const RuntimeContext& ctx_;

@@ -760,27 +760,60 @@ StatusOr<std::string> ReassembleStrategy(const std::vector<std::string>& slices)
   return out;
 }
 
-// The parsed target and patch a StrategyUpdate builds its on-demand
-// artifacts from, and one slot per artifact that its first request fills.
+// The parsed target and the unsliced patch's decode a StrategyUpdate builds
+// its on-demand artifacts from, one slot per artifact that its first request
+// fills, and each patch slice's decode until its node takes it.
 class StrategyUpdate::ArtifactStore {
  public:
-  ArtifactStore(Parts target, uint64_t target_fp, StrategyPatch patch)
+  // A patch image's decode, with a copy of the exact bytes it came from.
+  struct KeptDecode {
+    std::string image;
+    StrategyPatch patch;
+  };
+
+  ArtifactStore(Parts target, uint64_t target_fp, KeptDecode patch_full)
       : target_(std::move(target)),
         target_fp_(target_fp),
-        patch_(std::move(patch)),
+        patch_full_(std::move(patch_full)),
         patch_slices_("patch slice", target_.node_count),
+        patch_slice_decodes_(
+            std::make_unique<std::atomic<std::shared_ptr<const KeptDecode>>[]>(
+                target_.node_count)),
         fallback_slices_("fallback slice", target_.node_count) {}
 
   uint64_t node_count() const { return target_.node_count; }
 
   WireArtifact* PatchSlice(uint32_t node) {
     return patch_slices_.Get(node, [this, node]() -> StatusOr<std::string> {
-      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(patch_, node);
+      StatusOr<StrategyPatch> sliced = MakeStrategyPatchSlice(patch_full_.patch, node);
       if (!sliced.ok()) {
         return sliced.status();
       }
-      return fmt::EncodePatchImage(*sliced);
+      auto kept = std::make_shared<KeptDecode>();
+      StatusOr<std::string> image = fmt::EncodePatchImage(*sliced, &kept->patch);
+      if (image.ok()) {
+        kept->image = *image;
+        patch_slice_decodes_[node].store(std::move(kept));
+      }
+      return image;
     });
+  }
+
+  const StrategyPatch* PatchFullDecode(const std::string& image) const {
+    return image == patch_full_.image ? &patch_full_.patch : nullptr;
+  }
+
+  // Shard workers may take concurrently, so the take is one atomic exchange.
+  std::shared_ptr<const StrategyPatch> TakePatchSliceDecode(uint32_t node,
+                                                            const std::string& image) {
+    if (node >= node_count()) {
+      return nullptr;
+    }
+    const std::shared_ptr<const KeptDecode> kept = patch_slice_decodes_[node].exchange(nullptr);
+    if (kept == nullptr || kept->image != image) {
+      return nullptr;
+    }
+    return std::shared_ptr<const StrategyPatch>(kept, &kept->patch);
   }
 
   WireArtifact* FallbackSlice(uint32_t node) {
@@ -847,8 +880,14 @@ class StrategyUpdate::ArtifactStore {
 
   const Parts target_;
   const uint64_t target_fp_;
-  const StrategyPatch patch_;
+  // The unsliced patch as every relay holds it: the decode of its shipped
+  // image. Patch slices are carved from it, as a relay carves the slice it
+  // serves a leaf from its own verified copy.
+  const KeptDecode patch_full_;
   Slots patch_slices_;
+  // Per node: its patch slice's decode, from the slice's build until node n
+  // takes it.
+  const std::unique_ptr<std::atomic<std::shared_ptr<const KeptDecode>>[]> patch_slice_decodes_;
   Slots fallback_slices_;
   Slots blob_{"blob artifact", 1};
 };
@@ -876,6 +915,18 @@ const WireArtifact* StrategyUpdate::fallback_slice(uint32_t node) const {
 
 const WireArtifact* StrategyUpdate::blob_artifact() const {
   return store() != nullptr ? store()->Blob() : nullptr;
+}
+
+std::shared_ptr<const StrategyPatch> StrategyUpdate::patch_full_decode(
+    const std::string& image) const {
+  const StrategyPatch* kept = store() != nullptr ? store()->PatchFullDecode(image) : nullptr;
+  return kept != nullptr ? std::shared_ptr<const StrategyPatch>(patch_slices.store_, kept)
+                         : nullptr;
+}
+
+std::shared_ptr<const StrategyPatch> StrategyUpdate::TakePatchSliceDecode(
+    uint32_t node, const std::string& image) const {
+  return store() != nullptr ? store()->TakePatchSliceDecode(node, image) : nullptr;
 }
 
 size_t StrategyUpdate::patch_slices_built() const {
@@ -912,25 +963,31 @@ StatusOr<StrategyUpdate> BuildStrategyUpdate(const std::string& base_blob,
   StrategyUpdate update;
   update.base_fp = FingerprintStrategyText(base_blob);
   update.target_fp = FingerprintStrategyText(target_blob);
-  StatusOr<StrategyPatch> patch =
-      MakePatchFromParts(*base, *target, update.base_fp, update.target_fp);
-  if (!patch.ok()) {
-    return patch.status();
+  // The update keeps the decode the encoder's self-check made of the
+  // unsliced patch image, not the patch it encoded.
+  StrategyUpdate::ArtifactStore::KeptDecode patch_full;
+  {
+    StatusOr<StrategyPatch> patch =
+        MakePatchFromParts(*base, *target, update.base_fp, update.target_fp);
+    if (!patch.ok()) {
+      return patch.status();
+    }
+    StatusOr<std::string> image = fmt::EncodePatchImage(*patch, &patch_full.patch);
+    if (!image.ok()) {
+      return image.status();
+    }
+    patch_full.image = *image;
+    update.patch_full.bytes = std::move(*image);
   }
-  StatusOr<std::string> patch_img = fmt::EncodePatchImage(*patch);
-  if (!patch_img.ok()) {
-    return patch_img.status();
-  }
-  update.patch_full.bytes = std::move(*patch_img);
   update.patch_full.fp = FingerprintStrategyText(update.patch_full.bytes);
   // Base slices describe the already-installed state (the pre-deployed
   // install), so they stay canonical text: they never ship.
-  update.base_slices.reserve(patch->node_count);
+  update.base_slices.reserve(base->node_count);
   ForEachSliceOfBlob(*base, update.base_fp, [&update](uint64_t, std::string slice) {
     update.base_slices.push_back(std::move(slice));
   });
   update.patch_slices.store_ = std::make_shared<StrategyUpdate::ArtifactStore>(
-      std::move(*target), update.target_fp, std::move(*patch));
+      std::move(*target), update.target_fp, std::move(patch_full));
   return update;
 }
 

@@ -153,7 +153,10 @@ enum class StrategyWireFormat {
 // fingerprint. The fingerprint travels with a shipment so the receiver can
 // content-verify the bytes: the SFP / BASE / TARGET / NSLICE chain links
 // canonical texts, not shipped bytes, so it cannot detect in-transit
-// corruption of a table row.
+// corruption of a table row. A StrategyUpdate keeps each patch artifact's
+// decode apart from it, together with a copy of the bytes it was decoded
+// from, so editing `bytes` (and `fp`) in place never makes that decode
+// stand for the edited bytes.
 struct WireArtifact {
   std::string bytes;
   uint64_t fp = 0;
@@ -172,6 +175,11 @@ struct WireArtifact {
 // Requests are safe from concurrent shard workers, and a built artifact
 // stays at the same address for the update's lifetime, so a serve may
 // re-read it per chunk. Copies of an update share its built artifacts.
+//
+// Each patch image is decoded once per rollout: the decode the encoder's
+// self-check makes of the unsliced patch and of each patch slice is kept
+// with the update, and a receiver reuses it for exactly the bytes it came
+// from (patch_full_decode, TakePatchSliceDecode).
 struct StrategyUpdate {
  private:
   class ArtifactStore;
@@ -232,6 +240,24 @@ struct StrategyUpdate {
   const WireArtifact* patch_slice(uint32_t node) const;
   const WireArtifact* fallback_slice(uint32_t node) const;
   const WireArtifact* blob_artifact() const;
+
+  // The patch fmt::EncodePatchImage's self-check decoded when it built a
+  // patch artifact, if `image` is exactly the bytes it decoded; null
+  // otherwise, and the receiver decodes `image` itself, so a corrupted,
+  // re-fingerprinted or foreign image is still decoded and refused where it
+  // arrives. Neither call builds an artifact.
+  //   patch_full_decode(image)           the unsliced patch's decode. Every
+  //                                      relay reads it, so it lives as long
+  //                                      as the update.
+  //   TakePatchSliceDecode(node, image)  node n's patch-slice decode. Its
+  //                                      one consumer is node n (a leaf or
+  //                                      the distributor), so the first call
+  //                                      takes it out of the update, whether
+  //                                      it matches or not; later calls, and
+  //                                      copies of the update, get null.
+  std::shared_ptr<const StrategyPatch> patch_full_decode(const std::string& image) const;
+  std::shared_ptr<const StrategyPatch> TakePatchSliceDecode(uint32_t node,
+                                                            const std::string& image) const;
 
   // How many of each have been built (diagnostics). Copies of an update
   // share the counts with its artifacts.

@@ -1217,7 +1217,7 @@ StatusOr<std::string> DecodeStrategyImage(const std::string& image) {
   return RenderShellText(*shell, *bodies);
 }
 
-StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch) {
+StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch, StrategyPatch* decoded) {
   const BodyDims dims{patch.aug_count, patch.node_count, patch.edge_count};
   DictBuilder dicts;
   std::vector<BodyRecords> records(patch.bodies.size());
@@ -1299,9 +1299,12 @@ StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch) {
                                                    patch.prov_planner_fp, HashString(text));
   std::string image = SealImage(kKindPatch, payloads);
 
-  const StatusOr<StrategyPatch> round_trip = DecodePatchImage(image);
+  StatusOr<StrategyPatch> round_trip = DecodePatchImage(image);
   if (!round_trip.ok() || SaveStrategyPatch(*round_trip) != text) {
     return Status::Internal("v4 patch encode self-check failed");
+  }
+  if (decoded != nullptr) {
+    *decoded = std::move(*round_trip);
   }
   return image;
 }

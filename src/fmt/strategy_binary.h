@@ -28,7 +28,10 @@
 //
 // Images are a wire form only. The canonical text stays the installed form
 // and the on-disk form, and LoadStrategy reads text only, so a holder of an
-// image decodes it first, as InstallAgent does where an image arrives.
+// image decodes it first, as InstallAgent does where an image arrives. A
+// patch image is decoded once per rollout: the decode EncodePatchImage's
+// self-check makes travels with the artifact (StrategyUpdate), and a
+// receiver reuses it only for the exact bytes it came from.
 
 #ifndef BTR_SRC_FMT_STRATEGY_BINARY_H_
 #define BTR_SRC_FMT_STRATEGY_BINARY_H_
@@ -56,8 +59,11 @@ StatusOr<std::string> DecodeStrategyImage(const std::string& image);
 // Encodes a parsed patch into a v4 patch image. BNEW bodies delta against
 // earlier BNEW bodies in the same patch (resolved through the MSET prefix
 // fault sets), so the image is self-contained: a gossip relay holding only
-// its own slice can still decode it. Self-checked like the blob encoder.
-StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch);
+// its own slice can still decode it. Self-checked like the blob encoder:
+// the image is decoded back, and if `decoded` is not null it receives that
+// decode, which is what DecodePatchImage returns for the returned image.
+StatusOr<std::string> EncodePatchImage(const StrategyPatch& patch,
+                                       StrategyPatch* decoded = nullptr);
 
 // Decodes a v4 patch image. The result is re-serialized and re-parsed
 // through the strict BTRPATCH text path, so a decoded patch carries exactly

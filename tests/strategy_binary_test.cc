@@ -76,6 +76,25 @@ Status ApplyPatchImage(InstallEngine* engine, const std::string& image) {
   return patch.ok() ? engine->ApplyPatch(*patch) : patch.status();
 }
 
+// Encodes `patch` and checks the decode EncodePatchImage hands back: it
+// re-serializes to the same text as DecodePatchImage of the returned image,
+// which is the patch's own text. Returns the image.
+std::string EncodeCheckingHandedBackDecode(const StrategyPatch& patch, const std::string& what) {
+  StrategyPatch handed_back;
+  auto image = fmt::EncodePatchImage(patch, &handed_back);
+  EXPECT_TRUE(image.ok()) << what << ": " << image.status().ToString();
+  if (!image.ok()) {
+    return "";
+  }
+  auto decoded = fmt::DecodePatchImage(*image);
+  EXPECT_TRUE(decoded.ok()) << what << ": " << decoded.status().ToString();
+  if (decoded.ok()) {
+    EXPECT_EQ(SaveStrategyPatch(handed_back), SaveStrategyPatch(*decoded)) << what;
+  }
+  EXPECT_EQ(SaveStrategyPatch(handed_back), SaveStrategyPatch(patch)) << what;
+  return *image;
+}
+
 System* MakeBaseSystem(std::deque<System>* generations, const PlannerConfig& config,
                        uint64_t seed = 7) {
   Rng rng(seed);
@@ -159,6 +178,14 @@ TEST(StrategyBinary, BlobSlicesAndPatchesRoundTrip) {
       << "patch image did not round-trip to its BTRPATCH text";
   // A patch image decodes only through DecodePatchImage.
   EXPECT_FALSE(fmt::DecodeStrategyImage(*patch_image).ok());
+  // The decode the encoder's self-check hands back is that decode, for the
+  // patch and for every node's slice of it.
+  EXPECT_EQ(EncodeCheckingHandedBackDecode(*patch, "patch"), *patch_image);
+  for (uint32_t n = 0; n < next.topo.node_count(); ++n) {
+    auto slice = MakeStrategyPatchSlice(*patch, n);
+    ASSERT_TRUE(slice.ok()) << "node " << n;
+    EncodeCheckingHandedBackDecode(*slice, "patch slice " + std::to_string(n));
+  }
 }
 
 // Fuzzed oracle: random edit streams over random systems; every blob,
@@ -243,6 +270,11 @@ TEST(StrategyBinary, FuzzedEditStreamsRoundTrip) {
       auto decoded = fmt::DecodePatchImage(*patch_image);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(SaveStrategyPatch(*decoded), SaveStrategyPatch(*patch));
+      EXPECT_EQ(EncodeCheckingHandedBackDecode(*patch, "fuzz patch"), *patch_image);
+      const uint32_t node = static_cast<uint32_t>(step) % next.topo.node_count();
+      auto slice = MakeStrategyPatchSlice(*patch, node);
+      ASSERT_TRUE(slice.ok()) << "node " << node;
+      EncodeCheckingHandedBackDecode(*slice, "fuzz patch slice");
       ++checked;
       blob = next_blob;
       current = &next;

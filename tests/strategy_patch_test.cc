@@ -726,6 +726,21 @@ TEST(StrategyInstallFlow, GossipRolloutCompletesAndFallsBackOnCorruption) {
   EXPECT_GT(fallback.full_bytes_sent, 0u);
   EXPECT_NE(fallback.completed_at, kSimTimeNever);
 
+  // Flip the same byte in place and re-fingerprint it: the content check
+  // passes, so every receiver decodes the edited image itself, its seal
+  // refuses it, and the receiver falls back to the blob. The decode the
+  // update keeps of the clean bytes never stands in for the edited ones.
+  StrategyUpdate refingerprinted = *update_or;
+  refingerprinted.patch_full.bytes[refingerprinted.patch_full.bytes.size() / 2] ^= 0x20;
+  refingerprinted.patch_full.fp = FingerprintStrategyText(refingerprinted.patch_full.bytes);
+  ASSERT_NE(refingerprinted.patch_full_decode(update_or->patch_full.bytes), nullptr);
+  InstallRunReport refused;
+  run_install(std::make_shared<const StrategyUpdate>(refingerprinted), &refused);
+  EXPECT_EQ(refused.nodes_installed, topo.node_count());
+  EXPECT_EQ(refused.fallbacks, receivers);
+  EXPECT_GT(refused.full_bytes_sent, 0u);
+  EXPECT_NE(refused.completed_at, kSimTimeNever);
+
   // Poison the blob too — by one digit of a T-row duration, re-encoded, so
   // the image still decodes and carves into slices. The artifact's content
   // fingerprint catches it; no receiver may install it, and since every
@@ -782,6 +797,7 @@ struct ConvoyRollout {
 
   struct Result {
     std::string report;  // SerializeRunReport
+    uint64_t fingerprint = 0;  // FingerprintRunReport
     InstallRunReport install;
     ShardLayout layout;
   };
@@ -865,6 +881,7 @@ struct ConvoyRollout {
     }
     result.install = report.install;
     result.report = SerializeRunReport(report);
+    result.fingerprint = FingerprintRunReport(report);
     return result;
   }
 };
@@ -1181,6 +1198,110 @@ TEST(ShippedArtifacts, CleanRolloutBuildsOnlyTheDistributorAndLeafPatchSlices) {
   EXPECT_EQ(update->patch_slices_built(), leaves);
   EXPECT_FALSE(update->blob_artifact_built());
   EXPECT_EQ(update->fallback_slices_built(), 0u);
+}
+
+// Every field of an install report, the per-node agent stats included.
+std::string InstallReportText(const InstallRunReport& r) {
+  const DissemAgentStats& d = r.dissem;
+  return std::to_string(r.started_at) + " " + std::to_string(r.completed_at) + " " +
+         std::to_string(r.nodes_installed) + " " + std::to_string(r.fallbacks) + " " +
+         std::to_string(r.patch_bytes_sent) + " " + std::to_string(r.full_bytes_sent) +
+         " dissem " + std::to_string(d.beacons_sent) + " " +
+         std::to_string(d.beacons_suppressed) + " " + std::to_string(d.requests_sent) + " " +
+         std::to_string(d.chunks_sent) + " " + std::to_string(d.bytes_sent) + " " +
+         std::to_string(d.patch_payload_bytes) + " " + std::to_string(d.full_payload_bytes) +
+         " " + std::to_string(d.serves) + " " + std::to_string(d.resumes) + " " +
+         std::to_string(d.fallbacks);
+}
+
+// An update keeps the decode the encoder's self-check made of each patch
+// image: DecodePatchImage's result for those bytes, handed out only for
+// exactly those bytes. Looking one up builds nothing.
+TEST(ShippedArtifacts, KeptDecodesServeOnlyTheirOwnBytes) {
+  const ConvoyRollout rollout;
+  StrategyUpdate update = rollout.BuildUpdate();
+  const uint32_t nodes = static_cast<uint32_t>(update.base_slices.size());
+  for (uint32_t n = 0; n <= nodes; ++n) {
+    EXPECT_EQ(update.TakePatchSliceDecode(n, update.patch_full.bytes), nullptr) << "node " << n;
+  }
+  EXPECT_EQ(update.patch_slices_built(), 0u);
+  EXPECT_EQ(update.fallback_slices_built(), 0u);
+  EXPECT_FALSE(update.blob_artifact_built());
+
+  // The unsliced patch's decode stays for the update's lifetime.
+  const std::string& full = update.patch_full.bytes;
+  auto decoded_full = fmt::DecodePatchImage(full);
+  ASSERT_TRUE(decoded_full.ok());
+  const auto kept_full = update.patch_full_decode(full);
+  ASSERT_NE(kept_full, nullptr);
+  EXPECT_EQ(SaveStrategyPatch(*kept_full), SaveStrategyPatch(*decoded_full));
+  EXPECT_EQ(update.patch_full_decode(full), kept_full);
+  std::string edited = full;
+  edited[edited.size() / 2] ^= 0x20;
+  EXPECT_EQ(update.patch_full_decode(edited), nullptr);
+  EXPECT_EQ(update.patch_full_decode(full.substr(0, full.size() - 1)), nullptr);
+
+  // A patch slice's decode is taken once, and only its own bytes use it.
+  const WireArtifact* slice1 = update.patch_slice(1);
+  ASSERT_NE(slice1, nullptr);
+  auto decoded1 = fmt::DecodePatchImage(slice1->bytes);
+  ASSERT_TRUE(decoded1.ok());
+  const auto taken = update.TakePatchSliceDecode(1, slice1->bytes);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(SaveStrategyPatch(*taken), SaveStrategyPatch(*decoded1));
+  EXPECT_EQ(update.TakePatchSliceDecode(1, slice1->bytes), nullptr);
+  // Node 2 presenting node 1's bytes takes its own decode without using it.
+  const WireArtifact* slice2 = update.patch_slice(2);
+  ASSERT_NE(slice2, nullptr);
+  EXPECT_EQ(update.TakePatchSliceDecode(2, slice1->bytes), nullptr);
+  EXPECT_EQ(update.TakePatchSliceDecode(2, slice2->bytes), nullptr);
+  // Bytes edited in place and re-fingerprinted are not the decoded bytes.
+  WireArtifact* slice3 = update.mutable_patch_slice(3);
+  ASSERT_NE(slice3, nullptr);
+  slice3->bytes[slice3->bytes.size() / 2] ^= 0x20;
+  slice3->fp = FingerprintStrategyText(slice3->bytes);
+  EXPECT_EQ(update.TakePatchSliceDecode(3, slice3->bytes), nullptr);
+  EXPECT_EQ(update.patch_slices_built(), 3u);
+
+  const StrategyUpdate unbuilt;
+  EXPECT_EQ(unbuilt.patch_full_decode(full), nullptr);
+  EXPECT_EQ(unbuilt.TakePatchSliceDecode(0, full), nullptr);
+}
+
+// Copies of an update share its kept decodes, so a second rollout of the
+// same update finds every patch-slice decode taken and decodes the images
+// where they arrive: the reuse must not show in any report.
+TEST(ShippedArtifacts, KeptDecodesLeaveReportsUnchanged) {
+  setenv("BTR_SHARD_EXEC", "threads", 1);
+  const ConvoyRollout rollout;
+  const Topology& topo = rollout.system.scenario().topology;
+  std::string baseline;
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    const auto update = rollout.Update();
+    const auto first = rollout.Run(update, shards);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->install.nodes_installed, topo.node_count()) << "shards=" << shards;
+    EXPECT_EQ(first->install.fallbacks, 0u) << "shards=" << shards;
+    // The first rollout took the decode of every patch slice it built.
+    for (uint32_t n = 0; n < topo.node_count(); ++n) {
+      if (topo.Neighbors(NodeId(n)).size() <= 1) {
+        const WireArtifact* slice = update->patch_slice(n);
+        ASSERT_NE(slice, nullptr) << "node " << n;
+        EXPECT_EQ(update->TakePatchSliceDecode(n, slice->bytes), nullptr) << "node " << n;
+      }
+    }
+    const auto second = rollout.Run(std::make_shared<const StrategyUpdate>(*update), shards);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(InstallReportText(second->install), InstallReportText(first->install))
+        << "shards=" << shards;
+    EXPECT_EQ(second->fingerprint, first->fingerprint) << "shards=" << shards;
+    EXPECT_EQ(second->report, first->report) << "shards=" << shards;
+    if (shards == 1) {
+      baseline = first->report;
+    }
+    EXPECT_EQ(first->report, baseline) << "shards=" << shards;
+  }
+  unsetenv("BTR_SHARD_EXEC");
 }
 
 TEST(ShippedArtifacts, CleanRolloutIsByteIdenticalAcrossShardCounts) {
