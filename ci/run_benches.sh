@@ -78,10 +78,12 @@ OUT=BENCH_runtime.json
 # cross-shard fingerprint-equality check baked into the bench itself).
 ROWS=$(./build-bench/bench_sim_throughput "--preset=${PRESET}" "--reps=${REPS}" \
   | sed -n 's/^BENCH_JSON //p' | paste -sd, -)
-# Incremental-replanning rows (E7 addendum): full-vs-incremental rebuild
-# time on single-edit streams, with a byte-identical serialization check.
-# A failed step or a rebuild that serializes differently exits nonzero and
-# fails the harness: the planner is wrong, not slow.
+# Incremental-replanning rows (E7 addendum): per edit, a full Build() and a
+# Rebuild() (which keeps the old routing tables when no route can move),
+# each timed on its own fresh copy of the edited system, with a
+# byte-identical serialization check. A failed step or a rebuild that
+# serializes differently exits nonzero and fails the harness: the planner
+# is wrong, not slow.
 PLANNER_ROWS=$(./build-bench/bench_planner_scalability --incremental-only \
   | sed -n 's/^BENCH_JSON //p' | paste -sd, -)
 if [[ -n "${PLANNER_ROWS}" ]]; then

@@ -7,8 +7,9 @@
 #                            # determinism sweeps; scheduled CI and local runs)
 #
 # Tiers are ctest LABELS assigned in CMakeLists.txt (BTR_TIER2_TESTS). After
-# the tests come CI's paper-claim checks (E1, E3, E7's gossip rollout, E8,
-# E13 and bench_format, each of which exits non-zero when its claim fails),
+# the tests come CI's paper-claim checks (E1, E3, E7's gossip rollout and
+# incremental replanning, E8, E13 and bench_format, each of which exits
+# non-zero when its claim fails),
 # then the shipped specs'
 # experiment fingerprints are checked against their pins
 # (ci/check_spec_fingerprints.sh).
@@ -28,5 +29,6 @@ build/bench_recovery_time
 build/bench_plan_delta
 build/bench_transition_bound
 build/bench_dissemination
+build/bench_planner_scalability --incremental-only
 build/bench_format --reps=1
 ci/check_spec_fingerprints.sh build/example_btrsim

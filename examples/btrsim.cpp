@@ -379,7 +379,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--periods") {
       opts.periods = static_cast<uint64_t>(std::atoll(next("--periods")));
     } else if (arg == "--shards") {
-      opts.shards = static_cast<uint32_t>(std::atoi(next("--shards")));
+      uint32_t shards = 0;
+      const Status parsed = ParseShardCount(next("--shards"), &shards);
+      if (!parsed.ok()) {
+        std::printf("--shards: %s\n", parsed.message().c_str());
+        return 2;
+      }
+      opts.shards = shards;
     } else if (arg == "--fault") {
       opts.fault = next("--fault");
     } else if (arg == "--fault-node") {

@@ -236,9 +236,9 @@ class Strategy {
   size_t ExpandedFootprintBytes() const;
 
   // In-memory bytes of the modes' routing tables, each distinct table
-  // counted once (a rebuild's clean modes share the old tables). Not part
-  // of MemoryFootprintBytes: routes are rebuilt from the topology on load,
-  // never stored on flash.
+  // counted once (a rebuild that keeps the routes shares the old tables).
+  // Not part of MemoryFootprintBytes: routes are rebuilt from the topology
+  // on load, never stored on flash.
   size_t RoutingFootprintBytes() const;
 
   // All planned fault sets, in canonical (sorted) order.

@@ -111,12 +111,9 @@ void Planner::RecordBuildMetrics(size_t modes_deduped, size_t unique_plans, size
   metrics_.threads_used = threads_used;
 }
 
-void Planner::RecordRebuildMetrics(size_t dirty_modes, size_t clean_modes,
-                                   size_t migrated_bodies) const {
+void Planner::RecordRebuildMetrics(size_t replanned_modes) const {
   std::lock_guard<std::mutex> lock(metrics_mu_);
-  metrics_.rebuild_dirty_modes = dirty_modes;
-  metrics_.rebuild_clean_modes = clean_modes;
-  metrics_.rebuild_migrated_bodies = migrated_bodies;
+  metrics_.rebuild_dirty_modes = replanned_modes;
 }
 
 StatusOr<Plan> Planner::TryPlan(const ModeContext& prepared,

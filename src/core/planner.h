@@ -72,9 +72,10 @@ class Planner {
 
   // Plans a single mode. `parents` are the plans for the immediate subsets
   // (|S| - 1); may be empty for the root mode. Safe to call concurrently.
-  // `routing` may carry a pre-built table for this topology and fault set
-  // (the incremental rebuilder often has one from its equivalence check);
-  // when null, the routing is built here.
+  // `routing` may carry a table for this fault set built on a topology with
+  // the same routing inputs as this one (RoutingTable::SameInputs;
+  // StrategyBuilder::Rebuild passes the old mode's); when null, the routing
+  // is built here.
   StatusOr<Plan> PlanForMode(const FaultSet& faults, const std::vector<const Plan*>& parents,
                              std::shared_ptr<const RoutingTable> routing = nullptr) const;
 
@@ -108,10 +109,9 @@ class Planner {
   void RecordBuildMetrics(size_t modes_deduped, size_t unique_plans, size_t waves,
                           size_t max_wave_modes, size_t threads_used) const;
 
-  // Merges incremental-rebuild counters (called by StrategyBuilder::Rebuild
-  // once per rebuild).
-  void RecordRebuildMetrics(size_t dirty_modes, size_t clean_modes,
-                            size_t migrated_bodies) const;
+  // Records an incremental rebuild's replanned modes (called by
+  // StrategyBuilder::Rebuild once per rebuild).
+  void RecordRebuildMetrics(size_t replanned_modes) const;
 
  private:
   StatusOr<Plan> TryPlan(const ModeContext& prepared, const std::vector<const Plan*>& parents,

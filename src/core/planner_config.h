@@ -54,10 +54,11 @@ struct PlannerMetrics {
   size_t max_wave_modes = 0;   // widest wave (peak available parallelism)
   size_t threads_used = 1;     // pool size the build ran with
 
-  // Incremental-rebuild counters (filled by StrategyBuilder::Rebuild).
-  size_t rebuild_dirty_modes = 0;     // replanned: some stage input changed
-  size_t rebuild_clean_modes = 0;     // reused: every stage input unchanged
-  size_t rebuild_migrated_bodies = 0; // distinct bodies remapped to a new universe
+  // Incremental-rebuild counters (filled by StrategyBuilder::Rebuild). A
+  // rebuild replans every mode, so clean is always 0; btr_bench's
+  // planner.rebuild_* metrics still read both.
+  size_t rebuild_dirty_modes = 0;  // modes replanned
+  size_t rebuild_clean_modes = 0;  // modes whose old plan was kept
 };
 
 }  // namespace btr

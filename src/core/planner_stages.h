@@ -25,7 +25,6 @@
 #include "src/core/augment.h"
 #include "src/core/plan.h"
 #include "src/core/planner_config.h"
-#include "src/core/strategy_delta.h"
 #include "src/net/topology.h"
 #include "src/workload/dataflow.h"
 
@@ -49,10 +48,6 @@ struct ModeContext {
 class ModeEnumerator {
  public:
   static std::vector<FaultSet> Level(size_t node_count, size_t k);
-
-  // The mode universe is a pure function of the (fixed) node set, so no
-  // supported delta kind invalidates it.
-  static bool InvalidatedBy(DeltaKind /*kind*/) { return false; }
 };
 
 // Stage 2: sink admission / shedding order. A sink is servable iff neither
@@ -64,13 +59,6 @@ class SinkAdmission {
   explicit SinkAdmission(const Dataflow* workload) : workload_(workload) {}
 
   std::vector<TaskId> Admit(const FaultSet& faults) const;
-
-  // Admission reads sink/source pinning and criticality (shedding order),
-  // so only workload edits can invalidate it.
-  static bool InvalidatedBy(DeltaKind kind) {
-    return kind == DeltaKind::kTaskAdd || kind == DeltaKind::kTaskRemove ||
-           kind == DeltaKind::kTaskReweight;
-  }
 
  private:
   const Dataflow* workload_;
@@ -91,13 +79,6 @@ class LatencyModel {
   // traffic totals. Returns -1 if unreachable under this routing.
   SimDuration EdgeBudget(NodeId from, NodeId to, uint32_t bytes, const RoutingTable& routing,
                          const std::vector<uint64_t>* node_fg_bytes) const;
-
-  // Budgets walk routes over link specs, so any link edit can invalidate
-  // them; workload edits cannot (bytes are a per-query input).
-  static bool InvalidatedBy(DeltaKind kind) {
-    return kind == DeltaKind::kLinkAdd || kind == DeltaKind::kLinkRemove ||
-           kind == DeltaKind::kLinkLatencyChange;
-  }
 
  private:
   const Topology* topo_;
@@ -144,15 +125,6 @@ class PlacementStage {
   // parents' placement, and the lookahead vulnerability of stateful tasks.
   Status Place(ModeContext* ctx, const std::vector<const Plan*>& parents) const;
 
-  // Placement reads topology structure (hop counts, reachability,
-  // adjacency-based vulnerability) and the active-task universe, but not
-  // link latencies: scores count hops, not nanoseconds. A reweight can
-  // still reach placement by crossing the replication criticality
-  // threshold, which changes the replica universe.
-  static bool InvalidatedBy(DeltaKind kind) {
-    return kind != DeltaKind::kLinkLatencyChange;
-  }
-
  private:
   // ActivateTasks' selection, written into `active` (all false on entry).
   void MarkActive(const ModeContext& ctx, const std::vector<TaskId>& served_sinks,
@@ -177,11 +149,6 @@ class ScheduleStage {
 
   StatusOr<PlanBody> BuildBody(const ModeContext& ctx,
                                const std::vector<TaskId>& served_sinks) const;
-
-  // Scheduling consumes everything upstream (placements, latency budgets,
-  // wcets, deadlines, criticality priorities), so every delta kind can
-  // invalidate it.
-  static bool InvalidatedBy(DeltaKind /*kind*/) { return true; }
 
  private:
   const Topology* topo_;

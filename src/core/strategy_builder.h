@@ -16,30 +16,19 @@
 // and results are inserted in enumeration order after the wave completes,
 // so the strategy is bit-identical for any thread count.
 //
-// Incremental replanning (Rebuild): after a small topology/workload edit
-// (StrategyDelta), most modes' planning inputs are unchanged, and because
-// planning is deterministic their plans would come out bit-identical. The
-// rebuild walks the same wave DAG and classifies each mode:
-//
-//   dirty — some stage input could have changed: the admitted-sink list
-//           differs, the rebuilt routing table differs, a re-measured link
-//           lies on some route, an edited task is active (or would become
-//           active), adjacency shifted under the vulnerability heuristic,
-//           or any parent mode's plan body changed. Dirty modes are
-//           replanned on the thread pool exactly like a full build, with
-//           the old mode's routing table whenever the edit provably cannot
-//           move a route (workload-only edits, bandwidth-only re-measures,
-//           removals of links no route used).
-//   clean — every stage input is provably unchanged. The old mode's
-//           deduplicated PlanBody is re-linked as-is (or, when the
-//           augmented-task universe changed shape, migrated id-for-id —
-//           memoized per body so sharing survives).
-//
-// Dirty-marking is conservative (over-approximate): marking too much only
-// costs time, never correctness, while the clean path must be exact — the
-// equivalence suite in tests/incremental_replan_test.cc checks that
-// Rebuild(Build(G), delta) serializes byte-identically to
-// Build(apply(G, delta)).
+// Incremental replanning (Rebuild): after a topology/workload edit
+// (StrategyDelta), every mode is planned again by the same wave loop.
+// Parent stickiness ties each plan to the plans of its subsets, so an edit
+// that moves the root mode moves every mode below it; classifying modes as
+// reusable cost about as much as planning them. The one input a rebuild
+// takes from the old strategy is routing: when the old and the edited
+// topology have the same node count and the same links in the same order
+// with equal endpoints and propagation (workload edits, bandwidth-only
+// re-measures), each mode takes the old mode's RoutingTable, which equals
+// the table Dijkstra would build. Any link add or remove, or a propagation
+// change, rebuilds every table. The equivalence suite in
+// tests/incremental_replan_test.cc checks that Rebuild(Build(G), delta)
+// serializes byte-identically to Build(apply(G, delta)).
 
 #ifndef BTR_SRC_CORE_STRATEGY_BUILDER_H_
 #define BTR_SRC_CORE_STRATEGY_BUILDER_H_
@@ -66,13 +55,14 @@ class StrategyBuilder {
   // deduped, unique plans, waves, wave width, threads used).
   StatusOr<Strategy> Build();
 
-  // Incrementally recompiles `old_strategy` (built by `old_planner`) into a
-  // strategy for this builder's planner, whose inputs must differ from the
-  // old planner's by exactly `delta` (as applied by ApplyDelta). Replans
-  // only dirty modes; the result is bit-identical to a full Build() of the
-  // edited system. Requirements: same node count, same max_faults, same
-  // planner config; if the old strategy carries provenance (always true for
-  // built or v2-loaded strategies) it must match `old_planner`.
+  // Recompiles `old_strategy` (built by `old_planner`) into a strategy for
+  // this builder's planner, the edited system, reusing the old routing
+  // tables when the edit cannot move a route (see above). The result is
+  // bit-identical to a full Build(). Requirements: same node count, same
+  // max_faults; if the old strategy carries provenance (always true for
+  // built or v2-loaded strategies) it must match `old_planner`. `delta` is
+  // not read: the two planners' topologies are compared directly. On
+  // success the planner's metrics count every mode as replanned.
   StatusOr<Strategy> Rebuild(const Strategy& old_strategy, const Planner& old_planner,
                              const StrategyDelta& delta);
 

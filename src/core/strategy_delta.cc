@@ -75,15 +75,6 @@ DeltaEdit DeltaEdit::TaskReweight(std::string name, Criticality criticality) {
   return e;
 }
 
-bool StrategyDelta::Has(DeltaKind kind) const {
-  for (const DeltaEdit& e : edits) {
-    if (e.kind == kind) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string StrategyDelta::ToString() const {
   std::string s = "[";
   for (size_t i = 0; i < edits.size(); ++i) {

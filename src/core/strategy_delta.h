@@ -2,10 +2,9 @@
 //
 // A deployed strategy goes stale when the system it was compiled for is
 // edited: a link is added, removed, or re-measured, a task is staged in or
-// retired, a flow's criticality is re-weighted. Recompiling the whole
-// strategy scales with C(n, f); most small edits leave the inputs of most
-// fault modes untouched, so StrategyBuilder::Rebuild replans only the
-// modes an edit could actually reach (see strategy_builder.h).
+// retired, a flow's criticality is re-weighted. StrategyBuilder::Rebuild
+// replans the edited system, keeping the old routing tables when the edit
+// cannot move a route (see strategy_builder.h).
 //
 // This module defines the edit vocabulary (StrategyDelta) and the pure
 // function that applies a delta to a scenario (ApplyDelta). Identity across
@@ -78,18 +77,6 @@ struct StrategyDelta {
   std::vector<DeltaEdit> edits;
 
   bool empty() const { return edits.empty(); }
-  bool Has(DeltaKind kind) const;
-  // True if any edit's kind satisfies `pred` (used with the per-stage
-  // InvalidatedBy declarations in planner_stages.h).
-  template <typename Pred>
-  bool Any(Pred pred) const {
-    for (const DeltaEdit& e : edits) {
-      if (pred(e.kind)) {
-        return true;
-      }
-    }
-    return false;
-  }
 
   std::string ToString() const;
 };

@@ -85,6 +85,20 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
   }
 }
 
+bool RoutingTable::SameInputs(const Topology& a, const Topology& b) {
+  if (a.node_count() != b.node_count() || a.link_count() != b.link_count()) {
+    return false;
+  }
+  for (size_t l = 0; l < a.link_count(); ++l) {
+    const LinkSpec& x = a.links()[l];
+    const LinkSpec& y = b.links()[l];
+    if (x.endpoints != y.endpoints || x.propagation != y.propagation) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Route RoutingTable::RouteBetween(NodeId src, NodeId dst) const {
   Route route;
   CopyRoute(src, dst, &route);
@@ -97,31 +111,11 @@ void RoutingTable::CopyRoute(NodeId src, NodeId dst, Route* out) const {
   ForEachHopReversed(src, dst, [&](const Hop& hop) { (*out)[--h] = hop; });
 }
 
-Hop RoutingTable::LastHop(NodeId src, NodeId dst) const {
-  if (HopCount(src, dst) == 0) {
-    return Hop{};
-  }
-  const size_t at = Index(src, dst);
-  return Hop{NodeId(pred_[at]), LinkId(link_[at]), dst};
-}
-
 SimDuration RoutingTable::PathPropagation(NodeId src, NodeId dst) const {
   if (src == dst || !InRange(src, dst)) {
     return 0;
   }
   return path_propagation_[Index(src, dst)];
-}
-
-bool RoutingTable::UsesLink(LinkId link) const {
-  if (!link.valid()) {
-    return false;
-  }
-  for (uint32_t l : link_) {
-    if (l == link.value()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool RoutingTable::RouteUsesRelay(NodeId src, NodeId dst, NodeId relay) const {

@@ -36,6 +36,12 @@ class RoutingTable {
   // Excluded nodes may still be route endpoints (messages to/from them).
   RoutingTable(const Topology& topo, const std::vector<NodeId>& excluded = {});
 
+  // True if a table built on `a` equals one built on `b` for every
+  // `excluded` set: the constructor reads the node count and, in link
+  // order, each link's endpoints and propagation, and nothing else (a
+  // bandwidth change cannot move a route).
+  static bool SameInputs(const Topology& a, const Topology& b);
+
   // Route from src to dst; empty if unreachable or src == dst. Materializes
   // the route (tests and cold callers); hot paths walk it with
   // ForEachHopReversed or copy it once with CopyRoute.
@@ -58,10 +64,6 @@ class RoutingTable {
     }
   }
 
-  // Last hop of the src->dst route; an invalid Hop (all ids invalid) if
-  // unreachable or src == dst.
-  Hop LastHop(NodeId src, NodeId dst) const;
-
   // Reachable and HopCount are inline: placement asks them for every
   // candidate node and communication peer of every task it places.
   bool Reachable(NodeId src, NodeId dst) const {
@@ -78,16 +80,6 @@ class RoutingTable {
 
   // True if `relay` appears as an intermediate node on the src->dst route.
   bool RouteUsesRelay(NodeId src, NodeId dst, NodeId relay) const;
-
-  // True if any route in the table traverses `link`. Incremental replanning
-  // uses this to decide whether a re-measured link can affect a mode's
-  // latency budgets at all. Every hop of every route is the last hop of
-  // the route to its receiver, so scanning the last hops suffices.
-  //
-  // (Deliberately no operator==: raw hop comparison is wrong across any
-  // topology edit that renumbers links; cross-edit route comparison needs
-  // an id translation — see RoutesEquivalent in strategy_builder.cc.)
-  bool UsesLink(LinkId link) const;
 
   // Bytes held by the table's per-pair arrays.
   size_t FootprintBytes() const;

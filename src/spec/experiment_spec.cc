@@ -472,6 +472,17 @@ std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name) {
   return std::nullopt;
 }
 
+Status ParseShardCount(std::string_view value, uint32_t* shards) {
+  uint64_t parsed = 0;
+  // 0 would serialize as an absent key, so the canonical round-trip only
+  // admits explicit counts; 64 generously exceeds any host.
+  if (!ParseU64(value, &parsed) || parsed == 0 || parsed > 64) {
+    return Status::InvalidArgument("shards= must be in [1, 64]");
+  }
+  *shards = static_cast<uint32_t>(parsed);
+  return Status::Ok();
+}
+
 std::string SerializeSpecScenario(const SpecScenario& scenario) {
   std::string out;
   out.reserve(256);
@@ -794,13 +805,10 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         }
       }
       if (kv.Take("shards", &value)) {
-        uint64_t shards = 0;
-        // 0 would serialize as an absent key, so the canonical round-trip
-        // only admits explicit counts; 64 generously exceeds any host.
-        if (!ParseU64(value, &shards) || shards == 0 || shards > 64) {
-          return LineError(line_no, "shards= must be in [1, 64]");
+        Status shards = ParseShardCount(value, &spec.shards);
+        if (!shards.ok()) {
+          return LineError(line_no, shards.message());
         }
-        spec.shards = static_cast<uint32_t>(shards);
       }
       Status done = kv.Done(line_no);
       if (!done.ok()) {

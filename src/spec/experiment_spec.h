@@ -170,6 +170,11 @@ struct ExperimentSpec {
 const char* ScenarioKindName(SpecScenario::Kind kind);
 std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name);
 
+// CONFIG shards=: a canonical decimal in [1, 64], else InvalidArgument. The
+// parser and btrsim's --shards flag share it, so the CLI cannot print a
+// spec that its own parser refuses.
+Status ParseShardCount(std::string_view value, uint32_t* shards);
+
 // Canonical serialization: fixed section and key order, optional keys only
 // when they deviate from defaults, no comments. The exact inverse of
 // ParseExperimentSpec over its own output.

@@ -100,6 +100,28 @@ TEST(SpecFormat, CommentsBlanksAndIndentationAreAccepted) {
   EXPECT_EQ(SerializeExperimentSpec(*reparsed), SerializeExperimentSpec(*spec));
 }
 
+// The CONFIG parser and btrsim's --shards flag share ParseShardCount, so a
+// count the CLI accepts always serializes into a spec that parses back.
+TEST(SpecFormat, ShardCountIsCanonicalAndWithinBounds) {
+  uint32_t shards = 0;
+  ASSERT_TRUE(ParseShardCount("1", &shards).ok());
+  EXPECT_EQ(shards, 1u);
+  ASSERT_TRUE(ParseShardCount("64", &shards).ok());
+  EXPECT_EQ(shards, 64u);
+  for (const char* bad : {"0", "65", "100", "-1", "4294967295", "two", "03", ""}) {
+    const Status refused = ParseShardCount(bad, &shards);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(refused.message(), "shards= must be in [1, 64]") << bad;
+  }
+  EXPECT_EQ(shards, 64u);  // a refused count leaves the output untouched
+
+  auto spec = ParseExperimentSpec(
+      "BTRX 1\nNAME s\nSCENARIO scada nodes=4\n"
+      "CONFIG f=1 recovery-us=1000000 seed=7 shards=65\nPHASE periods=10\nEND\n");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message(), "line 4: shards= must be in [1, 64]");
+}
+
 // --- randomized canonical round trip --------------------------------------
 
 std::string Token(Rng* rng, const char* prefix, size_t i) {
