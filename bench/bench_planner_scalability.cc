@@ -9,7 +9,10 @@
 // structural deduplication, the dedup ratio (deduplicated storage over the
 // verbatim one-plan-per-mode layout), the strategy's per-node memory
 // footprint after dedup, and the in-memory size of its routing tables
-// (one shortest-path tree table per mode, each counted once).
+// (each distinct table counted once: a mode whose added fault relays no
+// route shares its parent's, so on these bus-only topologies every mode
+// shares the root's). It exits non-zero when a case fails to plan or its
+// serial and parallel builds serialize differently.
 //
 // The incremental section measures StrategyBuilder::Rebuild against a full
 // rebuild on single-edit streams (a redundant link flapping down/up; a
@@ -36,7 +39,8 @@
 namespace btr {
 namespace {
 
-void Run() {
+// Returns false when a case failed to plan or its two builds differ.
+bool Run() {
   PrintHeader("E7 / Table 2: planner scalability",
               "offline cost of computing the full strategy");
 
@@ -55,6 +59,7 @@ void Run() {
       {4, 2, 3, 1}, {8, 2, 3, 1}, {12, 3, 4, 1}, {16, 3, 4, 1},
       {8, 2, 3, 2}, {12, 3, 4, 2}, {8, 2, 3, 3},
   };
+  bool ok = true;
   for (const Case& c : cases) {
     Rng rng(42);
     RandomDagParams params;
@@ -88,7 +93,14 @@ void Run() {
       const Status& failed = strategy.ok() ? parallel.status() : strategy.status();
       std::printf("case (%zu nodes, f=%u) failed: %s\n", c.compute_nodes, c.f,
                   failed.ToString().c_str());
+      ok = false;
       continue;
+    }
+    if (SaveStrategy(*strategy, planner.graph(), scenario.topology) !=
+        SaveStrategy(*parallel, planner.graph(), scenario.topology)) {
+      std::printf("case (%zu nodes, f=%u): the 1-thread and %zu-thread builds differ\n",
+                  c.compute_nodes, c.f, hw_threads);
+      ok = false;
     }
     table.AddRow({CellInt(static_cast<int64_t>(scenario.topology.node_count())),
                   CellInt(static_cast<int64_t>(scenario.workload.task_count())), CellInt(c.f),
@@ -103,8 +115,12 @@ void Run() {
   std::printf("(plan time x1 = single planner thread; xN = one thread per core (N=%zu),\n"
               " waves over fault-set levels; dedup ratio = deduplicated strategy bytes over\n"
               " the verbatim per-mode layout; size/node counts shared storage once;\n"
-              " routes = in-memory routing tables, rebuilt on load and never stored)\n\n",
+              " routes = in-memory routing tables, each distinct one counted once,\n"
+              " rebuilt on load and never stored; modes whose added fault relays no\n"
+              " route share their parent's, here every mode the root's, since these\n"
+              " topologies are bus-only; the two builds must serialize identically)\n\n",
               hw_threads);
+  return ok;
 }
 
 // --- Incremental replanning: single-edit streams ------------------------
@@ -288,12 +304,14 @@ int main(int argc, char** argv) {
       incremental_only = true;
     }
   }
-  if (!incremental_only) {
-    btr::Run();
+  bool ok = true;
+  if (!incremental_only && !btr::Run()) {
+    std::printf("planner scalability: a case failed or its two builds diverged\n");
+    ok = false;
   }
   if (!btr::RunIncremental()) {
     std::printf("incremental replanning: a step failed or a rebuild diverged\n");
-    return 1;
+    ok = false;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -7,11 +7,10 @@
 #                            # determinism sweeps; scheduled CI and local runs)
 #
 # Tiers are ctest LABELS assigned in CMakeLists.txt (BTR_TIER2_TESTS). After
-# the tests come CI's paper-claim checks (E1, E3, E7's gossip rollout and
-# incremental replanning, E8, E13 and bench_format, each of which exits
-# non-zero when its claim fails),
-# then the shipped specs'
-# experiment fingerprints are checked against their pins
+# the tests come CI's paper-claim checks (E1, E3, E7's gossip rollout,
+# planner scalability and incremental replanning, E8, E13 and bench_format,
+# each of which exits non-zero when its claim fails), then the shipped
+# specs' experiment fingerprints are checked against their pins
 # (ci/check_spec_fingerprints.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,6 +28,6 @@ build/bench_recovery_time
 build/bench_plan_delta
 build/bench_transition_bound
 build/bench_dissemination
-build/bench_planner_scalability --incremental-only
+build/bench_planner_scalability
 build/bench_format --reps=1
 ci/check_spec_fingerprints.sh build/example_btrsim

@@ -351,6 +351,10 @@ int RunServiceBench(const ExperimentSpec& spec, const Options& opts) {
   return identical ? 0 : 1;
 }
 
+// --jobs sets ServiceOptions::jobs, which any count fits (0 = one lane per
+// hardware thread; a sweep never runs more lanes than it has jobs).
+constexpr SpecNumber kJobs{"jobs", 0, UINT64_MAX};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -364,42 +368,48 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag is read as the spec parser reads the key it sets, in
+    // `scale` units of that key; a refused value prints the parser's message
+    // and exits 2, so no flag can synthesize a spec the parser refuses.
+    auto number = [&](const char* flag, const SpecNumber& key, uint64_t scale = 1) -> uint64_t {
+      uint64_t value = 0;
+      const Status parsed = key.Parse(next(flag), &value, scale);
+      if (!parsed.ok()) {
+        std::printf("%s: %s\n", flag, parsed.message().c_str());
+        std::exit(2);
+      }
+      return value / scale;
+    };
     if (arg == "--spec") {
       opts.spec_file = next("--spec");
     } else if (arg == "--scenario") {
       opts.scenario = next("--scenario");
     } else if (arg == "--nodes") {
-      opts.nodes = static_cast<size_t>(std::atoll(next("--nodes")));
+      opts.nodes = static_cast<size_t>(number("--nodes", kSpecNodes));
     } else if (arg == "--seed") {
-      opts.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      opts.seed = number("--seed", kSpecSeed);
     } else if (arg == "--f") {
-      opts.f = static_cast<uint32_t>(std::atoi(next("--f")));
+      opts.f = static_cast<uint32_t>(number("--f", kSpecFaults));
     } else if (arg == "--recovery-ms") {
-      opts.recovery_ms = std::atoll(next("--recovery-ms"));
+      opts.recovery_ms = static_cast<int64_t>(number("--recovery-ms", kSpecRecoveryUs, 1000));
     } else if (arg == "--periods") {
-      opts.periods = static_cast<uint64_t>(std::atoll(next("--periods")));
+      opts.periods = number("--periods", kSpecPeriods);
     } else if (arg == "--shards") {
-      uint32_t shards = 0;
-      const Status parsed = ParseShardCount(next("--shards"), &shards);
-      if (!parsed.ok()) {
-        std::printf("--shards: %s\n", parsed.message().c_str());
-        return 2;
-      }
-      opts.shards = shards;
+      opts.shards = static_cast<uint32_t>(number("--shards", kSpecShards));
     } else if (arg == "--fault") {
       opts.fault = next("--fault");
     } else if (arg == "--fault-node") {
-      opts.fault_node = static_cast<uint32_t>(std::atoi(next("--fault-node")));
+      opts.fault_node = static_cast<uint32_t>(number("--fault-node", kSpecFaultNode));
     } else if (arg == "--fault-at-ms") {
-      opts.fault_at_ms = std::atoll(next("--fault-at-ms"));
+      opts.fault_at_ms = static_cast<int64_t>(number("--fault-at-ms", kSpecAtUs, 1000));
     } else if (arg == "--fault-until-ms") {
-      opts.fault_until_ms = std::atoll(next("--fault-until-ms"));
+      opts.fault_until_ms = static_cast<int64_t>(number("--fault-until-ms", kSpecUntilUs, 1000));
     } else if (arg == "--analyze") {
       opts.analyze = true;
     } else if (arg == "--save-strategy") {
       opts.save_strategy = next("--save-strategy");
     } else if (arg == "--jobs") {
-      opts.jobs = static_cast<size_t>(std::atoll(next("--jobs")));
+      opts.jobs = static_cast<size_t>(number("--jobs", kJobs));
     } else if (arg == "--no-cache") {
       opts.no_cache = true;
     } else if (arg == "--results") {

@@ -133,25 +133,6 @@ bool Plan::ServesSink(TaskId sink) const {
   return std::find(shed.begin(), shed.end(), sink) == shed.end();
 }
 
-SimDuration Plan::ArrivalBudget(const AugmentedGraph& graph, uint32_t from_aug,
-                                NodeId to_node) const {
-  SimDuration best = -1;
-  const std::vector<AugEdge>& all = graph.edges();
-  const std::vector<SimDuration>& budgets = body->edge_budget();
-  if (budgets.size() != all.size()) {
-    return best;  // no budgets recorded for this graph (hand-built plan)
-  }
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (all[i].from != from_aug || budgets[i] < 0) {
-      continue;
-    }
-    if (body->placement[all[i].to] == to_node) {
-      best = std::max(best, budgets[i]);
-    }
-  }
-  return best;
-}
-
 PlanDelta ComputeDelta(const Plan& from, const Plan& to, const AugmentedGraph& graph) {
   assert(from.placement().size() == to.placement().size());
   PlanDelta delta;
@@ -348,6 +329,31 @@ size_t Strategy::RoutingFootprintBytes() const {
     }
   }
   return bytes;
+}
+
+// Why a parent's table is exact. RoutingTable runs Dijkstra from each
+// source over positive weights, popping (distance, id) pairs, so nodes
+// settle in (final distance, id) order; a relaxation overwrites a node's
+// predecessor only when it strictly shortens the distance, so each node
+// keeps the first relaxation, in settle order, that reaches its final
+// distance. Excluding x as well drops only x's relaxations (a source's own
+// are kept). If x is no node's predecessor in any row but its own, the
+// parent's shortest-path trees avoid x as a relay, so no distance changes:
+// removing edges cannot shorten a path, and the trees' paths remain. The
+// settle order is then the same, and so is each node's first relaxation to
+// reach its final distance, which was not x's. So every predecessor and
+// link, and the hop counts and propagation sums walked from them, are the
+// parent's. By induction from the root, the table of every mode equals the
+// table built from scratch for its fault set.
+std::shared_ptr<const RoutingTable> ModeRouting(const Topology& topo, const FaultSet& faults,
+                                                const Strategy& planned) {
+  for (NodeId x : faults.nodes()) {
+    const Plan* parent = planned.Lookup(faults.Without(x));
+    if (parent != nullptr && parent->routing != nullptr && !parent->routing->Relays(x)) {
+      return parent->routing;
+    }
+  }
+  return std::make_shared<const RoutingTable>(topo, faults.nodes());
 }
 
 size_t Strategy::ExpandedFootprintBytes() const {

@@ -13,8 +13,12 @@
 // structural hash at two granularities — whole bodies, and within distinct
 // bodies the per-node schedule tables and edge-budget vectors (sibling
 // fault modes leave most nodes' tables untouched, so those are stored
-// once). What stays per-mode is only what genuinely depends on the fault
-// set: the set itself and the routing table that avoids the faulty nodes.
+// once). What stays per-mode is the fault set itself and a handle to the
+// routing table that avoids the faulty nodes. Routing tables are shared
+// too, by a rule rather than by hashing: a mode whose added fault relays no
+// route takes its parent's table (ModeRouting), so the modes of a fault
+// that no route crosses (an I/O leaf, a node on a shared bus) hold one
+// table between them.
 
 #ifndef BTR_SRC_CORE_PLAN_H_
 #define BTR_SRC_CORE_PLAN_H_
@@ -129,8 +133,9 @@ struct Plan {
         body(std::make_shared<const PlanBody>(std::move(content))) {}
 
   FaultSet faults;
-  // Routes avoiding the faulty nodes as relays. Never shared across distinct
-  // fault sets: routing is a function of the fault set, not of the schedule.
+  // Routes avoiding the faulty nodes as relays: equal to
+  // RoutingTable(topology, faults.nodes()), and shared with every other mode
+  // whose table is equal by ModeRouting's rule.
   std::shared_ptr<const RoutingTable> routing;
   // Shared schedule content (one physical copy per distinct schedule).
   std::shared_ptr<const PlanBody> body;
@@ -144,10 +149,6 @@ struct Plan {
 
   bool IsShed(uint32_t aug_id) const { return !body->placement[aug_id].valid(); }
   bool ServesSink(TaskId sink) const;
-
-  // Largest budget among active edges from `from_aug` to a task placed on
-  // `to_node`; -1 if there is none.
-  SimDuration ArrivalBudget(const AugmentedGraph& graph, uint32_t from_aug, NodeId to_node) const;
 };
 
 // Transition cost between two plans.
@@ -236,7 +237,8 @@ class Strategy {
   size_t ExpandedFootprintBytes() const;
 
   // In-memory bytes of the modes' routing tables, each distinct table
-  // counted once (a rebuild that keeps the routes shares the old tables).
+  // counted once (modes share tables by ModeRouting, and a rebuild that
+  // keeps the routes shares the old strategy's).
   // Not part of MemoryFootprintBytes: routes are rebuilt from the topology
   // on load, never stored on flash.
   size_t RoutingFootprintBytes() const;
@@ -272,6 +274,18 @@ class Strategy {
   size_t dedup_hits_ = 0;
   StrategyProvenance provenance_;
 };
+
+// The routing table for mode `faults`, given a strategy that already holds
+// its parents, the modes faults∖{x}: the table of the first parent, x in
+// ascending order, whose table does not relay x (RoutingTable::Relays); a
+// new RoutingTable(topo, faults.nodes()) when there is none. The result
+// always equals the new table entry for entry (the argument is in plan.cc),
+// so sharing changes no plan. Every parent table must have been built on
+// `topo`, or on a topology with the same routing inputs
+// (RoutingTable::SameInputs). StrategyBuilder and LoadStrategy both route
+// every mode through it.
+std::shared_ptr<const RoutingTable> ModeRouting(const Topology& topo, const FaultSet& faults,
+                                                const Strategy& planned);
 
 }  // namespace btr
 

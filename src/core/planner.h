@@ -74,8 +74,8 @@ class Planner {
   // (|S| - 1); may be empty for the root mode. Safe to call concurrently.
   // `routing` may carry a table for this fault set built on a topology with
   // the same routing inputs as this one (RoutingTable::SameInputs;
-  // StrategyBuilder::Rebuild passes the old mode's); when null, the routing
-  // is built here.
+  // StrategyBuilder passes the table ModeRouting picks, or in a Rebuild the
+  // old mode's); when null, the routing is built here.
   StatusOr<Plan> PlanForMode(const FaultSet& faults, const std::vector<const Plan*>& parents,
                              std::shared_ptr<const RoutingTable> routing = nullptr) const;
 

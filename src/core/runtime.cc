@@ -287,7 +287,7 @@ NodeRuntime::NodeRuntime(BtrRuntime* owner, const RuntimeContext& ctx, NodeId id
       arena_(std::move(arena)),
       install_(ctx, id, fault_set_, arena_),
       blame_(ctx.config.blame_threshold, ctx.config.blame_window_periods) {
-  plan_ = ctx_.strategy->Lookup(FaultSet());
+  AdoptPlan(ctx_.strategy->Lookup(FaultSet()));
   // Each node reads time through its own (periodically resynchronized)
   // clock: a deterministic per-node residual offset bounded by
   // max_clock_offset. The detector's epsilon must cover it.
@@ -314,7 +314,7 @@ bool NodeRuntime::Crashed() const {
 void NodeRuntime::BeginPeriod(uint64_t period) {
   current_period_ = period;
   if (pending_plan_ != nullptr) {
-    plan_ = pending_plan_;
+    AdoptPlan(pending_plan_);
     pending_plan_ = nullptr;
     ++stats_.mode_switches;
     quiet_until_period_ = period + ctx_.config.timing_quiet_periods;
@@ -1022,7 +1022,7 @@ void NodeRuntime::CheckArrivalWindow(const Packet& packet, const OutputRecord& r
   const AugTask& producer = ctx_.graph->task(producer_aug);
   const SimTime expected_send = static_cast<SimTime>(record.period) * period_len +
                                 plan_->start()[producer_aug] + producer.wcet;
-  const SimDuration budget = plan_->ArrivalBudget(*ctx_.graph, producer_aug, id_);
+  const SimDuration budget = arrival_budget_[producer_aug];
   if (budget < 0) {
     return;  // no planned edge toward this node; nothing to check against
   }
@@ -1180,6 +1180,25 @@ void NodeRuntime::Convict(NodeId node, EvidenceKind kind) {
   const Plan* old_plan = pending_plan_ != nullptr ? pending_plan_ : plan_;
   pending_plan_ = next;
   RequestMigrationState(old_plan, next);
+}
+
+void NodeRuntime::AdoptPlan(const Plan* plan) {
+  plan_ = plan;
+  arrival_budget_.assign(ctx_.graph->size(), -1);
+  if (plan_ == nullptr) {
+    return;
+  }
+  const std::vector<AugEdge>& edges = ctx_.graph->edges();
+  const std::vector<SimDuration>& budgets = plan_->edge_budget();
+  if (budgets.size() != edges.size()) {
+    return;  // no budgets recorded for this graph (hand-built plan)
+  }
+  for (size_t i = 0; i < edges.size(); ++i) {
+    if (budgets[i] >= 0 && plan_->placement()[edges[i].to] == id_) {
+      SimDuration& best = arrival_budget_[edges[i].from];
+      best = std::max(best, budgets[i]);
+    }
+  }
 }
 
 void NodeRuntime::RequestMigrationState(const Plan* old_plan, const Plan* new_plan) {

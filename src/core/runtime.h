@@ -265,6 +265,8 @@ class NodeRuntime {
   void Convict(NodeId node, EvidenceKind kind);
 
   // --- mode change ---
+  // Makes `plan` the active plan and indexes its arrival budgets.
+  void AdoptPlan(const Plan* plan);
   void RequestMigrationState(const Plan* old_plan, const Plan* new_plan);
 
   bool StateReady(TaskId task) const;
@@ -280,6 +282,10 @@ class NodeRuntime {
   InstallAgent install_;                // install plane
   const Plan* plan_ = nullptr;          // active plan
   const Plan* pending_plan_ = nullptr;  // adopted at next period boundary
+  // Per augmented task of the active plan: the largest budget among its
+  // active edges to a task placed on this node, -1 if there is none. The
+  // timing window of every received output record reads it.
+  std::vector<SimDuration> arrival_budget_;
   FaultSet fault_set_;
   uint64_t current_period_ = 0;
   uint64_t quiet_until_period_ = 0;     // timing checks suppressed before this

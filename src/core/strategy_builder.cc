@@ -19,7 +19,8 @@ namespace {
 // When `routes_from` is non-null, each mode takes that strategy's routing
 // table for the same fault set instead of running Dijkstra again; the
 // caller guarantees the tables were built on equal routing inputs
-// (RoutingTable::SameInputs).
+// (RoutingTable::SameInputs). Otherwise ModeRouting picks the table: a
+// parent's when the added fault relays no route, else a new one.
 StatusOr<Strategy> BuildWaves(const Planner& planner, size_t threads,
                               const Strategy* routes_from) {
   const size_t node_count = planner.topology().node_count();
@@ -69,6 +70,9 @@ StatusOr<Strategy> BuildWaves(const Planner& planner, size_t threads,
         if (const Plan* old = routes_from->Lookup(faults); old != nullptr) {
           routing = old->routing;
         }
+      }
+      if (routing == nullptr) {
+        routing = ModeRouting(planner.topology(), faults, strategy);
       }
       results[i] = planner.PlanForMode(faults, parents, std::move(routing));
       if (!results[i]->ok()) {

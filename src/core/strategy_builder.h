@@ -12,6 +12,13 @@
 // returns the per-mode entry — whose fault set and routing are the parent's
 // own — even when its schedule body is physically shared with other modes.
 //
+// Routing: each mode's table comes from ModeRouting (plan.h). A mode whose
+// added fault relays no route in a parent's table takes that table, which
+// is exactly the table Dijkstra would build; only a mode whose every added
+// fault relays some route builds a new one. On a convoy ring every I/O
+// leaf's modes share their parent's table, and on the avionics dual bus
+// every mode shares the root's.
+//
 // Determinism: each mode is planned independently from immutable inputs,
 // and results are inserted in enumeration order after the wave completes,
 // so the strategy is bit-identical for any thread count.
@@ -26,9 +33,10 @@
 // with equal endpoints and propagation (workload edits, bandwidth-only
 // re-measures), each mode takes the old mode's RoutingTable, which equals
 // the table Dijkstra would build. Any link add or remove, or a propagation
-// change, rebuilds every table. The equivalence suite in
-// tests/incremental_replan_test.cc checks that Rebuild(Build(G), delta)
-// serializes byte-identically to Build(apply(G, delta)).
+// change, picks every table again by ModeRouting's rule. The equivalence
+// suite in tests/incremental_replan_test.cc checks that
+// Rebuild(Build(G), delta) serializes byte-identically to
+// Build(apply(G, delta)).
 
 #ifndef BTR_SRC_CORE_STRATEGY_BUILDER_H_
 #define BTR_SRC_CORE_STRATEGY_BUILDER_H_

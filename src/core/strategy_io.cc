@@ -1,5 +1,6 @@
 #include "src/core/strategy_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <iomanip>
 #include <sstream>
@@ -188,15 +189,25 @@ StatusOr<Strategy> LoadStrategy(const std::string& text, const AugmentedGraph& g
     bodies.push_back(std::make_shared<const PlanBody>(std::move(*body)));
   }
   // ParseParts admits modes only in strictly ascending order, so each fault
-  // set appears once and the fault-free mode comes first.
-  Strategy strategy;
+  // set appears once and the fault-free mode comes first. Routing is a pure
+  // function of (topology, fault set) and is rebuilt here; the modes go in
+  // by fault-set size, as a build plans them, so that each finds its parents
+  // and ModeRouting shares their tables as the build did.
+  std::vector<const Parts::Mode*> by_size;
+  by_size.reserve(parts->modes.size());
   for (const Parts::Mode& mode : parts->modes) {
-    std::vector<NodeId> nodes(mode.fault_nodes.begin(), mode.fault_nodes.end());
+    by_size.push_back(&mode);
+  }
+  std::stable_sort(by_size.begin(), by_size.end(), [](const Parts::Mode* a, const Parts::Mode* b) {
+    return a->fault_nodes.size() < b->fault_nodes.size();
+  });
+  Strategy strategy;
+  for (const Parts::Mode* mode : by_size) {
+    std::vector<NodeId> nodes(mode->fault_nodes.begin(), mode->fault_nodes.end());
     Plan plan;
     plan.faults = FaultSet(std::move(nodes));
-    plan.body = bodies[mode.ref];
-    // Routing is a pure function of (topology, fault set); rebuild it.
-    plan.routing = std::make_shared<RoutingTable>(topo, plan.faults.nodes());
+    plan.body = bodies[mode->ref];
+    plan.routing = ModeRouting(topo, plan.faults, strategy);
     strategy.Insert(std::move(plan));
   }
   if (parts->has_prov) {

@@ -16,7 +16,8 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
       pred_(n_ * n_, kNone),
       link_(n_ * n_, kNone),
       hops_(n_ * n_, 0),
-      path_propagation_(n_ * n_, 0) {
+      path_propagation_(n_ * n_, 0),
+      relays_(n_, false) {
   std::vector<bool> is_excluded(n_, false);
   for (NodeId x : excluded) {
     if (x.valid() && x.value() < n_) {
@@ -81,6 +82,16 @@ RoutingTable::RoutingTable(const Topology& topo, const std::vector<NodeId>& excl
       hops_[at] = hops_[from] + 1;
       path_propagation_[at] =
           path_propagation_[from] + topo.link(LinkId(link_[at])).propagation;
+    }
+  }
+  // Every interior hop of a route is the last hop's sender on that route's
+  // prefix, so one pass over the last hops finds the relays.
+  for (size_t s = 0; s < n_; ++s) {
+    for (size_t d = 0; d < n_; ++d) {
+      const uint32_t sender = pred_[s * n_ + d];
+      if (sender != kNone && sender != s) {
+        relays_[sender] = true;
+      }
     }
   }
 }

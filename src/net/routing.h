@@ -10,6 +10,11 @@
 // link, the hop count, and the summed propagation — O(n^2) words instead of
 // O(n^2 * diameter) materialized hops. Whole routes are walked back from
 // the destination through the source's tree.
+//
+// Sharing: a node that is no route's interior hop relays nothing, so
+// excluding it changes no entry (see ModeRouting in src/core/plan.h, which
+// lets fault modes share one table on that ground). The table records those
+// nodes at construction.
 
 #ifndef BTR_SRC_NET_ROUTING_H_
 #define BTR_SRC_NET_ROUTING_H_
@@ -81,6 +86,13 @@ class RoutingTable {
   // True if `relay` appears as an intermediate node on the src->dst route.
   bool RouteUsesRelay(NodeId src, NodeId dst, NodeId relay) const;
 
+  // True if `node` is an intermediate node on some route: the last hop's
+  // sender on a route from another source. A table built with `node` also
+  // excluded equals this one exactly when this is false.
+  bool Relays(NodeId node) const {
+    return node.valid() && node.value() < n_ && relays_[node.value()];
+  }
+
   // Bytes held by the table's per-pair arrays.
   size_t FootprintBytes() const;
 
@@ -97,6 +109,7 @@ class RoutingTable {
   std::vector<uint32_t> link_;  // last hop's link
   std::vector<uint32_t> hops_;
   std::vector<SimDuration> path_propagation_;
+  std::vector<bool> relays_;  // per node: Relays()
 };
 
 }  // namespace btr

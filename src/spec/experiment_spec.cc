@@ -11,11 +11,6 @@ namespace {
 using strategy_text::ParseU64;
 using strategy_text::SplitFields;
 
-// Hard cap on a spec's node count: large enough for any scenario the
-// simulator can actually run, small enough that a grammatically valid
-// spec can never drive Topology::AddNodes into std::bad_alloc.
-constexpr uint64_t kMaxSpecNodes = 4096;
-
 // --- serialization ---------------------------------------------------------
 
 std::string Us(SimDuration ns) { return std::to_string(ns / 1000); }
@@ -222,7 +217,7 @@ bool ValidNameToken(std::string_view name) {
 
 bool ParseDurationUs(std::string_view value, SimDuration* out) {
   uint64_t us = 0;
-  if (!ParseU64(value, &us) || us > static_cast<uint64_t>(INT64_MAX / 1000)) {
+  if (!ParseU64(value, &us) || us > kMaxSpecUs) {
     return false;
   }
   *out = static_cast<SimDuration>(us) * 1000;
@@ -303,6 +298,27 @@ class KeyValues {
  private:
   std::vector<std::pair<std::string_view, std::string_view>> entries_;
 };
+
+// Takes `number.key` from `kv` and reads it through `number`.
+Status TakeNumber(KeyValues* kv, const SpecNumber& number, size_t line_no, uint64_t* out) {
+  std::string_view value;
+  if (!kv->Take(number.key, &value)) {
+    return LineError(line_no, "missing " + std::string(number.key) + "=");
+  }
+  const Status parsed = number.Parse(value, out);
+  return parsed.ok() ? parsed : LineError(line_no, parsed.message());
+}
+
+// As TakeNumber, for a key in microseconds.
+Status TakeDurationUs(KeyValues* kv, const SpecNumber& number, size_t line_no,
+                      SimDuration* out) {
+  uint64_t us = 0;
+  Status taken = TakeNumber(kv, number, line_no, &us);
+  if (taken.ok()) {
+    *out = static_cast<SimDuration>(us) * 1000;
+  }
+  return taken;
+}
 
 // Repeated keys that KeyValues rejects (chan=...) are pre-extracted here.
 void ExtractRepeated(std::vector<std::string_view>* fields, std::string_view key,
@@ -472,15 +488,30 @@ std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name) {
   return std::nullopt;
 }
 
-Status ParseShardCount(std::string_view value, uint32_t* shards) {
+namespace {
+
+Status OutOfBounds(const SpecNumber& number) {
+  return Status::InvalidArgument(std::string(number.key) + "= must be in [" +
+                                 std::to_string(number.lo) + ", " + std::to_string(number.hi) +
+                                 "]");
+}
+
+}  // namespace
+
+Status SpecNumber::Check(uint64_t value) const {
+  return value >= lo && value <= hi ? Status::Ok() : OutOfBounds(*this);
+}
+
+Status SpecNumber::Parse(std::string_view value, uint64_t* out, uint64_t scale) const {
   uint64_t parsed = 0;
-  // 0 would serialize as an absent key, so the canonical round-trip only
-  // admits explicit counts; 64 generously exceeds any host.
-  if (!ParseU64(value, &parsed) || parsed == 0 || parsed > 64) {
-    return Status::InvalidArgument("shards= must be in [1, 64]");
+  if (!ParseU64(value, &parsed) || parsed > UINT64_MAX / scale) {
+    return OutOfBounds(*this);
   }
-  *shards = static_cast<uint32_t>(parsed);
-  return Status::Ok();
+  Status checked = Check(parsed * scale);
+  if (checked.ok()) {
+    *out = parsed * scale;
+  }
+  return checked;
 }
 
 std::string SerializeSpecScenario(const SpecScenario& scenario) {
@@ -602,10 +633,9 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         return loaded;
       }
       std::string_view value;
-      if (!kv.Take("nodes", &value) || !ParseU64(value, &s.nodes) || s.nodes == 0 ||
-          s.nodes > kMaxSpecNodes) {
-        return LineError(line_no, "missing or malformed nodes= (1.." +
-                                      std::to_string(kMaxSpecNodes) + ")");
+      Status nodes = TakeNumber(&kv, kSpecNodes, line_no, &s.nodes);
+      if (!nodes.ok()) {
+        return nodes;
       }
       if (RadioKind(s.kind)) {
         Status radio = ParseRadioAttrs(&kv, line_no, &s.loss_pm, &s.duty_on, &s.duty_period);
@@ -784,16 +814,16 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
       }
       std::string_view value;
       uint64_t f = 0;
-      if (!kv.Take("f", &value) || !ParseU64(value, &f) || f > 16) {
-        return LineError(line_no, "missing or malformed f=");
+      Status taken = TakeNumber(&kv, kSpecFaults, line_no, &f);
+      if (taken.ok()) {
+        spec.max_faults = static_cast<uint32_t>(f);
+        taken = TakeDurationUs(&kv, kSpecRecoveryUs, line_no, &spec.recovery_bound);
       }
-      spec.max_faults = static_cast<uint32_t>(f);
-      if (!kv.Take("recovery-us", &value) ||
-          !ParseDurationUs(value, &spec.recovery_bound) || spec.recovery_bound == 0) {
-        return LineError(line_no, "missing or malformed recovery-us=");
+      if (taken.ok()) {
+        taken = TakeNumber(&kv, kSpecSeed, line_no, &spec.seed);
       }
-      if (!kv.Take("seed", &value) || !ParseU64(value, &spec.seed)) {
-        return LineError(line_no, "missing or malformed seed=");
+      if (!taken.ok()) {
+        return taken;
       }
       if (kv.Take("heartbeats", &value)) {
         if (value == "0") {
@@ -805,10 +835,12 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         }
       }
       if (kv.Take("shards", &value)) {
-        Status shards = ParseShardCount(value, &spec.shards);
-        if (!shards.ok()) {
-          return LineError(line_no, shards.message());
+        uint64_t shards = 0;
+        const Status parsed = kSpecShards.Parse(value, &shards);
+        if (!parsed.ok()) {
+          return LineError(line_no, parsed.message());
         }
+        spec.shards = static_cast<uint32_t>(shards);
       }
       Status done = kv.Done(line_no);
       if (!done.ok()) {
@@ -847,10 +879,11 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         }
         // Sweep values obey the same bounds as the CONFIG / SCENARIO
         // fields they override.
-        if ((axis.key == "f" && v > 16) ||
-            (axis.key == "nodes" && (v == 0 || v > kMaxSpecNodes)) ||
-            (axis.key == "recovery-us" &&
-             (v == 0 || v > static_cast<uint64_t>(INT64_MAX / 1000)))) {
+        const SpecNumber& bounds = axis.key == "f"       ? kSpecFaults
+                                   : axis.key == "nodes" ? kSpecNodes
+                                   : axis.key == "seed"  ? kSpecSeed
+                                                         : kSpecRecoveryUs;
+        if (!bounds.Check(v).ok()) {
           return LineError(line_no, "sweep value " + std::to_string(v) +
                                         " out of range for axis '" + axis.key + "'");
         }
@@ -867,10 +900,9 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
         return loaded;
       }
       SpecPhase phase;
-      std::string_view value;
-      if (!kv.Take("periods", &value) || !ParseU64(value, &phase.periods) ||
-          phase.periods == 0) {
-        return LineError(line_no, "missing or malformed periods= (need >= 1)");
+      Status periods = TakeNumber(&kv, kSpecPeriods, line_no, &phase.periods);
+      if (!periods.ok()) {
+        return periods;
       }
       Status done = kv.Done(line_no);
       if (!done.ok()) {
@@ -897,9 +929,10 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
       if (value == "critical-primary") {
         fault.critical_primary = true;
       } else {
-        uint32_t node = 0;
-        if (!ParseU32Field(value, &node)) {
-          return LineError(line_no, "malformed node= (integer or critical-primary)");
+        uint64_t node = 0;
+        const Status parsed = kSpecFaultNode.Parse(value, &node);
+        if (!parsed.ok()) {
+          return LineError(line_no, parsed.message() + " (or critical-primary)");
         }
         if (spec.scenario.kind == SpecScenario::Kind::kInline &&
             node >= spec.scenario.nodes) {
@@ -907,10 +940,11 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
                                         " out of range (scenario has " +
                                         std::to_string(spec.scenario.nodes) + " nodes)");
         }
-        inj.node = NodeId(node);
+        inj.node = NodeId(static_cast<uint32_t>(node));
       }
-      if (!kv.Take("at-us", &value) || !ParseDurationUs(value, &inj.manifest_at)) {
-        return LineError(line_no, "missing or malformed at-us=");
+      Status at = TakeDurationUs(&kv, kSpecAtUs, line_no, &inj.manifest_at);
+      if (!at.ok()) {
+        return at;
       }
       if (!kv.Take("behavior", &value)) {
         return LineError(line_no, "missing behavior=");
@@ -921,9 +955,12 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
       }
       inj.behavior = *behavior;
       if (kv.Take("until-us", &value)) {
-        if (!ParseDurationUs(value, &inj.until) || inj.until <= inj.manifest_at) {
+        uint64_t until_us = 0;
+        if (!kSpecUntilUs.Parse(value, &until_us).ok() ||
+            static_cast<SimDuration>(until_us) * 1000 <= inj.manifest_at) {
           return LineError(line_no, "until-us must be a time after at-us");
         }
+        inj.until = static_cast<SimDuration>(until_us) * 1000;
       }
       if (kv.Take("delay-us", &value)) {
         if (inj.behavior != FaultBehavior::kDelay) {
@@ -971,8 +1008,9 @@ StatusOr<ExperimentSpec> ParseExperimentSpec(const std::string& text) {
       }
       std::string_view value;
       SimTime at = 0;
-      if (!kv.Take("at-us", &value) || !ParseDurationUs(value, &at)) {
-        return LineError(line_no, "missing or malformed at-us=");
+      Status taken = TakeDurationUs(&kv, kSpecAtUs, line_no, &at);
+      if (!taken.ok()) {
+        return taken;
       }
       if (phase.has_edit() && phase.edit_at != at) {
         return LineError(line_no,

@@ -36,6 +36,7 @@
 #ifndef BTR_SRC_SPEC_EXPERIMENT_SPEC_H_
 #define BTR_SRC_SPEC_EXPERIMENT_SPEC_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -170,10 +171,41 @@ struct ExperimentSpec {
 const char* ScenarioKindName(SpecScenario::Kind kind);
 std::optional<SpecScenario::Kind> ParseScenarioKind(std::string_view name);
 
-// CONFIG shards=: a canonical decimal in [1, 64], else InvalidArgument. The
-// parser and btrsim's --shards flag share it, so the CLI cannot print a
-// spec that its own parser refuses.
-Status ParseShardCount(std::string_view value, uint32_t* shards);
+// A numeric spec key and the parser's bounds on it. The parser reads each
+// key below (and each SWEEP value that overrides one) through its entry, and
+// btrsim checks its numeric flags against the same entries, so the CLI
+// cannot print a spec that its own parser refuses.
+struct SpecNumber {
+  std::string_view key;
+  uint64_t lo;
+  uint64_t hi;
+
+  // A canonical decimal (ParseU64's grammar: digits only, no leading zero)
+  // whose product with `scale` is in [lo, hi]; else InvalidArgument
+  // "<key>= must be in [lo, hi]", with *out untouched. *out is the product
+  // (btrsim's millisecond flags pass 1000 for a microsecond key).
+  Status Parse(std::string_view value, uint64_t* out, uint64_t scale = 1) const;
+  // The bounds check alone, for a value already read.
+  Status Check(uint64_t value) const;
+};
+
+// Microseconds a duration key can hold (SimDuration counts nanoseconds).
+inline constexpr uint64_t kMaxSpecUs = static_cast<uint64_t>(INT64_MAX) / 1000;
+
+// SCENARIO nodes=: large enough for any scenario the simulator can
+// actually run, small enough that a grammatically valid spec can never
+// drive Topology::AddNodes into std::bad_alloc.
+inline constexpr SpecNumber kSpecNodes{"nodes", 1, 4096};
+inline constexpr SpecNumber kSpecFaults{"f", 0, 16};  // CONFIG
+inline constexpr SpecNumber kSpecSeed{"seed", 0, UINT64_MAX};
+inline constexpr SpecNumber kSpecRecoveryUs{"recovery-us", 1, kMaxSpecUs};
+// 0 would serialize as an absent key, so only explicit counts; 64 exceeds
+// any host.
+inline constexpr SpecNumber kSpecShards{"shards", 1, 64};
+inline constexpr SpecNumber kSpecPeriods{"periods", 1, UINT64_MAX};  // PHASE
+inline constexpr SpecNumber kSpecFaultNode{"node", 0, UINT32_MAX};   // FAULT
+inline constexpr SpecNumber kSpecAtUs{"at-us", 0, kMaxSpecUs};
+inline constexpr SpecNumber kSpecUntilUs{"until-us", 0, kMaxSpecUs};  // and after at-us
 
 // Canonical serialization: fixed section and key order, optional keys only
 // when they deviate from defaults, no comments. The exact inverse of

@@ -18,6 +18,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/planner.h"
+#include "src/core/planner_stages.h"
 #include "src/core/strategy_builder.h"
 #include "src/core/strategy_delta.h"
 #include "src/core/strategy_io.h"
@@ -470,6 +471,8 @@ StrategyDelta RandomDelta(Rng* rng, const System& sys, StreamState* state) {
         break;
       }
       case 2: {  // latency re-measurement of any link
+        // A new propagation anywhere in [0, 3x + 4 us] of the old one: on
+        // the ring and the grid that often moves a route onto another path.
         const LinkSpec& link =
             sys.topo.link(LinkId(static_cast<uint32_t>(rng->NextBelow(sys.topo.link_count()))));
         const bool change_bw = rng->NextBool(0.7);
@@ -481,8 +484,8 @@ StrategyDelta RandomDelta(Rng* rng, const System& sys, StreamState* state) {
                                                              static_cast<uint64_t>(
                                                                  link.bandwidth_bps))))
                       : 0,
-            change_prop ? link.propagation + Microseconds(static_cast<int64_t>(
-                              rng->NextBelow(4)))
+            change_prop ? static_cast<SimDuration>(rng->NextBelow(
+                              static_cast<uint64_t>(3 * link.propagation + Microseconds(4))))
                         : -1));
         break;
       }
@@ -544,6 +547,29 @@ StrategyDelta RandomDelta(Rng* rng, const System& sys, StreamState* state) {
   return delta;
 }
 
+// The planner's own modes with a new routing table each (PlanForMode's
+// default): the reference for the builder's sharing of routing tables,
+// which must change no byte.
+std::string UnsharedBuildBytes(const Planner& planner) {
+  Strategy strategy;
+  const uint32_t max_faults = planner.config().max_faults;
+  for (size_t k = 0; k <= max_faults; ++k) {
+    for (const FaultSet& faults : ModeEnumerator::Level(planner.topology().node_count(), k)) {
+      std::vector<const Plan*> parents;
+      for (NodeId x : faults.nodes()) {
+        parents.push_back(strategy.Lookup(faults.Without(x)));
+      }
+      StatusOr<Plan> plan = planner.PlanForMode(faults, parents);
+      if (!plan.ok()) {
+        return plan.status().ToString();
+      }
+      strategy.Insert(std::move(plan).value());
+    }
+  }
+  strategy.set_provenance(max_faults, planner.Fingerprint());
+  return Bytes(strategy, planner);
+}
+
 TEST(IncrementalReplan, RandomizedEditStreamsSerializeIdentically) {
   constexpr int kSequences = 200;
   constexpr int kMaxEditsPerSequence = 4;
@@ -562,7 +588,13 @@ TEST(IncrementalReplan, RandomizedEditStreamsSerializeIdentically) {
     std::deque<System> generations;
     System& base = generations.emplace_back();
     {
-      Scenario s = MakeRandomScenario(&rng, params);
+      // Half the streams start from a random bus system, where no node
+      // relays a route. The rest start where nodes do: the convoy ring,
+      // whose vehicles relay and whose I/O leaves do not, and the
+      // lossy-mesh grid.
+      Scenario s = seq % 4 == 2   ? MakeConvoyScenario(3 + rng.NextBelow(2))
+                   : seq % 4 == 3 ? MakeLossyMeshScenario(rng.NextBool(0.5) ? 4 : 9)
+                                  : MakeRandomScenario(&rng, params);
       base.topo = std::move(s.topology);
       base.workload = std::move(s.workload);
     }
@@ -572,6 +604,8 @@ TEST(IncrementalReplan, RandomizedEditStreamsSerializeIdentically) {
     if (!strategy.ok()) {
       continue;  // infeasible base scenario; nothing to diff against
     }
+    EXPECT_EQ(Bytes(*strategy, *base.planner), UnsharedBuildBytes(*base.planner))
+        << "seq " << seq << ": shared routing tables changed the build";
 
     StreamState state;
     const System* current = &base;
@@ -588,6 +622,8 @@ TEST(IncrementalReplan, RandomizedEditStreamsSerializeIdentically) {
       }
       carried = std::move(next).value();
       current = &generations.back();
+      EXPECT_EQ(Bytes(carried, *current->planner), UnsharedBuildBytes(*current->planner))
+          << label << ": shared routing tables changed the rebuild";
       ++checked_steps;
     }
   }

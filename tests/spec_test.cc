@@ -100,16 +100,16 @@ TEST(SpecFormat, CommentsBlanksAndIndentationAreAccepted) {
   EXPECT_EQ(SerializeExperimentSpec(*reparsed), SerializeExperimentSpec(*spec));
 }
 
-// The CONFIG parser and btrsim's --shards flag share ParseShardCount, so a
+// The CONFIG parser and btrsim's --shards flag share kSpecShards, so a
 // count the CLI accepts always serializes into a spec that parses back.
 TEST(SpecFormat, ShardCountIsCanonicalAndWithinBounds) {
-  uint32_t shards = 0;
-  ASSERT_TRUE(ParseShardCount("1", &shards).ok());
+  uint64_t shards = 0;
+  ASSERT_TRUE(kSpecShards.Parse("1", &shards).ok());
   EXPECT_EQ(shards, 1u);
-  ASSERT_TRUE(ParseShardCount("64", &shards).ok());
+  ASSERT_TRUE(kSpecShards.Parse("64", &shards).ok());
   EXPECT_EQ(shards, 64u);
   for (const char* bad : {"0", "65", "100", "-1", "4294967295", "two", "03", ""}) {
-    const Status refused = ParseShardCount(bad, &shards);
+    const Status refused = kSpecShards.Parse(bad, &shards);
     EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_EQ(refused.message(), "shards= must be in [1, 64]") << bad;
   }
@@ -120,6 +120,67 @@ TEST(SpecFormat, ShardCountIsCanonicalAndWithinBounds) {
       "CONFIG f=1 recovery-us=1000000 seed=7 shards=65\nPHASE periods=10\nEND\n");
   ASSERT_FALSE(spec.ok());
   EXPECT_EQ(spec.status().message(), "line 4: shards= must be in [1, 64]");
+}
+
+// The parser reads its numeric keys through the SpecNumber entries that
+// btrsim's numeric flags are checked against, so the two refuse the same
+// values with the same message: a negative, non-canonical or out-of-range
+// flag can no longer print a spec that the parser refuses.
+TEST(SpecFormat, NumericKeysShareTheFlagBounds) {
+  const std::string base =
+      "BTRX 1\nNAME s\nSCENARIO scada nodes=4\n"
+      "CONFIG f=1 recovery-us=1000000 seed=7\nPHASE periods=10\n"
+      "FAULT node=1 at-us=100000 behavior=omission\nEND\n";
+  ASSERT_TRUE(ParseExperimentSpec(base).ok());
+  struct Case {
+    const SpecNumber* key;
+    const char* from;
+    const char* to;
+    int line;
+    const char* suffix;  // what the parser adds to the key's message
+  };
+  const Case cases[] = {
+      {&kSpecNodes, "nodes=4", "nodes=0", 3, ""},
+      {&kSpecNodes, "nodes=4", "nodes=4097", 3, ""},
+      {&kSpecNodes, "nodes=4", "nodes=abc", 3, ""},
+      {&kSpecFaults, "f=1", "f=17", 4, ""},
+      {&kSpecFaults, "f=1", "f=-1", 4, ""},
+      {&kSpecFaults, "f=1", "f=01", 4, ""},
+      {&kSpecRecoveryUs, "recovery-us=1000000", "recovery-us=0", 4, ""},
+      {&kSpecRecoveryUs, "recovery-us=1000000", "recovery-us=9223372036854776", 4, ""},
+      {&kSpecSeed, "seed=7", "seed=18446744073709551616", 4, ""},
+      {&kSpecPeriods, "periods=10", "periods=0", 5, ""},
+      {&kSpecPeriods, "periods=10", "periods=-5", 5, ""},
+      {&kSpecFaultNode, "node=1", "node=4294967296", 6, " (or critical-primary)"},
+      {&kSpecAtUs, "at-us=100000", "at-us=-1", 6, ""},
+  };
+  for (const Case& c : cases) {
+    std::string text = base;
+    text.replace(text.find(c.from), std::string(c.from).size(), c.to);
+    const std::string value(std::string_view(c.to).substr(c.key->key.size() + 1));
+    uint64_t out = 42;
+    const Status refused = c.key->Parse(value, &out);
+    ASSERT_FALSE(refused.ok()) << c.to;
+    EXPECT_EQ(refused.message(), std::string(c.key->key) + "= must be in [" +
+                                     std::to_string(c.key->lo) + ", " +
+                                     std::to_string(c.key->hi) + "]");
+    EXPECT_EQ(out, 42u) << c.to;  // a refused value leaves the output untouched
+    auto spec = ParseExperimentSpec(text);
+    ASSERT_FALSE(spec.ok()) << c.to;
+    EXPECT_EQ(spec.status().message(),
+              "line " + std::to_string(c.line) + ": " + refused.message() + c.suffix);
+  }
+
+  // Millisecond flags scale into the microsecond keys, overflow included.
+  uint64_t us = 0;
+  ASSERT_TRUE(kSpecRecoveryUs.Parse("3", &us, 1000).ok());
+  EXPECT_EQ(us, 3000u);
+  EXPECT_TRUE(kSpecAtUs.Parse("0", &us, 1000).ok());
+  EXPECT_FALSE(kSpecRecoveryUs.Parse("0", &us, 1000).ok());
+  EXPECT_TRUE(kSpecRecoveryUs.Parse("9223372036854", &us, 1000).ok());
+  EXPECT_FALSE(kSpecRecoveryUs.Parse("9223372036855", &us, 1000).ok());
+  EXPECT_FALSE(kSpecAtUs.Parse("18446744073709551615", &us, 1000).ok());
+  EXPECT_TRUE(kSpecSeed.Parse("18446744073709551615", &us).ok());
 }
 
 // --- randomized canonical round trip --------------------------------------

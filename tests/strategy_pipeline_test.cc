@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/core/planner.h"
@@ -202,6 +203,79 @@ TEST(StrategyPipeline, ParentResolutionByCanonicalFaultSetId) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Modes share routing tables by ModeRouting's rule: a mode whose added fault
+// relays no route takes its parent's table. Sharing must be exact, so every
+// mode's table must agree with a table built from scratch for its fault set
+// on every pair, and a strategy loaded from its text must share as many.
+// Returns the number of distinct tables.
+size_t CheckSharedRoutes(const Scenario& s, uint32_t f) {
+  Planner planner(&s.topology, &s.workload, Config(f));
+  StatusOr<Strategy> strategy = planner.BuildStrategy();
+  EXPECT_TRUE(strategy.ok()) << strategy.status().ToString();
+  if (!strategy.ok()) {
+    return 0;
+  }
+  const size_t n = s.topology.node_count();
+  std::set<const RoutingTable*> distinct;
+  for (const FaultSet& faults : strategy->PlannedSets()) {
+    const RoutingTable& shared = *strategy->Lookup(faults)->routing;
+    distinct.insert(&shared);
+    const RoutingTable fresh(s.topology, faults.nodes());
+    size_t mismatches = 0;
+    for (uint32_t a = 0; a < n; ++a) {
+      for (uint32_t b = 0; b < n; ++b) {
+        const NodeId src(a);
+        const NodeId dst(b);
+        const Route got = shared.RouteBetween(src, dst);
+        const Route want = fresh.RouteBetween(src, dst);
+        const bool same_hops =
+            got.size() == want.size() &&
+            std::equal(got.begin(), got.end(), want.begin(), [](const Hop& x, const Hop& y) {
+              return x.sender == y.sender && x.link == y.link && x.receiver == y.receiver;
+            });
+        if (!same_hops || shared.HopCount(src, dst) != fresh.HopCount(src, dst) ||
+            shared.PathPropagation(src, dst) != fresh.PathPropagation(src, dst)) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "mode " << faults.ToString();
+  }
+
+  const std::string text = SaveStrategy(*strategy, planner.graph(), s.topology);
+  StatusOr<Strategy> loaded = LoadStrategy(text, planner.graph(), s.topology);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (loaded.ok()) {
+    EXPECT_EQ(loaded->RoutingFootprintBytes(), strategy->RoutingFootprintBytes());
+    // The loader shares a table between the same modes as the build: each
+    // built table stands for exactly one loaded table.
+    std::map<const RoutingTable*, const RoutingTable*> loaded_for;
+    for (const FaultSet& faults : strategy->PlannedSets()) {
+      const RoutingTable* reloaded = loaded->Lookup(faults)->routing.get();
+      EXPECT_EQ(loaded_for.emplace(strategy->Lookup(faults)->routing.get(), reloaded)
+                    .first->second,
+                reloaded)
+          << faults.ToString();
+    }
+  }
+  EXPECT_EQ(strategy->RoutingFootprintBytes(),
+            distinct.size() * RoutingTable(s.topology).FootprintBytes());
+  return distinct.size();
+}
+
+TEST(StrategyPipeline, ModesShareRoutingTablesExactly) {
+  // The avionics dual bus: no node relays a route, so every mode keeps the
+  // root's table.
+  EXPECT_EQ(CheckSharedRoutes(MakeAvionicsScenario(8), 2), 1u);  // of 79 modes
+  // The convoy ring: each vehicle relays, each I/O leaf relays nothing.
+  EXPECT_EQ(CheckSharedRoutes(MakeConvoyScenario(30), 1), 31u);  // of 61
+  EXPECT_EQ(CheckSharedRoutes(MakeConvoyScenario(8), 2), 37u);   // of 137
+  // The 3x3 lossy-mesh grid: equal-cost ties go to the lower id, so only
+  // the two far corners (n6, n8) relay nothing.
+  EXPECT_EQ(CheckSharedRoutes(MakeLossyMeshScenario(9), 1), 8u);   // of 10
+  EXPECT_EQ(CheckSharedRoutes(MakeLossyMeshScenario(9), 2), 31u);  // of 46
 }
 
 }  // namespace
